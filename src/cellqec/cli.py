@@ -176,7 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="cellqec",
         description="CSS codes from cellulations of closed surfaces")
     parser.add_argument("--coset-budget", type=int, default=None,
-                        help="combination budget for exact coset searches")
+                        help="combination budget for the decoder's coset search")
     parser.add_argument("--workers", type=int,
                         default=int(os.environ.get("CELLQEC_WORKERS", "1")),
                         help="worker count (results are worker-independent)")

@@ -3,6 +3,12 @@
 Vectors and matrices store their entries as Python integers used as bit
 sets (bit i = coefficient of coordinate i), so row operations are single
 XORs regardless of length.
+
+``min_weight_in_coset`` is an exhaustive Gray-code search, exponential
+in the subspace dimension and capped by ``COSET_SEARCH_BUDGET``.  Only
+the decoder uses it; systoles and code distances go through the
+polynomial parity-cover search in ``homology``, and the tests keep the
+coset search as an independent oracle for that engine.
 """
 from __future__ import annotations
 
@@ -142,12 +148,12 @@ class Gf2Matrix:
         return [self.row(i).to_list() for i in range(self.rows)]
 
     def transpose(self) -> "Gf2Matrix":
-        cols = []
-        for j in range(self.cols):
-            bits = 0
-            for i in range(self.rows):
-                bits |= ((self.row_bits[i] >> j) & 1) << i
-            cols.append(bits)
+        cols = [0] * self.cols
+        for i, r in enumerate(self.row_bits):
+            while r:  # one step per set entry
+                low = r & -r
+                cols[low.bit_length() - 1] |= 1 << i
+                r ^= low
         return Gf2Matrix(self.cols, self.rows, tuple(cols))
 
     def mul_vector(self, v: Gf2Vector) -> Gf2Vector:
@@ -211,30 +217,31 @@ def row_reduce(m: Gf2Matrix) -> Gf2Matrix:
     return Gf2Matrix(len(red), m.cols, tuple(red))
 
 
-def kernel_basis(m: Gf2Matrix) -> list[Gf2Vector]:
-    """Basis of the right null space {v : M·v = 0}."""
-    n = m.cols
-    # Gaussian elimination on columns: track combination of unit vectors.
-    # Work with augmented rows of the transpose.
-    rows = []
-    for j in range(n):
-        col_bits = 0
-        for i in range(m.rows):
-            col_bits |= ((m.row_bits[i] >> j) & 1) << i
-        rows.append((col_bits, 1 << j))
+def _column_elimination(m: Gf2Matrix) -> tuple[list[tuple[int, int]], list[int]]:
+    """Eliminate the columns of m, tracking which columns were combined.
+
+    Returns (pivots, kernel): pivots are (reduced column, combination)
+    pairs with distinct lowest set bits, spanning the column space;
+    kernel holds the combinations whose columns cancel.
+    """
     pivots: list[tuple[int, int]] = []
-    basis = []
-    for col_bits, combo in rows:
+    kernel: list[int] = []
+    for j, col_bits in enumerate(m.transpose().row_bits):
+        combo = 1 << j
         for p_bits, p_combo in pivots:
-            low = (p_bits & -p_bits)
-            if col_bits & low:
+            if col_bits & p_bits & -p_bits:
                 col_bits ^= p_bits
                 combo ^= p_combo
         if col_bits:
             pivots.append((col_bits, combo))
         else:
-            basis.append(Gf2Vector(n, combo))
-    return basis
+            kernel.append(combo)
+    return pivots, kernel
+
+
+def kernel_basis(m: Gf2Matrix) -> list[Gf2Vector]:
+    """Basis of the right null space {v : M·v = 0}."""
+    return [Gf2Vector(m.cols, combo) for combo in _column_elimination(m)[1]]
 
 
 def in_span(basis: Sequence[Gf2Vector], v: Gf2Vector) -> bool:
@@ -255,33 +262,14 @@ def solve(m: Gf2Matrix, rhs: Gf2Vector) -> Gf2Vector | None:
     """One solution x of M·x = rhs, or None if inconsistent."""
     if rhs.n != m.rows:
         raise LengthMismatch(f"{rhs.n} != {m.rows}")
-    # Eliminate on rows of [M^T | I] to express rhs in the column space.
-    n = m.cols
-    aug = []
-    for j in range(n):
-        col_bits = 0
-        for i in range(m.rows):
-            col_bits |= ((m.row_bits[i] >> j) & 1) << i
-        aug.append((col_bits, 1 << j))
-    pivots: list[tuple[int, int]] = []
-    for col_bits, combo in aug:
-        for p_bits, p_combo in pivots:
-            low = (p_bits & -p_bits)
-            if col_bits & low:
-                col_bits ^= p_bits
-                combo ^= p_combo
-        if col_bits:
-            pivots.append((col_bits, combo))
-    r = rhs.bits
-    x = 0
-    for p_bits, p_combo in pivots:
-        low = (p_bits & -p_bits)
-        if r & low:
+    r, x = rhs.bits, 0
+    for p_bits, p_combo in _column_elimination(m)[0]:
+        if r & p_bits & -p_bits:
             r ^= p_bits
             x ^= p_combo
     if r:
         return None
-    return Gf2Vector(n, x)
+    return Gf2Vector(m.cols, x)
 
 
 def rowspace_equal(a: Gf2Matrix, b: Gf2Matrix) -> bool:

@@ -1,7 +1,20 @@
-"""Z2 homology of a cellulation: H1, essential cycles, systoles."""
+"""Z2 homology of a cellulation: H1, essential cycles, systoles.
+
+Every minimum-weight-nontrivial-vector question in the library -- the
+primal and dual systoles here, and the code distances in ``stabilizer``
+-- is answered by one exact engine, ``_min_weight_logical``: a
+breadth-first search in the two-fold parity cover of the graph whose
+nodes are the rows of a check matrix.  It requires every check column to
+have weight <= 2 (true of every cellulation incidence matrix and planar
+check matrix) and raises ``UnsupportedCheckStructure`` otherwise.  The
+exhaustive coset search ``gf2.min_weight_in_coset`` is not used here; it
+serves the decoder and, in the tests, as an independent oracle.
+"""
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
+from typing import Sequence
 
 from . import gf2, surface
 from .gf2 import Gf2Matrix, Gf2Vector
@@ -16,6 +29,10 @@ class TrivialHomologyError(ValueError):
     """Systole requested on a surface with trivial H1."""
 
 
+class UnsupportedCheckStructure(ValueError):
+    """A check matrix column touches more than two generators."""
+
+
 @dataclass(frozen=True)
 class HomologySummary:
     z1_dim: int
@@ -27,11 +44,14 @@ class HomologySummary:
     dual_witness: Gf2Vector | None
 
 
+def _cycle_boundary_dims(fe: Gf2Matrix, ve: Gf2Matrix) -> tuple[int, int]:
+    """(dim Z1, dim B1) = (dim ker(boundary_1), rank(boundary_2))."""
+    return fe.cols - gf2.rank(ve), gf2.rank(fe)
+
+
 def h1_dim(c: Cellulation) -> int:
     """dim H1(c; Z2) = dim ker(boundary_1) - rank(boundary_2)."""
-    fe, ve = surface.incidence_matrices(c)
-    z1 = c.edge_count - gf2.rank(ve)
-    b1 = gf2.rank(fe)
+    z1, b1 = _cycle_boundary_dims(*surface.incidence_matrices(c))
     return z1 - b1
 
 
@@ -48,37 +68,117 @@ def _is_essential(fe: Gf2Matrix, ve: Gf2Matrix, chain: Gf2Vector) -> bool:
 
 
 def _class_representatives(fe: Gf2Matrix, ve: Gf2Matrix) -> list[Gf2Vector]:
-    """A basis of H1 as cycle representatives (one per basis class)."""
-    boundary_rows = list(fe.row_bits)
+    """A basis of ker(ve) / rowspace(fe): kernel vectors, one per new class.
+
+    Kernel basis vectors are kept greedily, each one independent of the
+    boundaries and of the vectors kept before it.
+    """
+    reduced = gf2._eliminate(list(fe.row_bits), fe.cols)
     reps = []
-    span_rows = list(boundary_rows)
-    base_rank = len(gf2._eliminate(span_rows, fe.cols))
     for v in gf2.kernel_basis(ve):
-        new_rank = len(gf2._eliminate(span_rows + [v.bits], fe.cols))
-        if new_rank > base_rank:
+        r = v.bits
+        for pr in reduced:
+            p = (pr & -pr).bit_length() - 1
+            if (r >> p) & 1:
+                r ^= pr
+        if r:
+            # absorb into the elimination so later vectors are independent
+            p = (r & -r).bit_length() - 1
+            for i, pr in enumerate(reduced):
+                if (pr >> p) & 1:
+                    reduced[i] = pr ^ r
+            reduced.append(r)
             reps.append(v)
-            span_rows.append(v.bits)
-            base_rank = new_rank
     return reps
 
 
+def _min_weight_logical(check: Gf2Matrix,
+                        functionals: Sequence[Gf2Vector]) -> tuple[int, Gf2Vector]:
+    """Minimum weight over ker(check) minus the vectors all functionals kill.
+
+    check must have column weights <= 2, so its kernel is the cycle space
+    of a graph (columns of weight 1 attach to a single virtual boundary
+    node; columns of weight 0 are free single-edge cycles).  A vector is
+    nontrivial iff it pairs oddly with some functional, so the minimum is
+    taken over one breadth-first search per functional in the two-fold
+    parity cover.  This is exact: a lightest vector pairing oddly with a
+    functional contains a connected cycle that does too and weighs no
+    more, and the search from any node of that cycle finds a closed walk
+    of odd parity no longer than it.
+    """
+    n = check.cols
+    if not functionals:
+        raise ValueError("no functionals: code has k = 0")
+    virtual = check.rows
+    n_nodes = check.rows + 1
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(n_nodes)]
+    ends: list[int] = [0] * n  # XOR of an edge's two end nodes
+    free: list[int] = []       # columns of weight 0
+    for e, col in enumerate(check.transpose().row_bits):
+        weight = col.bit_count()
+        if weight > 2:
+            raise UnsupportedCheckStructure(
+                f"column {e} touches {weight} generators")
+        if weight == 0:
+            free.append(e)
+            continue
+        a = (col & -col).bit_length() - 1
+        b = col.bit_length() - 1 if weight == 2 else virtual
+        adj[a].append((b, e))
+        adj[b].append((a, e))
+        ends[e] = a ^ b
+    best: tuple[int, int] | None = None  # (weight, bits)
+    for f in functionals:
+        tau = [(f.bits >> e) & 1 for e in range(n)]
+        for e in free:
+            if tau[e] and (best is None or (1, 1 << e) < best):
+                best = (1, 1 << e)
+        for start in range(n_nodes):
+            # BFS over states 2 * node + parity, from (start, 0) until
+            # (start, 1) is reached or no walk can beat the best so far
+            via = [-1] * (2 * n_nodes)  # edge that first reached a state
+            dist = [-1] * (2 * n_nodes)
+            s0, target = 2 * start, 2 * start + 1
+            dist[s0] = 0
+            q = deque([s0])
+            while q and dist[target] < 0:
+                st = q.popleft()
+                d = dist[st] + 1
+                if best is not None and d >= best[0]:
+                    break
+                par = st & 1
+                for other, e in adj[st >> 1]:
+                    t2 = 2 * other + (par ^ tau[e])
+                    if dist[t2] < 0:
+                        dist[t2] = d
+                        via[t2] = e
+                        q.append(t2)
+            if dist[target] < 0:
+                continue
+            bits = 0
+            cur = target
+            while cur != s0:
+                e = via[cur]
+                bits ^= 1 << e
+                cur = 2 * (ends[e] ^ (cur >> 1)) + ((cur & 1) ^ tau[e])
+            cand = (bits.bit_count(), bits)
+            if best is None or cand < best:
+                best = cand
+    if best is None:
+        raise ValueError("no nontrivial vector found; functionals inconsistent")
+    return best[0], Gf2Vector(n, best[1])
+
+
 def _min_essential(fe: Gf2Matrix, ve: Gf2Matrix) -> tuple[int, Gf2Vector]:
-    """Minimum-weight essential cycle by per-class coset search."""
-    reps = _class_representatives(fe, ve)
-    if not reps:
+    """Minimum-weight cycle of ker(ve) outside rowspace(fe).
+
+    A cycle is essential iff it pairs oddly with some class of
+    ker(fe) / rowspace(ve), so those classes are the functionals.
+    """
+    functionals = _class_representatives(ve, fe)
+    if not functionals:
         raise TrivialHomologyError("surface has trivial first homology")
-    boundary_basis = fe.row_vectors()
-    best: tuple[int, Gf2Vector] | None = None
-    k = len(reps)
-    for mask in range(1, 1 << k):
-        offset = Gf2Vector.zero(fe.cols)
-        for i in range(k):
-            if (mask >> i) & 1:
-                offset ^= reps[i]
-        w, witness = gf2.min_weight_in_coset(boundary_basis, offset)
-        if best is None or (w, witness.sort_key()) < (best[0], best[1].sort_key()):
-            best = (w, witness)
-    return best
+    return _min_weight_logical(ve, functionals)
 
 
 def systole(c: Cellulation) -> tuple[int, Gf2Vector]:
@@ -95,8 +195,7 @@ def dual_systole(c: Cellulation) -> tuple[int, Gf2Vector]:
 
 def summary(c: Cellulation) -> HomologySummary:
     fe, ve = surface.incidence_matrices(c)
-    z1 = c.edge_count - gf2.rank(ve)
-    b1 = gf2.rank(fe)
+    z1, b1 = _cycle_boundary_dims(fe, ve)
     h1 = z1 - b1
     if h1 == 0:
         return HomologySummary(z1, b1, 0, None, None, None, None)

@@ -4,16 +4,22 @@ Convention (fixed throughout): face operators are X-type, vertex
 operators are Z-type.  d_z (bit-flip distance) is the primal systole,
 d_x (phase distance) the dual systole.  logical_x vectors live in
 ker(vertex_edge) \\ rowspace(face_edge); logical_z dually.
+
+Closed-surface and planar codes are finished by the same code: both
+distances come from the parity-cover search ``homology._min_weight_logical``
+on the check matrices, which needs every check column to have weight
+<= 2, and the logical operators are class representatives paired by
+``_normalize_pairing`` (valid, not necessarily of minimum weight).
 """
 from __future__ import annotations
 
 import json
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Sequence
 
 from . import gf2, homology, surface
 from .gf2 import Gf2Matrix, Gf2Vector
+# UnsupportedCheckStructure is re-exported: the distances here raise it
+from .homology import UnsupportedCheckStructure, _min_weight_logical  # noqa: F401
 from .surface import Cellulation
 
 
@@ -106,29 +112,6 @@ class CssCode:
         }
 
 
-def _quotient_representatives(vectors: Sequence[Gf2Vector],
-                              modulo_rows: Sequence[int],
-                              cols: int) -> list[Gf2Vector]:
-    """Vectors forming a basis of span(vectors) modulo span(modulo_rows)."""
-    reduced = gf2._eliminate(list(modulo_rows), cols)
-    reps = []
-    for v in vectors:
-        r = v.bits
-        for pr in reduced:
-            p = (pr & -pr).bit_length() - 1
-            if (r >> p) & 1:
-                r ^= pr
-        if r:
-            # absorb into the elimination so later vectors are independent
-            p = (r & -r).bit_length() - 1
-            for i, pr in enumerate(reduced):
-                if (pr >> p) & 1:
-                    reduced[i] = pr ^ r
-            reduced.append(r)
-            reps.append(v)
-    return reps
-
-
 def _invert_gf2(rows: list[int], k: int) -> list[int]:
     """Inverse of a k x k GF(2) matrix given as row bit sets."""
     aug = [rows[i] | (1 << (k + i)) for i in range(k)]
@@ -168,29 +151,23 @@ def _normalize_pairing(logical_x: list[Gf2Vector],
 def build_code(c: Cellulation) -> CssCode:
     """The CSS code of a cellulation: X on faces, Z on vertices."""
     fe, ve = surface.incidence_matrices(c)
-    n = c.edge_count
-    k = n - gf2.rank(fe) - gf2.rank(ve)
+    return _code_from_checks(fe, ve)
+
+
+def _code_from_checks(x_stab: Gf2Matrix, z_stab: Gf2Matrix) -> CssCode:
+    """k, both distances and paired logical operators of a CSS code."""
+    n = x_stab.cols
+    k = n - gf2.rank(x_stab) - gf2.rank(z_stab)
+    partial = CssCode(n, x_stab, z_stab, k, None, None)
     if k == 0:
-        return CssCode(n, fe, ve, 0, None, None)
-    # minimum-weight witness per homology basis class, both sides.  An
-    # X-type logical must commute with every vertex Z check, so its
-    # support is a primal cycle; dually Z-type logicals ride dual cycles.
-    logical_x = _class_minimal_witnesses(fe, ve)
-    logical_z = _class_minimal_witnesses(ve, fe)
-    d_z = min(v.weight for v in logical_x)
-    d_x = min(v.weight for v in logical_z)
-    # global minima can live in non-basis classes; take the true systoles
-    d_z = min(d_z, homology._min_essential(fe, ve)[0])
-    d_x = min(d_x, homology._min_essential(ve, fe)[0])
-    logical_x = _normalize_pairing(logical_x, logical_z)
-    return CssCode(n, fe, ve, k, d_x, d_z,
-                   tuple(logical_x), tuple(logical_z))
-
-
-def _class_minimal_witnesses(fe: Gf2Matrix, ve: Gf2Matrix) -> list[Gf2Vector]:
-    reps = homology._class_representatives(fe, ve)
-    basis = fe.row_vectors()
-    return [gf2.min_weight_in_coset(basis, r)[1] for r in reps]
+        return partial
+    x_side, z_side = _logical_representatives(partial)
+    d_z, _ = _min_weight_logical(z_stab, x_side)
+    d_x, _ = _min_weight_logical(x_stab, z_side)
+    # z_side lives in ker(z_stab), so those supports carry X-type logicals
+    logical_x = _normalize_pairing(z_side, x_side)
+    return CssCode(n, x_stab, z_stab, k, d_x, d_z,
+                   tuple(logical_x), tuple(x_side))
 
 
 def check_relations(code: CssCode) -> bool:
@@ -229,107 +206,16 @@ def hadamard_dual_equivalent(c: Cellulation) -> bool:
 # generic CSS distance via the incidence graph of the check matrices
 # ---------------------------------------------------------------------------
 
-class UnsupportedCheckStructure(ValueError):
-    """A check matrix column touches more than two generators."""
-
-
-def _min_weight_logical(check: Gf2Matrix,
-                        functionals: Sequence[Gf2Vector]) -> tuple[int, Gf2Vector]:
-    """Minimum weight over ker(check) minus the dual-trivial subspace.
-
-    check must have column weights <= 2, so its kernel is the cycle space
-    of a graph (columns of weight 1 attach to a single virtual boundary
-    node; columns of weight 0 are free single-edge cycles).  A vector is
-    nontrivial iff it pairs oddly with some functional; the minimum is
-    found by breadth-first search in the 2^k-fold parity cover, which is
-    exact because a minimum-weight nontrivial vector always contains a
-    nontrivial connected cycle of no larger weight.
-    """
-    n = check.cols
-    k = len(functionals)
-    if k == 0:
-        raise ValueError("no functionals: code has k = 0")
-    tau = [0] * n
-    for e in range(n):
-        for i, f in enumerate(functionals):
-            tau[e] |= ((f.bits >> e) & 1) << i
-    rows_of: list[list[int]] = [[] for _ in range(n)]
-    for i, rb in enumerate(check.row_bits):
-        b = rb
-        while b:
-            e = (b & -b).bit_length() - 1
-            rows_of[e].append(i)
-            b &= b - 1
-    virtual = check.rows
-    use_virtual = any(len(r) == 1 for r in rows_of)
-    n_nodes = check.rows + (1 if use_virtual else 0)
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(n_nodes)]
-    best: tuple[int, int] | None = None  # (weight, bits)
-    for e in range(n):
-        rs = rows_of[e]
-        if len(rs) > 2:
-            raise UnsupportedCheckStructure(
-                f"column {e} touches {len(rs)} generators")
-        if len(rs) == 0:
-            if tau[e]:
-                cand = (1, 1 << e)
-                if best is None or cand < best:
-                    best = cand
-            continue
-        a = rs[0]
-        b = rs[1] if len(rs) == 2 else virtual
-        adj[a].append((b, e))
-        adj[b].append((a, e))
-    nk = 1 << k
-    for start in range(n_nodes):
-        # BFS over (node, parity) states from (start, 0)
-        size = n_nodes * nk
-        dist = [-1] * size
-        parent: list[tuple[int, int] | None] = [None] * size  # (prev_state, edge)
-        s0 = start * nk
-        dist[s0] = 0
-        q = deque([s0])
-        limit = best[0] if best is not None else None
-        while q:
-            st = q.popleft()
-            d = dist[st]
-            if limit is not None and d + 1 > limit:
-                break
-            node, par = divmod(st, nk)
-            for other, e in adj[node]:
-                t2 = other * nk + (par ^ tau[e])
-                if dist[t2] < 0:
-                    dist[t2] = d + 1
-                    parent[t2] = (st, e)
-                    q.append(t2)
-        for t in range(1, nk):
-            st = start * nk + t
-            if dist[st] < 0:
-                continue
-            bits = 0
-            cur = st
-            while parent[cur] is not None:
-                prev, e = parent[cur]
-                bits ^= 1 << e
-                cur = prev
-            cand = (bits.bit_count(), bits)
-            if cand[0] and (best is None or cand < best):
-                best = cand
-    if best is None:
-        raise ValueError("no nontrivial vector found; functionals inconsistent")
-    return best[0], Gf2Vector(n, best[1])
-
-
 def _logical_representatives(code: CssCode) -> tuple[list[Gf2Vector], list[Gf2Vector]]:
     """(x-side, z-side) homology-class bases from the check matrices.
 
     x-side reps span ker(x_stabilizers) / rowspace(z_stabilizers); z-side
     reps span ker(z_stabilizers) / rowspace(x_stabilizers).
     """
-    xk = gf2.kernel_basis(code.x_stabilizers)
-    zk = gf2.kernel_basis(code.z_stabilizers)
-    x_side = _quotient_representatives(xk, code.z_stabilizers.row_bits, code.n)
-    z_side = _quotient_representatives(zk, code.x_stabilizers.row_bits, code.n)
+    x_side = homology._class_representatives(code.z_stabilizers,
+                                             code.x_stabilizers)
+    z_side = homology._class_representatives(code.x_stabilizers,
+                                             code.z_stabilizers)
     return x_side, z_side
 
 
@@ -504,20 +390,11 @@ def build_punctured_disk_code(patch: PlanarPatch) -> CssCode:
         z_rows[b] ^= 1 << e
     x_stab = Gf2Matrix(len(x_rows), n, tuple(x_rows))
     z_stab = Gf2Matrix(len(z_rows), n, tuple(z_rows))
-    k = n - gf2.rank(x_stab) - gf2.rank(z_stab)
-    if k != len(patch.holes):
+    code = _code_from_checks(x_stab, z_stab)
+    if code.k != len(patch.holes):
         raise AssertionError(
-            f"expected k = {len(patch.holes)} holes, computed {k}")
-    partial = CssCode(n, x_stab, z_stab, k, None, None)
-    if k == 0:
-        return partial
-    x_side, z_side = _logical_representatives(partial)
-    d_z, _ = _min_weight_logical(z_stab, x_side)
-    d_x, _ = _min_weight_logical(x_stab, z_side)
-    # z_side lives in ker(z_stab), so those supports carry X-type logicals
-    logical_x = _normalize_pairing(z_side, x_side)
-    return CssCode(n, x_stab, z_stab, k, d_x, d_z,
-                   tuple(logical_x), tuple(x_side))
+            f"expected k = {len(patch.holes)} holes, computed {code.k}")
+    return code
 
 
 def planar_two_holes_patch() -> PlanarPatch:

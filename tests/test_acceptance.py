@@ -15,6 +15,7 @@ import os
 import time
 
 import pytest
+from coset_oracle import coset_min_essential
 
 from cellqec import decoder, gf2, homology, invariants, search, stabilizer, surface
 from cellqec.decoder import ErrorPattern
@@ -221,6 +222,8 @@ def test_criterion_12_property_suites(record):
         pool = [surface.catalog(n) for n in surface.closed_catalog_names()]
         pool += search.sample_small_cellulations(100, seed=20260825,
                                                  max_edges=4)
+        # non-orientable genus 4 and orientable genus 2 reach k = 4
+        assert max(homology.h1_dim(c) for c in pool) == 4
         rng = random.Random(987)
         for c in pool:
             fe, ve = surface.incidence_matrices(c)
@@ -230,8 +233,13 @@ def test_criterion_12_property_suites(record):
             assert stabilizer.commutes(code)
             assert code.k == homology.h1_dim(c)
             if code.k > 0:
-                assert stabilizer.css_distance(code) == (
-                    homology.dual_systole(c)[0], homology.systole(c)[0])
+                # the parity-cover engine against the coset-search oracle
+                expected = (coset_min_essential(ve, fe),
+                            coset_min_essential(fe, ve))
+                assert stabilizer.css_distance(code) == expected
+                assert (code.d_x, code.d_z) == expected
+                assert (homology.dual_systole(c)[0],
+                        homology.systole(c)[0]) == expected
             else:
                 with pytest.raises(homology.TrivialHomologyError):
                     homology.systole(c)

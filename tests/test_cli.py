@@ -36,6 +36,11 @@ class TestCode:
                        "commuting": True}
         assert "[[9,1,3,3]]" in err
 
+    def test_params_large_toric(self, capsys):
+        code, out, _ = run(capsys, ["code", "params", "toric(8,8)"])
+        assert code == 0
+        assert json.loads(out)["parameters"] == [128, 2, 8, 8]
+
     def test_params_inline_json(self, capsys):
         inline = surface.rp2_minimal().to_json()
         code, out, _ = run(capsys, ["code", "params", inline])

@@ -64,6 +64,16 @@ class TestSystole:
         assert homology.systole(c)[0] == primal
         assert homology.dual_systole(c)[0] == dual
 
+    @pytest.mark.parametrize("m", [6, 8, 12])
+    def test_large_toric_witnesses(self, m):
+        c = surface.catalog(f"toric({m},{m})")
+        w, witness = homology.systole(c)
+        assert w == witness.weight == m
+        assert homology.is_essential(c, witness)
+        w, witness = homology.dual_systole(c)
+        assert w == witness.weight == m
+        assert homology.is_essential(surface.dual(c), witness)
+
     def test_witness_is_essential(self):
         for name in ["fig1_hemi_icosahedron", "fig4_shor", "toric(3,3)"]:
             c = surface.catalog(name)

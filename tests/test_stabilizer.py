@@ -1,4 +1,5 @@
 import pytest
+from coset_oracle import coset_min_essential
 
 from cellqec import gf2, homology, stabilizer, surface
 from cellqec.gf2 import Gf2Matrix, Gf2Vector
@@ -39,6 +40,9 @@ class TestBuildCode:
         ("fig1_hemi_icosahedron", (15, 1, 5, 3)),
         ("fig4_shor", (9, 1, 3, 3)),
         ("toric(3,3)", (18, 2, 3, 3)),
+        ("toric(6,6)", (72, 2, 6, 6)),
+        ("toric(8,8)", (128, 2, 8, 8)),
+        ("toric(12,12)", (288, 2, 12, 12)),
     ])
     def test_parameters(self, name, params):
         code = stabilizer.build_code(surface.catalog(name))
@@ -120,14 +124,26 @@ class TestShorIdentification:
 
 class TestDistance:
     def test_css_distance_matches_systoles(self):
-        for name in ["rp2_minimal", "fig1_hemi_icosahedron", "fig4_shor",
-                     "toric(3,3)"]:
+        for name in ["rp2_minimal", "fig1_hemi_icosahedron", "fig2_nine_edge",
+                     "fig3_nine_edge", "fig4_shor", "toric(2,2)",
+                     "toric(3,3)", "toric(4,4)"]:
             c = surface.catalog(name)
+            fe, ve = surface.incidence_matrices(c)
             code = stabilizer.build_code(c)
             d_x, d_z = stabilizer.css_distance(code)
-            assert d_z == homology.systole(c)[0]
-            assert d_x == homology.dual_systole(c)[0]
+            # the coset search is an independent oracle for the graph search
+            assert d_z == homology.systole(c)[0] == coset_min_essential(fe, ve)
+            assert d_x == homology.dual_systole(c)[0] == (
+                coset_min_essential(ve, fe))
             assert (code.d_x, code.d_z) == (d_x, d_z)
+
+    def test_weight_three_column_is_rejected(self):
+        # qubit 0 is in three Z checks, so its column is no graph edge
+        z_stab = Gf2Matrix(3, 4, (0b0011, 0b0101, 0b1001))
+        x_stab = Gf2Matrix(0, 4, ())
+        code = stabilizer.CssCode(4, x_stab, z_stab, 1, None, None)
+        with pytest.raises(stabilizer.UnsupportedCheckStructure):
+            stabilizer.css_distance(code)
 
 
 class TestHadamardDuality:
