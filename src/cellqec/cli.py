@@ -11,7 +11,7 @@ import json
 import os
 import sys
 
-from . import decoder, gf2, homology, invariants, search, stabilizer, surface
+from . import decoder, homology, invariants, search, stabilizer, surface
 from .surface import Cellulation, CellulationError
 
 
@@ -171,12 +171,20 @@ def _cmd_planar_holes(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
+def _non_negative_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cellqec",
         description="CSS codes from cellulations of closed surfaces")
-    parser.add_argument("--coset-budget", type=int, default=None,
-                        help="combination budget for the decoder's coset search")
     parser.add_argument("--workers", type=int,
                         default=int(os.environ.get("CELLQEC_WORKERS", "1")),
                         help="worker count (results are worker-independent)")
@@ -211,12 +219,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("cellulation")
     p.add_argument("--p", required=True,
                    help="comma-separated error probabilities")
-    p.add_argument("--trials", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--trials", type=_non_negative_int, required=True)
+    p.add_argument("--seed", type=_non_negative_int, required=True)
     p.set_defaults(func=_cmd_decode_sweep)
     p = dec_sub.add_parser("exhaustive")
     p.add_argument("cellulation")
-    p.add_argument("--weight", type=int, required=True)
+    p.add_argument("--weight", type=_non_negative_int, required=True)
     p.set_defaults(func=_cmd_decode_exhaustive)
 
     srch = sub.add_parser("search", help="cellulation census")
@@ -246,15 +254,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.coset_budget is not None:
-        gf2.COSET_SEARCH_BUDGET = args.coset_budget
     if args.workers < 1:
         print("error: --workers must be at least 1", file=sys.stderr)
         return 2
     try:
         return args.func(args)
     except (CellulationError, KeyError, ValueError, OSError,
-            gf2.SearchBudgetExceeded,
             search.EnumerationBudgetError,
             homology.TrivialHomologyError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,11 +1,17 @@
 """Syndrome extraction, minimum-weight correction and Monte Carlo runs.
 
-Decoding is exhaustive (certified minimum-weight, lexicographic
-tie-break) rather than matching-based: every target instance is small
-enough that a Gray-code coset search over the check kernel is exact.
+Every check column touches at most two checks, so the minimum-weight
+chain with a given syndrome is a minimum T-join (Edmonds--Johnson) in
+the graph whose nodes are the checks plus one virtual boundary node:
+minimum-weight perfect matching of the syndrome defects under
+shortest-path distances (Dennis--Kitaev--Landahl--Preskill).  Column j
+of an n-qubit code weighs 2^n - 2^(n-1-j), so the minimum is unique and
+is the lightest chain with the earliest support (``Gf2Vector.sort_key``).
+The tests keep an exhaustive coset search as the oracle for this rule.
 """
 from __future__ import annotations
 
+import heapq
 import io
 from dataclasses import dataclass
 
@@ -13,6 +19,7 @@ import numpy as np
 
 from . import gf2
 from .gf2 import Gf2Matrix, Gf2Vector
+from .homology import UnsupportedCheckStructure
 from .stabilizer import CssCode
 
 RNG_ALGORITHM = "numpy-philox4x64(key=seed, counter hi word=trial)"
@@ -55,25 +62,129 @@ def syndrome(code: CssCode, err: ErrorPattern) -> Syndrome:
     )
 
 
-def _min_weight_chain(checks: Gf2Matrix, syn: Gf2Vector) -> Gf2Vector:
-    particular = gf2.solve(checks, syn)
-    if particular is None:
-        raise InconsistentSyndrome("syndrome outside the check image")
-    kernel = gf2.kernel_basis(checks)
-    _, chain = gf2.min_weight_in_coset(kernel, particular)
-    return chain
+@dataclass(frozen=True)
+class CheckGraph:
+    """All-pairs shortest paths in the graph of one check matrix.
+
+    Nodes are the check rows plus a virtual boundary node (index
+    ``boundary``).  A column of weight 2 is an edge between its checks,
+    a column of weight 1 an edge to the boundary; columns of weight 0
+    are left out, as no minimum-weight chain contains one.  Column j
+    weighs 2^n - 2^(n-1-j) (see the module docstring); no two edge sets
+    weigh the same, so every shortest path is unique.
+    """
+
+    cols: int
+    boundary: int
+    dist: tuple[tuple[int | None, ...], ...]  # None: no path
+    path: tuple[tuple[int, ...], ...]         # column bit set of the path
+
+    @classmethod
+    def build(cls, checks: Gf2Matrix) -> "CheckGraph":
+        n, boundary = checks.cols, checks.rows
+        adj: list[list[tuple[int, int, int]]] = [[] for _ in range(boundary + 1)]
+        for e, col in enumerate(checks.transpose().row_bits):
+            weight = col.bit_count()
+            if weight > 2:
+                raise UnsupportedCheckStructure(
+                    f"column {e} touches {weight} generators")
+            if weight == 0:
+                continue
+            a = (col & -col).bit_length() - 1
+            b = col.bit_length() - 1 if weight == 2 else boundary
+            w = (1 << n) - (1 << (n - 1 - e))
+            adj[a].append((b, w, 1 << e))
+            adj[b].append((a, w, 1 << e))
+        dist, path = [], []
+        for source in range(boundary + 1):  # Dijkstra from every node
+            d: list[int | None] = [None] * (boundary + 1)
+            p = [0] * (boundary + 1)
+            d[source] = 0
+            heap = [(0, source)]
+            while heap:
+                du, u = heapq.heappop(heap)
+                if du > d[u]:
+                    continue  # stale entry
+                for v, w, bit in adj[u]:
+                    if d[v] is None or du + w < d[v]:
+                        d[v] = du + w
+                        p[v] = p[u] | bit
+                        heapq.heappush(heap, (du + w, v))
+            dist.append(tuple(d))
+            path.append(tuple(p))
+        return cls(n, boundary, tuple(dist), tuple(path))
+
+    def min_weight_chain(self, syn: Gf2Vector) -> Gf2Vector:
+        """The chain with syndrome syn that is smallest by sort_key.
+
+        The defects, plus the boundary when their count is odd, are
+        matched in pairs at minimum total distance; the matched paths
+        XOR to the unique minimum T-join.
+        """
+        if syn.n != self.boundary:
+            raise gf2.LengthMismatch(f"{syn.n} != {self.boundary}")
+        defects = list(syn.support())
+        if len(defects) % 2:
+            defects.append(self.boundary)
+        if len(defects) <= 2:
+            pairs = [defects] if defects else []
+        else:
+            import networkx as nx
+
+            g = nx.Graph()
+            for i, a in enumerate(defects):
+                for b in defects[i + 1:]:
+                    if self.dist[a][b] is not None:
+                        g.add_edge(a, b, weight=self.dist[a][b])
+            pairs = nx.min_weight_matching(g)
+        if 2 * len(pairs) != len(defects) or any(
+                self.dist[a][b] is None for a, b in pairs):
+            raise InconsistentSyndrome("syndrome outside the check image")
+        bits = 0
+        for a, b in pairs:
+            bits ^= self.path[a][b]
+        return Gf2Vector(self.cols, bits)
 
 
-def correct(code: CssCode, syn: Syndrome) -> ErrorPattern:
-    """Minimum-weight error pattern reproducing the syndrome."""
+@dataclass(frozen=True)
+class DecodingTables:
+    """What every decode on one code reuses; build once per code."""
+
+    z_graph: CheckGraph               # of z_stabilizers: corrects x errors
+    x_graph: CheckGraph               # of x_stabilizers: corrects z errors
+    x_rowspace: tuple[int, ...]       # reduced x_stabilizers rows
+    z_rowspace: tuple[int, ...]
+
+    @classmethod
+    def build(cls, code: CssCode) -> "DecodingTables":
+        return cls(
+            z_graph=CheckGraph.build(code.z_stabilizers),
+            x_graph=CheckGraph.build(code.x_stabilizers),
+            x_rowspace=tuple(gf2._eliminate(list(code.x_stabilizers.row_bits),
+                                            code.n)),
+            z_rowspace=tuple(gf2._eliminate(list(code.z_stabilizers.row_bits),
+                                            code.n)),
+        )
+
+
+def correct(code: CssCode, syn: Syndrome,
+            tables: DecodingTables | None = None) -> ErrorPattern:
+    """Minimum-weight error pattern reproducing the syndrome.
+
+    Ties are broken by ``Gf2Vector.sort_key``.  ``tables`` is
+    ``DecodingTables.build(code)``; callers decoding many syndromes of
+    one code build it once and pass it.
+    """
+    if tables is None:
+        tables = DecodingTables.build(code)
     return ErrorPattern(
-        x_errors=_min_weight_chain(code.z_stabilizers, syn.z_checks),
-        z_errors=_min_weight_chain(code.x_stabilizers, syn.x_checks),
+        x_errors=tables.z_graph.min_weight_chain(syn.z_checks),
+        z_errors=tables.x_graph.min_weight_chain(syn.x_checks),
     )
 
 
-def is_failure(code: CssCode, err: ErrorPattern,
-               corr: ErrorPattern) -> tuple[bool, bool]:
+def is_failure(code: CssCode, err: ErrorPattern, corr: ErrorPattern,
+               tables: DecodingTables | None = None) -> tuple[bool, bool]:
     """(x_fail, z_fail): does the residual act on the code space?
 
     x_fail is essentiality of the residual bit-flip chain (nontrivial in
@@ -82,15 +193,21 @@ def is_failure(code: CssCode, err: ErrorPattern,
     s1, s2 = syndrome(code, err), syndrome(code, corr)
     if s1 != s2:
         raise SyndromeMismatch("correction does not match the error syndrome")
-    res_x = err.x_errors ^ corr.x_errors
-    res_z = err.z_errors ^ corr.z_errors
-    x_fail = not gf2.in_span(code.x_stabilizers.row_vectors(), res_x)
-    z_fail = not gf2.in_span(code.z_stabilizers.row_vectors(), res_z)
+    if tables is None:
+        tables = DecodingTables.build(code)
+    res_x = err.x_errors.bits ^ corr.x_errors.bits
+    res_z = err.z_errors.bits ^ corr.z_errors.bits
+    x_fail = gf2._remainder(tables.x_rowspace, res_x) != 0
+    z_fail = gf2._remainder(tables.z_rowspace, res_z) != 0
     return x_fail, z_fail
 
 
-def decode_error(code: CssCode, err: ErrorPattern) -> tuple[bool, bool]:
-    return is_failure(code, err, correct(code, syndrome(code, err)))
+def decode_error(code: CssCode, err: ErrorPattern,
+                 tables: DecodingTables | None = None) -> tuple[bool, bool]:
+    if tables is None:
+        tables = DecodingTables.build(code)
+    return is_failure(code, err, correct(code, syndrome(code, err), tables),
+                      tables)
 
 
 @dataclass(frozen=True)
@@ -118,25 +235,25 @@ def _trial_rng(seed: int, trial: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed, counter=trial << 64))
 
 
+def _pack(mask: np.ndarray) -> int:
+    """Bit q of the result is mask[q]."""
+    return int.from_bytes(np.packbits(mask, bitorder="little").tobytes(),
+                          "little")
+
+
 def monte_carlo(code: CssCode, p_x: float, p_z: float, trials: int,
                 seed: int) -> MonteCarloResult:
-    """iid X/Z errors per qubit; exhaustive decode; deterministic in seed."""
+    """iid X/Z errors per qubit; minimum-weight decode; deterministic in seed."""
     if not (0.0 <= p_x <= 1.0 and 0.0 <= p_z <= 1.0):
         raise ValueError("probabilities must lie in [0, 1]")
     xf = zf = 0
     n = code.n
+    tables = DecodingTables.build(code)
     for t in range(trials):
-        rng = _trial_rng(seed, t)
-        draws = rng.random((2, n))
-        xb = 0
-        zb = 0
-        for q in range(n):
-            if draws[0, q] < p_x:
-                xb |= 1 << q
-            if draws[1, q] < p_z:
-                zb |= 1 << q
-        err = ErrorPattern(Gf2Vector(n, xb), Gf2Vector(n, zb))
-        fx, fz = decode_error(code, err)
+        draws = _trial_rng(seed, t).random((2, n))
+        err = ErrorPattern(Gf2Vector(n, _pack(draws[0] < p_x)),
+                           Gf2Vector(n, _pack(draws[1] < p_z)))
+        fx, fz = decode_error(code, err, tables)
         xf += fx
         zf += fz
     return MonteCarloResult(p_x, p_z, trials, xf, zf, seed)
@@ -157,14 +274,17 @@ def exhaustive_weight_sweep(code: CssCode, max_weight: int) -> list[ExhaustiveSw
 
     rows = []
     n = code.n
+    tables = DecodingTables.build(code)
     for w in range(max_weight + 1):
         xp = xf = zp = zf = 0
         for support in combinations(range(n), w):
             v = Gf2Vector.from_support(n, support)
-            fx, _ = decode_error(code, ErrorPattern(v, Gf2Vector.zero(n)))
+            fx, _ = decode_error(code, ErrorPattern(v, Gf2Vector.zero(n)),
+                                 tables)
             xp += 1
             xf += fx
-            _, fz = decode_error(code, ErrorPattern(Gf2Vector.zero(n), v))
+            _, fz = decode_error(code, ErrorPattern(Gf2Vector.zero(n), v),
+                                 tables)
             zp += 1
             zf += fz
         rows.append(ExhaustiveSweepRow(w, xp, xf, zp, zf))

@@ -5,10 +5,11 @@ sets (bit i = coefficient of coordinate i), so row operations are single
 XORs regardless of length.
 
 ``min_weight_in_coset`` is an exhaustive Gray-code search, exponential
-in the subspace dimension and capped by ``COSET_SEARCH_BUDGET``.  Only
-the decoder uses it; systoles and code distances go through the
-polynomial parity-cover search in ``homology``, and the tests keep the
-coset search as an independent oracle for that engine.
+in the subspace dimension and capped by ``COSET_SEARCH_BUDGET``.  The
+library does not use it: systoles and code distances go through the
+parity-cover search in ``homology`` and decoding through the matching
+decoder in ``decoder``.  The tests keep it as the independent oracle for
+both.
 """
 from __future__ import annotations
 
@@ -206,6 +207,14 @@ def _eliminate(rows: list[int], cols: int) -> list[int]:
     return [reduced[i] for i in order]
 
 
+def _remainder(reduced: Sequence[int], bits: int) -> int:
+    """bits minus its component in the span of _eliminate's output rows."""
+    for pr in reduced:
+        if bits & pr & -pr:
+            bits ^= pr
+    return bits
+
+
 def rank(m: Gf2Matrix) -> int:
     """Dimension of the row space of m over GF(2)."""
     return len(_eliminate(list(m.row_bits), m.cols))
@@ -249,13 +258,7 @@ def in_span(basis: Sequence[Gf2Vector], v: Gf2Vector) -> bool:
     for b in basis:
         if b.n != v.n:
             raise LengthMismatch(f"{b.n} != {v.n}")
-    reduced = _eliminate([b.bits for b in basis], v.n)
-    r = v.bits
-    for pr in reduced:
-        p = (pr & -pr).bit_length() - 1
-        if (r >> p) & 1:
-            r ^= pr
-    return r == 0
+    return _remainder(_eliminate([b.bits for b in basis], v.n), v.bits) == 0
 
 
 def solve(m: Gf2Matrix, rhs: Gf2Vector) -> Gf2Vector | None:
@@ -283,7 +286,7 @@ def rowspace_equal(a: Gf2Matrix, b: Gf2Matrix) -> bool:
 def min_weight_in_coset(
     subspace_basis: Sequence[Gf2Vector],
     offset: Gf2Vector,
-    budget: int | None = None,
+    budget: int = COSET_SEARCH_BUDGET,
 ) -> tuple[int, Gf2Vector]:
     """Minimum Hamming weight over the coset offset + span(subspace_basis).
 
@@ -292,8 +295,6 @@ def min_weight_in_coset(
     earliest-support rule of Gf2Vector.sort_key.  Raises
     SearchBudgetExceeded rather than returning an approximate answer.
     """
-    if budget is None:
-        budget = COSET_SEARCH_BUDGET  # resolved at call time: overridable
     n = offset.n
     basis = _eliminate([b.bits for b in subspace_basis], n)
     for b in subspace_basis:

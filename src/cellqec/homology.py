@@ -7,8 +7,8 @@ breadth-first search in the two-fold parity cover of the graph whose
 nodes are the rows of a check matrix.  It requires every check column to
 have weight <= 2 (true of every cellulation incidence matrix and planar
 check matrix) and raises ``UnsupportedCheckStructure`` otherwise.  The
-exhaustive coset search ``gf2.min_weight_in_coset`` is not used here; it
-serves the decoder and, in the tests, as an independent oracle.
+exhaustive coset search ``gf2.min_weight_in_coset`` is not used here; the
+tests keep it as an independent oracle.
 """
 from __future__ import annotations
 
@@ -76,11 +76,7 @@ def _class_representatives(fe: Gf2Matrix, ve: Gf2Matrix) -> list[Gf2Vector]:
     reduced = gf2._eliminate(list(fe.row_bits), fe.cols)
     reps = []
     for v in gf2.kernel_basis(ve):
-        r = v.bits
-        for pr in reduced:
-            p = (pr & -pr).bit_length() - 1
-            if (r >> p) & 1:
-                r ^= pr
+        r = gf2._remainder(reduced, v.bits)
         if r:
             # absorb into the elimination so later vectors are independent
             p = (r & -r).bit_length() - 1

@@ -1,12 +1,14 @@
-"""Independent oracle for the distance engine: exhaustive coset search.
+"""Independent oracles for the distance engine and the decoder.
 
 The library computes every systole and code distance with the
-parity-cover search in ``homology``.  This oracle answers the same
-question with a different algorithm -- a Gray-code search of the coset
-of the boundary space around each nonzero homology class -- so tests
-can cross-check the engine.  It is exponential in the boundary rank:
-keep its inputs small.
+parity-cover search in ``homology``, and decodes by matching in
+``decoder``.  These oracles answer the same questions with a different
+algorithm -- a Gray-code search of a coset -- so tests can cross-check
+both.  They are exponential in the subspace dimension: keep their
+inputs small.
 """
+from __future__ import annotations
+
 from cellqec import gf2, homology
 from cellqec.gf2 import Gf2Matrix, Gf2Vector
 
@@ -30,3 +32,14 @@ def coset_min_essential(fe: Gf2Matrix, ve: Gf2Matrix) -> int:
                 offset ^= r
         weights.append(gf2.min_weight_in_coset(boundary_basis, offset)[0])
     return min(weights)
+
+
+def coset_min_weight_chain(checks: Gf2Matrix, syn: Gf2Vector) -> Gf2Vector | None:
+    """The solution of checks . x = syn smallest by sort_key, or None.
+
+    One particular solution plus a search of the coset of ker(checks).
+    """
+    particular = gf2.solve(checks, syn)
+    if particular is None:
+        return None
+    return gf2.min_weight_in_coset(gf2.kernel_basis(checks), particular)[1]

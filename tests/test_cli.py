@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import cellqec
 from cellqec import cli, surface
 
 
@@ -113,6 +117,46 @@ class TestDecode:
         assert doc["rows"][1]["z_failures"] == 0
 
 
+    def test_sweep_matches_pinned_output(self, capsys):
+        # stdout of the exhaustive coset-search decoder this one replaced
+        code, out, _ = run(capsys, ["decode", "sweep", "toric(4,4)", "--p",
+                                    "0.02,0.05,0.1", "--trials", "40",
+                                    "--seed", "1"])
+        assert code == 0
+        assert out == ("p_x,p_z,trials,x_failures,z_failures,seed\n"
+                       "0.02,0.02,40,0,0,1\n"
+                       "0.05,0.05,40,2,0,1\n"
+                       "0.1,0.1,40,12,8,1\n")
+
+    def test_exhaustive_matches_pinned_output(self, capsys):
+        code, out, _ = run(capsys, ["decode", "exhaustive", "fig4_shor",
+                                    "--weight", "2"])
+        assert code == 0
+        assert out == (
+            '{"n":9,"rows":['
+            '{"weight":0,"x_failures":0,"x_patterns":1,"z_failures":0,'
+            '"z_patterns":1},'
+            '{"weight":1,"x_failures":0,"x_patterns":9,"z_failures":0,'
+            '"z_patterns":9},'
+            '{"weight":2,"x_failures":27,"x_patterns":36,"z_failures":9,'
+            '"z_patterns":36}]}\n')
+
+    def test_sweep_large_toric(self, capsys):
+        # 2^37 coset combinations per trial for an exhaustive decoder
+        code, out, _ = run(capsys, ["decode", "sweep", "toric(6,6)", "--p",
+                                    "0.1", "--trials", "2", "--seed", "1"])
+        assert code == 0
+        assert out.split("\n")[1].startswith("0.1,0.1,2,")
+
+    def test_cli_import_does_not_load_networkx(self):
+        src = os.path.dirname(os.path.dirname(cellqec.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        probe = ("import sys, cellqec.cli; "
+                 "sys.exit('networkx' in sys.modules)")
+        assert subprocess.run([sys.executable, "-c", probe], env=env,
+                              timeout=60).returncode == 0
+
+
 class TestSearch:
     def test_census(self, capsys):
         code, out, _ = run(capsys, ["search", "census", "--edges", "3",
@@ -159,6 +203,19 @@ class TestErrors:
         code, _, err = run(capsys, ["--workers", "0", "catalog", "list"])
         assert code == 2
         assert "workers" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["decode", "sweep", "fig4_shor", "--p", "0.1", "--trials", "-3",
+         "--seed", "1"],
+        ["decode", "sweep", "fig4_shor", "--p", "0.1", "--trials", "3",
+         "--seed", "-1"],
+        ["decode", "exhaustive", "fig4_shor", "--weight", "-1"],
+    ], ids=["trials", "seed", "weight"])
+    def test_negative_count_is_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert "non-negative" in capsys.readouterr().err
 
     def test_usage_error_exit_code(self, capsys):
         with pytest.raises(SystemExit) as exc:

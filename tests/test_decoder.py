@@ -1,12 +1,42 @@
-import pytest
+import functools
 
-from cellqec import decoder, homology, stabilizer, surface
+import numpy as np
+import pytest
+from coset_oracle import coset_min_weight_chain
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cellqec import decoder, gf2, homology, search, stabilizer, surface
 from cellqec.decoder import ErrorPattern, Syndrome
 from cellqec.gf2 import Gf2Vector
 
 
 def _code(name):
     return stabilizer.build_code(surface.catalog(name))
+
+
+@functools.cache
+def _oracle_codes() -> dict:
+    """Codes small enough for the coset oracle, keyed by a label."""
+    codes = {name: _code(name) for name in surface.closed_catalog_names()}
+    for m in (2, 3, 4):
+        codes[f"toric({m},{m})"] = _code(f"toric({m},{m})")
+    # punctured codes have weight-1 columns: edges to the boundary node
+    for name, face, vertex in (("fig4_shor", 6, 0),
+                               ("fig1_hemi_icosahedron", 0, 0),
+                               ("toric(3,3)", 0, 0), ("cube_sphere", 0, 0)):
+        codes[f"{name} punctured at {face},{vertex}"] = stabilizer.puncture(
+            surface.catalog(name), face, vertex).code
+    codes["planar 3x3, one hole"] = stabilizer.build_punctured_disk_code(
+        stabilizer.PlanarPatch(3, 3, ((1, 1, 1, 1),)))
+    for i, c in enumerate(search.sample_small_cellulations(30, seed=4,
+                                                           max_edges=4)):
+        codes[f"sample {i}"] = stabilizer.build_code(c)
+    return codes
+
+
+def _random_bits(data, n):
+    return Gf2Vector(n, data.draw(st.integers(0, (1 << n) - 1)))
 
 
 class TestSyndrome:
@@ -82,6 +112,69 @@ class TestCorrect:
             assert decoder.decode_error(
                 code, ErrorPattern(v, Gf2Vector.zero(code.n))) == (False, False)
 
+    @pytest.mark.parametrize("name", surface.closed_catalog_names()
+                             + ["toric(4,4)"])
+    def test_odd_defect_count_on_closed_surface_rejected(self, name):
+        # every column of a closed surface's checks has weight 2, so any
+        # chain has an even number of defects
+        code = _code(name)
+        for checks in (code.z_stabilizers, code.x_stabilizers):
+            graph = decoder.CheckGraph.build(checks)
+            supports = [[i] for i in range(checks.rows)]
+            if checks.rows >= 3:
+                supports.append([0, 1, 2])
+            for support in supports:
+                syn = Gf2Vector.from_support(checks.rows, support)
+                assert gf2.solve(checks, syn) is None
+                with pytest.raises(decoder.InconsistentSyndrome):
+                    graph.min_weight_chain(syn)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_correction_equals_the_coset_oracle(self, data):
+        codes = _oracle_codes()
+        code = codes[data.draw(st.sampled_from(sorted(codes)))]
+        err = ErrorPattern(_random_bits(data, code.n),
+                           _random_bits(data, code.n))
+        syn = decoder.syndrome(code, err)
+        corr = decoder.correct(code, syn)
+        # the same chain, not only the same weight: the sweeps' output
+        # depends on the tie-break
+        assert corr.x_errors == coset_min_weight_chain(code.z_stabilizers,
+                                                       syn.z_checks)
+        assert corr.z_errors == coset_min_weight_chain(code.x_stabilizers,
+                                                       syn.x_checks)
+        # failure verdicts from the row spaces reduced once per code
+        # agree with a fresh span test
+        expected = (
+            not gf2.in_span(code.x_stabilizers.row_vectors(),
+                            err.x_errors ^ corr.x_errors),
+            not gf2.in_span(code.z_stabilizers.row_vectors(),
+                            err.z_errors ^ corr.z_errors))
+        assert decoder.is_failure(code, err, corr) == expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_any_syndrome_matches_the_coset_oracle(self, data):
+        # arbitrary syndromes, consistent or not, on one side
+        codes = _oracle_codes()
+        code = codes[data.draw(st.sampled_from(sorted(codes)))]
+        checks = data.draw(st.sampled_from([code.z_stabilizers,
+                                            code.x_stabilizers]))
+        syn = _random_bits(data, checks.rows)
+        expected = coset_min_weight_chain(checks, syn)
+        graph = decoder.CheckGraph.build(checks)
+        if expected is None:
+            with pytest.raises(decoder.InconsistentSyndrome):
+                graph.min_weight_chain(syn)
+        else:
+            assert graph.min_weight_chain(syn) == expected
+
+    def test_weight_three_column_is_rejected(self):
+        checks = gf2.Gf2Matrix.from_rows([[1], [1], [1]])
+        with pytest.raises(homology.UnsupportedCheckStructure):
+            decoder.CheckGraph.build(checks)
+
 
 class TestExhaustiveSweep:
     def test_weight_one_sweep(self):
@@ -120,6 +213,16 @@ class TestMonteCarlo:
         r3 = decoder._trial_rng(5, 18).random(4)
         assert (r1 == r2).all()
         assert (r1 != r3).any()
+
+    def test_packed_draws_equal_the_per_qubit_loop(self):
+        rng = np.random.default_rng(8)
+        for n in (0, 1, 7, 8, 9, 64, 130):
+            draws = rng.random(n)
+            expected = 0
+            for q in range(n):
+                if draws[q] < 0.3:
+                    expected |= 1 << q
+            assert decoder._pack(draws < 0.3) == expected
 
     def test_probability_validation(self):
         with pytest.raises(ValueError):
