@@ -16,13 +16,21 @@ from .surface import Cellulation, CellulationError
 
 
 def _load_cellulation(spec: str) -> Cellulation:
-    """Catalog name, JSON file path, or inline JSON document."""
+    """Catalog name, JSON file path, or inline JSON document.
+
+    JSON input is validated here, so a malformed surface is reported as
+    such rather than by whatever later step it breaks.
+    """
     if os.path.exists(spec):
         with open(spec) as fh:
-            return Cellulation.from_json(fh.read())
-    if spec.lstrip().startswith("{"):
-        return Cellulation.from_json(spec)
-    return surface.catalog(spec)
+            text = fh.read()
+    elif spec.lstrip().startswith("{"):
+        text = spec
+    else:
+        return surface.catalog(spec)
+    c = Cellulation.from_json(text)
+    surface.validate(c)
+    return c
 
 
 def _emit(payload, summary: str) -> int:
@@ -140,6 +148,10 @@ def _cmd_search_verify(args) -> int:
 
 def _cmd_planar_puncture(args) -> int:
     c = _load_cellulation(args.cellulation)
+    for what, index, count in (("face", args.face, c.face_count),
+                               ("vertex", args.vertex, c.vertex_count)):
+        if not 0 <= index < count:
+            raise ValueError(f"{what} {index} is out of range 0..{count - 1}")
     result = stabilizer.puncture(c, args.face, args.vertex)
     code = result.code
     payload = {
@@ -185,9 +197,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cellqec",
         description="CSS codes from cellulations of closed surfaces")
-    parser.add_argument("--workers", type=int,
-                        default=int(os.environ.get("CELLQEC_WORKERS", "1")),
-                        help="worker count (results are worker-independent)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     cat = sub.add_parser("catalog", help="inspect the cellulation catalog")
@@ -254,9 +263,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.workers < 1:
-        print("error: --workers must be at least 1", file=sys.stderr)
-        return 2
     try:
         return args.func(args)
     except (CellulationError, KeyError, ValueError, OSError,

@@ -5,7 +5,11 @@ system: a cyclic order of edge-ends around each vertex plus a twist bit
 per edge.  The enumerator fixes a vertex degree sequence, lays the edge
 ends out as slots and depth-first searches over perfect matchings of the
 slots with twist bits, tracing faces and orientability incrementally.
-Isomorphism rejection is by the canonical form of the flag system.
+A complete scheme whose face count or orientability misses the target
+surface is counted and dropped before its flag system is built.
+Isomorphism rejection is by the canonical form of the flag system
+(``FlagMap.canonical_form``), whose BFS starts only from the flags of
+minimal (vertex degree, face size, far-end degree) key.
 
 Symmetry reductions used by the matching search:
 
@@ -83,16 +87,19 @@ def _partitions(total: int, parts: int, cap: int) -> Iterator[tuple[int, ...]]:
 
 
 def _scheme_search(degrees: tuple[int, ...],
-                   visit: Callable[[list[int], list[int], int, bool], None],
+                   visit: Callable[[list[int], list[int]], None],
                    f_target: int | None,
                    reduce_tree_twists: bool,
-                   max_bigons: int | None = None) -> int:
+                   max_bigons: int | None = None,
+                   orientable: bool | None = None) -> int:
     """DFS over signed matchings of the slot structure given by degrees.
 
-    Calls visit(s0, s1, faces, orientable) at every complete scheme (the
-    matching is guaranteed connected); returns the number of complete
-    schemes visited.  f_target, when set, prunes branches whose face
-    count already rules out the target Euler characteristic.
+    Returns the number of complete schemes reached (the matching is
+    guaranteed connected).  f_target, when set, prunes branches whose
+    face count already rules out the target Euler characteristic, and
+    a complete scheme is accepted only with exactly f_target faces and,
+    when orientable is set, the requested orientability.  visit(s0, s1)
+    is called on the flag involutions of every accepted scheme.
     """
     v = len(degrees)
     nslots = sum(degrees)
@@ -240,6 +247,10 @@ def _scheme_search(degrees: tuple[int, ...],
 
     def emit() -> None:
         st["leaves"] += 1
+        if f_target is not None and st["faces"] != f_target:
+            return
+        if orientable is not None and (st["conflicts"] == 0) != orientable:
+            return
         s0 = [0] * nflags
         for a in range(nslots):
             b = match[a]
@@ -251,7 +262,7 @@ def _scheme_search(degrees: tuple[int, ...],
             else:
                 s0[2 * a], s0[2 * b] = 2 * b, 2 * a
                 s0[2 * a + 1], s0[2 * b + 1] = 2 * b + 1, 2 * a + 1
-        visit(s0, s1, st["faces"], st["conflicts"] == 0)
+        visit(s0, s1)
 
     def rec_search(hint: int) -> None:
         if st["free"] == 0:
@@ -382,16 +393,8 @@ def _enumerate_with_stats(cons: EnumerationConstraints,
                 side_v, dualize = f, True
         f_target = None if chi is None else chi - side_v + e
 
-        def visit(s0, s1, faces, orientable, _dual=dualize):
-            if chi is not None and side_v - e + faces != chi:
-                return
-            if cons.orientable is not None and orientable != cons.orientable:
-                return
-            nflags = len(s0)
-            s2 = [0] * nflags
-            for s in range(nflags // 2):
-                s2[2 * s] = 2 * s + 1
-                s2[2 * s + 1] = 2 * s
+        def visit(s0, s1, _dual=dualize):
+            s2 = [f ^ 1 for f in range(len(s0))]
             handle(FlagMap(s0, s1, s2), _dual)
 
         # the enumerated side's vertex degrees and face sizes trade
@@ -403,7 +406,8 @@ def _enumerate_with_stats(cons: EnumerationConstraints,
                 continue
             n = _scheme_search(degs, visit, f_target,
                                reduce_tree_twists,
-                               max_bigons=side_bigons)
+                               max_bigons=side_bigons,
+                               orientable=cons.orientable)
             schemes += n
             if progress is not None:
                 progress(f"v={v} side={side_v} degrees={degs}:"

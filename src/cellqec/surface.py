@@ -73,13 +73,17 @@ class Cellulation:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "Cellulation":
-        return cls(
-            vertex_count=int(doc["vertices"]),
-            edges=tuple((int(a), int(b)) for a, b in doc["edges"]),
-            faces=tuple(
-                tuple((int(e), int(d)) for e, d in walk) for walk in doc["faces"]
-            ),
-        )
+        try:
+            return cls(
+                vertex_count=int(doc["vertices"]),
+                edges=tuple((int(a), int(b)) for a, b in doc["edges"]),
+                faces=tuple(tuple((int(e), int(d)) for e, d in walk)
+                            for walk in doc["faces"]),
+            )
+        except KeyError as exc:
+            raise CellulationError(f"missing key {exc.args[0]!r}") from None
+        except TypeError as exc:
+            raise CellulationError(f"malformed cellulation: {exc}") from None
 
     @classmethod
     def from_json(cls, text: str) -> "Cellulation":
@@ -201,53 +205,101 @@ class FlagMap:
         return FlagMap(self.s2, self.s1, self.s0)
 
     # -- canonical form ---------------------------------------------------
-    def canonical_form(self) -> bytes:
-        """Minimum BFS encoding over all start flags.
+    def _start_flags(self) -> list[int]:
+        """Flags of minimal key (vertex degree, face size, far-end degree).
 
-        Invariant under any relabelling of cells (including reflections);
-        two maps are isomorphic iff their canonical forms are equal.
+        The vertex degree at f is the length of the cycle of s1 s2
+        through f, the face size that of s0 s1, and the far-end degree
+        the vertex degree at s0[f].  Face sizes are walked only from
+        flags of minimal degree.
         """
-        n = self.n
-        if n > 255:
-            raise CellulationError("canonical form limited to 255 flags")
-        best = None
-        gens = (self.s0, self.s1, self.s2)
-        for start in range(n):
-            label = [-1] * n
-            order = [start]
-            label[start] = 0
-            head = 0
-            code = bytearray()
-            append = code.append
-            push = order.append
-            pos = 0
-            tracking = best is not None  # still equal to best's prefix
-            aborted = False
-            while head < len(order):
-                f = order[head]
-                head += 1
-                for s in gens:
-                    t = s[f]
-                    lab = label[t]
-                    if lab < 0:
-                        lab = len(order)
-                        label[t] = lab
-                        push(t)
-                    if tracking:
-                        b = best[pos]
-                        if lab > b:
-                            aborted = True
-                            break
-                        if lab < b:
-                            tracking = False
-                    append(lab)
-                    pos += 1
-                if aborted:
-                    break
-            if aborted or tracking:
+        s0, s1, s2 = self.s0, self.s1, self.s2
+        deg = [0] * self.n
+        for f in range(self.n):
+            if deg[f]:
                 continue
-            best = bytes(code)
-        return best
+            cycle = [f]
+            x = s1[s2[f]]
+            while x != f:
+                cycle.append(x)
+                x = s1[s2[x]]
+            for x in cycle:
+                deg[x] = len(cycle)
+        low = min(deg)
+        best = None
+        starts: list[int] = []
+        for f in range(self.n):
+            if deg[f] != low:
+                continue
+            size = 1
+            x = s0[s1[f]]
+            while x != f:
+                size += 1
+                x = s0[s1[x]]
+            key = (size, deg[s0[f]])
+            if best is None or key < best:
+                best = key
+                starts = [f]
+            elif key == best:
+                starts.append(f)
+        return starts
+
+    def _bfs_code(self, start: int) -> list[int]:
+        """Labels of the s0, s1, s2 images of each flag in BFS order."""
+        s0, s1, s2 = self.s0, self.s1, self.s2
+        label = [-1] * self.n
+        label[start] = 0
+        order = [start]
+        push = order.append
+        code: list[int] = []
+        append = code.append
+        fresh = 1
+        for f in order:  # order grows while it is walked
+            # unrolled over s0, s1, s2: the census's innermost loop
+            t = s0[f]
+            lab = label[t]
+            if lab < 0:
+                label[t] = lab = fresh
+                fresh += 1
+                push(t)
+            append(lab)
+            t = s1[f]
+            lab = label[t]
+            if lab < 0:
+                label[t] = lab = fresh
+                fresh += 1
+                push(t)
+            append(lab)
+            t = s2[f]
+            lab = label[t]
+            if lab < 0:
+                label[t] = lab = fresh
+                fresh += 1
+                push(t)
+            append(lab)
+        return code
+
+    def canonical_form(self) -> bytes:
+        """Minimum BFS code over the start flags of minimal key.
+
+        The BFS code from a start flag labels the flags in order of
+        discovery and lists, flag by flag, the labels of its s0, s1 and
+        s2 images; it rebuilds a connected map up to isomorphism.  Only
+        flags minimising the key (vertex degree, face size, degree at
+        the far end of the edge) serve as starts, the start rule of
+        plantri and of McKay's canonical construction path.  The key is
+        invariant under every flag isomorphism, reflections included,
+        so an isomorphism maps the minimal-key flags of one map onto
+        those of the other and the minimum stays a complete invariant:
+        two connected maps are isomorphic iff their forms are equal.
+
+        Labels take one byte each up to 256 flags and two big-endian
+        bytes each above that.
+        """
+        best = min(self._bfs_code(f) for f in self._start_flags())
+        if self.n <= 256:
+            return bytes(best)
+        return b"".join(lab.to_bytes(2, "big") for lab in best)
 
     # -- conversion to a cellulation --------------------------------------
     def to_cellulation(self, edge_labels: Sequence[int] | None = None) -> Cellulation:
@@ -408,7 +460,7 @@ def dual(c: Cellulation) -> Cellulation:
     return flags.dual().to_cellulation(edge_labels=flag_edge)
 
 
-def canonical_form(c: Cellulation) -> tuple:
+def canonical_form(c: Cellulation) -> bytes:
     return build_flags(c).canonical_form()
 
 
@@ -508,26 +560,15 @@ def toric(m: int, n: int) -> Cellulation:
 
 
 # Nine-edge cellulations recovered by the census in cellqec.search
-# (see search.reconstruct_figures); frozen here with their search
-# certificates so the catalog does not depend on re-running it.  The
+# (see search.reconstruct_figures); frozen here as their search
+# certificates, whose "cellulation" entries are the catalog entries, so
+# the catalog does not depend on re-running the search.  The
 # fig3 pool (e=9, v=4, three bigons, both systoles >= 3) held two
 # classes, both with three rank-2 pairs; the canonically smallest is
 # pinned, hence the ambiguity flag in its certificate.  Given that pin,
 # the fig2 pool filter (two rank-2 pairs plus a vertex identification
 # landing in fig3's class) left exactly one class.
-FIG2_JSON: str | None = (
-    '{"vertices":5,'
-    '"edges":[[0,1],[0,1],[0,2],[0,3],[1,2],[1,3],[2,3],[2,4],[3,4]],'
-    '"faces":[[[0,1],[4,1],[6,1],[3,-1]],[[0,1],[1,-1]],'
-    '[[1,1],[5,1],[6,-1],[2,-1]],[[2,1],[7,1],[8,-1],[3,-1]],'
-    '[[4,1],[7,1],[8,-1],[5,-1]]]}')
-FIG3_JSON: str | None = (
-    '{"vertices":4,'
-    '"edges":[[0,1],[1,2],[2,3],[3,0],[0,2],[2,3],[3,1],[1,3],[3,0]],'
-    '"faces":[[[0,1],[1,1],[2,1],[3,1]],[[0,-1],[4,1],[5,1],[6,1]],'
-    '[[1,-1],[7,1],[8,1],[4,1]],[[2,-1],[5,1]],[[3,-1],[8,1]],'
-    '[[6,-1],[7,-1]]]}')
-FIG2_CERTIFICATE: dict | None = {
+FIG2_CERTIFICATE: dict = {
     "cellulation": {
         "vertices": 5,
         "edges": [[0, 1], [0, 1], [0, 2], [0, 3], [1, 2], [1, 3],
@@ -551,7 +592,7 @@ FIG2_CERTIFICATE: dict | None = {
     "survivor_count": 1,
     "ambiguous": False,
 }
-FIG3_CERTIFICATE: dict | None = {
+FIG3_CERTIFICATE: dict = {
     "cellulation": {
         "vertices": 4,
         "edges": [[0, 1], [1, 2], [2, 3], [3, 0], [0, 2], [2, 3],
@@ -596,13 +637,9 @@ def catalog(name: str) -> Cellulation:
     if name == "cube_sphere":
         return cube_sphere()
     if name == "fig2_nine_edge":
-        if FIG2_JSON is None:
-            raise KeyError("fig2_nine_edge has not been frozen yet")
-        return Cellulation.from_json(FIG2_JSON)
+        return Cellulation.from_json_dict(FIG2_CERTIFICATE["cellulation"])
     if name == "fig3_nine_edge":
-        if FIG3_JSON is None:
-            raise KeyError("fig3_nine_edge has not been frozen yet")
-        return Cellulation.from_json(FIG3_JSON)
+        return Cellulation.from_json_dict(FIG3_CERTIFICATE["cellulation"])
     m = _TORIC_RE.match(name.replace(" ", ""))
     if m:
         return toric(int(m.group(1)), int(m.group(2)))
@@ -611,10 +648,5 @@ def catalog(name: str) -> Cellulation:
 
 def closed_catalog_names() -> list[str]:
     """Concrete closed-surface catalog entries (toric pinned at 3,3)."""
-    names = ["rp2_minimal", "fig1_hemi_icosahedron", "fig4_shor",
-             "cube_sphere", "toric(3,3)"]
-    if FIG2_JSON is not None:
-        names.insert(2, "fig2_nine_edge")
-    if FIG3_JSON is not None:
-        names.insert(3, "fig3_nine_edge")
-    return names
+    return ["rp2_minimal", "fig1_hemi_icosahedron", "fig2_nine_edge",
+            "fig3_nine_edge", "fig4_shor", "cube_sphere", "toric(3,3)"]

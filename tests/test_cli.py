@@ -166,6 +166,32 @@ class TestSearch:
         assert doc["edge_count"] == 3
         assert doc["survivor_count"] == len(doc["survivors"]) > 0
 
+    def test_census_survivors_in_canonical_order(self, capsys):
+        code, out, _ = run(capsys, ["search", "census", "--edges", "3",
+                                    "--min-systole", "1", "--vertices", "2"])
+        assert code == 0
+        assert out == (
+            '{"classes_examined":9,"edge_count":3,"min_systole":1,'
+            '"schemes_examined":86,"survivor_count":9,"survivors":['
+            '{"edges":[[0,0],[0,1],[1,1]],"faces":[[[0,1],[1,1],[2,1],'
+            '[2,1],[1,-1]],[[0,1]]],"vertices":2},'
+            '{"edges":[[0,0],[0,0],[0,1]],"faces":[[[0,1],[0,1],[1,1]],'
+            '[[1,1],[2,1],[2,-1]]],"vertices":2},'
+            '{"edges":[[0,0],[0,0],[0,1]],"faces":[[[0,1],[1,1],[1,1],'
+            '[2,1],[2,-1]],[[0,1]]],"vertices":2},'
+            '{"edges":[[0,0],[0,0],[0,1]],"faces":[[[0,1],[1,1],[2,1],'
+            '[2,-1],[1,1]],[[0,1]]],"vertices":2},'
+            '{"edges":[[0,0],[0,0],[0,1]],"faces":[[[0,1],[1,1],[2,1],'
+            '[2,-1]],[[0,1],[1,-1]]],"vertices":2},'
+            '{"edges":[[0,0],[0,1],[0,1]],"faces":[[[0,1],[0,1],[1,1],'
+            '[2,-1]],[[1,1],[2,-1]]],"vertices":2},'
+            '{"edges":[[0,1],[0,1],[0,1]],"faces":[[[0,1],[1,-1],[0,1],'
+            '[2,-1]],[[1,1],[2,-1]]],"vertices":2},'
+            '{"edges":[[0,0],[0,1],[0,1]],"faces":[[[0,1],[1,1],[2,-1],'
+            '[1,1],[2,-1]],[[0,1]]],"vertices":2},'
+            '{"edges":[[0,0],[0,1],[0,1]],"faces":[[[0,1],[1,1],[2,-1]],'
+            '[[0,1],[2,1],[1,-1]]],"vertices":2}]}\n')
+
     def test_verify_nonexistence(self, capsys):
         code, out, _ = run(capsys, ["search", "verify-paper"])
         assert code == 0
@@ -199,10 +225,40 @@ class TestErrors:
         assert code == 1
         assert "error" in err
 
-    def test_bad_worker_count(self, capsys):
-        code, _, err = run(capsys, ["--workers", "0", "catalog", "list"])
-        assert code == 2
-        assert "workers" in err
+    def test_workers_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["--workers", "2", "catalog", "list"])
+        assert exc.value.code == 2
+        assert "usage: cellqec" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("face,vertex,message", [
+        ("99", "0", "face 99 is out of range 0..6"),
+        ("-1", "0", "face -1 is out of range 0..6"),
+        ("6", "3", "vertex 3 is out of range 0..2"),
+    ])
+    def test_puncture_index_out_of_range(self, capsys, face, vertex, message):
+        code, out, err = run(capsys, ["planar", "puncture", "fig4_shor",
+                                      "--face", face, "--vertex", vertex])
+        assert code == 1
+        assert out == ""
+        assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("doc,message", [
+        ({"vertices": 2, "edges": [[0, 1]], "faces": [[[0, 1]]]},
+         "edge 0 is traversed 1 times"),
+        ({"vertices": 1, "faces": [[[0, 1], [0, 1]]]},
+         "missing key 'edges'"),
+        ({"vertices": 1, "edges": 5, "faces": []},
+         "malformed cellulation"),
+    ], ids=["single-cover", "missing-key", "wrong-type"])
+    def test_bad_cellulation_json(self, capsys, tmp_path, doc, message):
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps(doc))
+        for spec in (str(p), json.dumps(doc)):
+            code, out, err = run(capsys, ["code", "params", spec])
+            assert code == 1
+            assert out == ""
+            assert err.startswith(f"error: {message}")
 
     @pytest.mark.parametrize("argv", [
         ["decode", "sweep", "fig4_shor", "--p", "0.1", "--trials", "-3",

@@ -115,3 +115,28 @@ def test_reconstruction_matches_the_frozen_entries():
     assert surface.isomorphic(fig3, surface.catalog("fig3_nine_edge"))
     assert certs["fig2"]["cellulation"] == surface.FIG2_CERTIFICATE["cellulation"]
     assert certs["fig3"]["cellulation"] == surface.FIG3_CERTIFICATE["cellulation"]
+
+
+# The other class of the fig3 pool: it passes the same filters and has
+# the same three rank-2 pairs, so the pin rests on the canonical order.
+FIG3_OTHER_SURVIVOR = (
+    '{"vertices":4,'
+    '"edges":[[0,1],[1,2],[2,3],[3,0],[0,2],[2,3],[3,1],[3,0],[0,2]],'
+    '"faces":[[[0,1],[1,1],[2,1],[3,1]],[[0,-1],[4,1],[5,1],[6,1]],'
+    '[[1,-1],[6,-1],[7,1],[8,1]],[[2,-1],[5,1]],[[3,-1],[7,1]],'
+    '[[4,-1],[8,1]]]}')
+
+
+def test_fig3_pin_is_the_canonically_smaller_survivor():
+    pinned = surface.catalog("fig3_nine_edge")
+    other = surface.Cellulation.from_json(FIG3_OTHER_SURVIVOR)
+    cons = search.EnumerationConstraints.rp2(
+        9, min_primal_systole=3, min_dual_systole=3,
+        vertex_count=4, bigon_faces=3)
+    for c in (pinned, other):
+        assert surface.validate(c).surface_name == "projective plane"
+        assert (c.vertex_count, c.edge_count) == (4, 9)
+        assert search._passes_filters(c, cons)
+        assert search._rank2_count(c) == 3
+    assert not surface.isomorphic(pinned, other)
+    assert surface.canonical_form(pinned) < surface.canonical_form(other)

@@ -42,15 +42,17 @@ class TestEnumerate:
 
     def test_reductions_change_nothing(self):
         # twist reduction and duality must not alter the class list
-        def forms(**kw):
+        def forms(edges, **kw):
             return {surface.canonical_form(c) for c in
                     search.enumerate_cellulations(
-                        EnumerationConstraints.rp2(3), **kw)}
+                        EnumerationConstraints.rp2(edges), **kw)}
 
-        baseline = forms(reduce_tree_twists=False, use_duality=False)
-        assert forms() == baseline
-        assert forms(reduce_tree_twists=False) == baseline
-        assert forms(use_duality=False) == baseline
+        for edges in (3, 4):
+            baseline = forms(edges, reduce_tree_twists=False,
+                             use_duality=False)
+            assert forms(edges) == baseline
+            assert forms(edges, reduce_tree_twists=False) == baseline
+            assert forms(edges, use_duality=False) == baseline
 
     def test_shor_class_is_unique_at_its_counts(self):
         found = search.enumerate_cellulations(EnumerationConstraints.rp2(

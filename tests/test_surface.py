@@ -1,7 +1,44 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cellqec import surface
-from cellqec.surface import Cellulation, CellulationError
+from canonical_oracle import full_scan_form
+from cellqec import search, surface
+from cellqec.surface import Cellulation, CellulationError, FlagMap
+
+
+def _every_scheme(max_edges):
+    """Flag maps of every matching scheme with at most max_edges edges.
+
+    The unreduced scheme search reaches each closed cellulation under
+    many flag labellings, so most classes appear many times.
+    """
+    maps = []
+
+    def keep(s0, s1):
+        maps.append(FlagMap(s0, s1, [f ^ 1 for f in range(len(s0))]))
+
+    for e in range(1, max_edges + 1):
+        for v in range(1, e + 2):
+            for degrees in search._partitions(2 * e, v, 2 * e):
+                search._scheme_search(degrees, keep, None, False)
+    return maps
+
+
+def _conjugate(flags, perm):
+    """The same map with flag f renamed perm[f]."""
+    def move(s):
+        out = [0] * flags.n
+        for f, t in enumerate(s):
+            out[perm[f]] = perm[t]
+        return out
+    return FlagMap(move(flags.s0), move(flags.s1), move(flags.s2))
+
+
+_CONJUGATION_POOL = (
+    [surface.catalog(n) for n in surface.closed_catalog_names()]
+    + [surface.toric(m, m) for m in range(2, 6)]
+    + search.sample_small_cellulations(20, seed=11))
 
 
 class TestValidation:
@@ -151,6 +188,32 @@ class TestCanonicalForm:
         walk = c.faces[-1]
         rotated = c.faces[:-1] + (walk[2:] + walk[:2],)
         assert surface.isomorphic(c, Cellulation(3, c.edges, rotated))
+
+    def test_same_classes_as_the_full_scan_oracle(self):
+        # the forms split every labelled map with E <= 4 into the same
+        # classes as the BFS from every flag
+        pairs = {(m.canonical_form(), full_scan_form(m))
+                 for m in _every_scheme(4)}
+        assert len(pairs) == 3 + 11 + 63 + 514
+        assert len({form for form, _ in pairs}) == len(pairs)
+        assert len({oracle for _, oracle in pairs}) == len(pairs)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_relabelling_flags_keeps_the_form(self, data):
+        c = data.draw(st.sampled_from(_CONJUGATION_POOL))
+        flags = surface.build_flags(c)
+        perm = data.draw(st.permutations(range(flags.n)))
+        assert (_conjugate(flags, perm).canonical_form()
+                == flags.canonical_form())
+
+    def test_two_byte_labels_above_256_flags(self):
+        small = surface.canonical_form(surface.toric(4, 8))  # 256 flags
+        assert len(small) == 3 * 256
+        square = surface.canonical_form(surface.toric(8, 8))  # 512 flags
+        long = surface.canonical_form(surface.toric(4, 16))
+        assert len(square) == len(long) == 3 * 512 * 2
+        assert square != long
 
 
 class TestIncidence:
