@@ -18,16 +18,21 @@ from .surface import Cellulation, CellulationError
 def _load_cellulation(spec: str) -> Cellulation:
     """Catalog name, JSON file path, or inline JSON document.
 
-    JSON input is validated here, so a malformed surface is reported as
-    such rather than by whatever later step it breaks.
+    Catalog names come first, so a file named like one is read only by a
+    path such as ./fig4_shor.  JSON input is validated here, so a
+    malformed surface is reported as such rather than by whatever later
+    step it breaks.
     """
-    if os.path.exists(spec):
-        with open(spec) as fh:
-            text = fh.read()
-    elif spec.lstrip().startswith("{"):
-        text = spec
-    else:
+    try:
         return surface.catalog(spec)
+    except KeyError:
+        if os.path.exists(spec):
+            with open(spec) as fh:
+                text = fh.read()
+        elif spec.lstrip().startswith("{"):
+            text = spec
+        else:
+            raise
     c = Cellulation.from_json(text)
     surface.validate(c)
     return c
@@ -268,7 +273,9 @@ def main(argv=None) -> int:
     except (CellulationError, KeyError, ValueError, OSError,
             search.EnumerationBudgetError,
             homology.TrivialHomologyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # str() of a KeyError quotes its message; print the message itself
+        message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+        print(f"error: {message}", file=sys.stderr)
         return 1
 
 

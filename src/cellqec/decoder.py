@@ -2,7 +2,8 @@
 
 Every check column touches at most two checks, so the minimum-weight
 chain with a given syndrome is a minimum T-join (Edmonds--Johnson) in
-the graph whose nodes are the checks plus one virtual boundary node:
+the check graph ``homology._check_graph`` (the checks plus one virtual
+boundary node; the distance search walks the same graph):
 minimum-weight perfect matching of the syndrome defects under
 shortest-path distances (Dennis--Kitaev--Landahl--Preskill).  Column j
 of an n-qubit code weighs 2^n - 2^(n-1-j), so the minimum is unique and
@@ -17,9 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import gf2
+from . import gf2, homology
 from .gf2 import Gf2Matrix, Gf2Vector
-from .homology import UnsupportedCheckStructure
 from .stabilizer import CssCode
 
 RNG_ALGORITHM = "numpy-philox4x64(key=seed, counter hi word=trial)"
@@ -66,12 +66,13 @@ def syndrome(code: CssCode, err: ErrorPattern) -> Syndrome:
 class CheckGraph:
     """All-pairs shortest paths in the graph of one check matrix.
 
-    Nodes are the check rows plus a virtual boundary node (index
-    ``boundary``).  A column of weight 2 is an edge between its checks,
-    a column of weight 1 an edge to the boundary; columns of weight 0
-    are left out, as no minimum-weight chain contains one.  Column j
-    weighs 2^n - 2^(n-1-j) (see the module docstring); no two edge sets
-    weigh the same, so every shortest path is unique.
+    The graph is ``homology._check_graph``: nodes are the check rows plus
+    a virtual boundary node (index ``boundary``), a column of weight 2 is
+    an edge between its checks and a column of weight 1 an edge to the
+    boundary.  Columns of weight 0 are left out, as no minimum-weight
+    chain contains one.  Column j weighs 2^n - 2^(n-1-j) (see the module
+    docstring); no two edge sets weigh the same, so every shortest path
+    is unique.
     """
 
     cols: int
@@ -83,15 +84,10 @@ class CheckGraph:
     def build(cls, checks: Gf2Matrix) -> "CheckGraph":
         n, boundary = checks.cols, checks.rows
         adj: list[list[tuple[int, int, int]]] = [[] for _ in range(boundary + 1)]
-        for e, col in enumerate(checks.transpose().row_bits):
-            weight = col.bit_count()
-            if weight > 2:
-                raise UnsupportedCheckStructure(
-                    f"column {e} touches {weight} generators")
-            if weight == 0:
+        for e, ab in enumerate(homology._check_graph(checks)):
+            if ab is None:
                 continue
-            a = (col & -col).bit_length() - 1
-            b = col.bit_length() - 1 if weight == 2 else boundary
+            a, b = ab
             w = (1 << n) - (1 << (n - 1 - e))
             adj[a].append((b, w, 1 << e))
             adj[b].append((a, w, 1 << e))

@@ -4,6 +4,10 @@ Vectors and matrices store their entries as Python integers used as bit
 sets (bit i = coefficient of coordinate i), so row operations are single
 XORs regardless of length.
 
+One forward elimination, ``_forward``, is under every rank, kernel,
+solution, span test and echelon basis here; it tracks which input rows
+each pivot row combines, and there is no back-substitution.
+
 ``min_weight_in_coset`` is an exhaustive Gray-code search, exponential
 in the subspace dimension and capped by ``COSET_SEARCH_BUDGET``.  The
 library does not use it: systoles and code distances go through the
@@ -118,21 +122,6 @@ class Gf2Matrix:
         return cls(len(rows), cols, bits)
 
     @classmethod
-    def from_vectors(cls, vectors: Sequence[Gf2Vector], cols: int | None = None) -> "Gf2Matrix":
-        if cols is None:
-            if not vectors:
-                raise ValueError("cannot infer column count from empty vector list")
-            cols = vectors[0].n
-        for v in vectors:
-            if v.n != cols:
-                raise LengthMismatch(f"{v.n} != {cols}")
-        return cls(len(vectors), cols, tuple(v.bits for v in vectors))
-
-    @classmethod
-    def zero(cls, rows: int, cols: int) -> "Gf2Matrix":
-        return cls(rows, cols, (0,) * rows)
-
-    @classmethod
     def identity(cls, n: int) -> "Gf2Matrix":
         return cls(n, n, tuple(1 << i for i in range(n)))
 
@@ -141,9 +130,6 @@ class Gf2Matrix:
 
     def row_vectors(self) -> list[Gf2Vector]:
         return [Gf2Vector(self.cols, b) for b in self.row_bits]
-
-    def entry(self, i: int, j: int) -> int:
-        return (self.row_bits[i] >> j) & 1
 
     def to_lists(self) -> list[list[int]]:
         return [self.row(i).to_list() for i in range(self.rows)]
@@ -166,49 +152,47 @@ class Gf2Matrix:
             bits |= ((r & v.bits).bit_count() & 1) << i
         return Gf2Vector(self.rows, bits)
 
-    def restrict_columns(self, keep: Sequence[int]) -> "Gf2Matrix":
-        keep = list(keep)
-        out = []
-        for r in self.row_bits:
-            bits = 0
-            for new_j, j in enumerate(keep):
-                bits |= ((r >> j) & 1) << new_j
-            out.append(bits)
-        return Gf2Matrix(self.rows, len(keep), tuple(out))
 
-    def stack(self, other: "Gf2Matrix") -> "Gf2Matrix":
-        if self.cols != other.cols:
-            raise LengthMismatch(f"{self.cols} != {other.cols}")
-        return Gf2Matrix(self.rows + other.rows, self.cols,
-                         self.row_bits + other.row_bits)
+def _forward(rows: Iterable[int]) -> tuple[list[tuple[int, int, int]], list[int]]:
+    """Forward elimination of row bit sets: the library's one elimination.
+
+    Each row is reduced, in input order, against the pivot rows found
+    before it; a row that stays nonzero becomes a pivot row whose pivot
+    is its lowest set bit.  Returns (pivots, kernel): pivots are
+    (pivot bit, reduced row, combination) triples in input order, and
+    kernel holds the combinations of the rows that reduced to zero.  Bit
+    i of a combination stands for input row i.  No pivot row contains the
+    pivot bit of an earlier one.
+    """
+    pivots: list[tuple[int, int, int]] = []
+    kernel: list[int] = []
+    for i, r in enumerate(rows):
+        combo = 1 << i
+        for bit, pr, pc in pivots:
+            if r & bit:
+                r ^= pr
+                combo ^= pc
+        if r:
+            pivots.append((r & -r, r, combo))
+        else:
+            kernel.append(combo)
+    return pivots, kernel
 
 
 def _eliminate(rows: list[int], cols: int) -> list[int]:
-    """Row-echelon reduction in place on a list of row bit sets.
+    """The nonzero pivot rows of _forward(rows), in input order.
 
-    Returns the list of nonzero reduced rows, pivots in increasing
-    column order.
+    cols is the row length; the elimination itself does not need it.
     """
-    pivots: list[int] = []  # parallel with reduced rows: pivot column
-    reduced: list[int] = []
-    for r in rows:
-        for p, pr in zip(pivots, reduced):
-            if (r >> p) & 1:
-                r ^= pr
-        if r:
-            p = (r & -r).bit_length() - 1
-            # back-substitute into earlier rows to keep rows fully reduced
-            for i, pr in enumerate(reduced):
-                if (pr >> p) & 1:
-                    reduced[i] = pr ^ r
-            pivots.append(p)
-            reduced.append(r)
-    order = sorted(range(len(pivots)), key=lambda i: pivots[i])
-    return [reduced[i] for i in order]
+    return [pr for _, pr, _ in _forward(rows)[0]]
 
 
 def _remainder(reduced: Sequence[int], bits: int) -> int:
-    """bits minus its component in the span of _eliminate's output rows."""
+    """bits minus its component in the span of _eliminate's output rows.
+
+    A row appended to reduced keeps it valid if it holds no pivot bit of
+    the rows before it.
+    """
     for pr in reduced:
         if bits & pr & -pr:
             bits ^= pr
@@ -217,40 +201,13 @@ def _remainder(reduced: Sequence[int], bits: int) -> int:
 
 def rank(m: Gf2Matrix) -> int:
     """Dimension of the row space of m over GF(2)."""
-    return len(_eliminate(list(m.row_bits), m.cols))
-
-
-def row_reduce(m: Gf2Matrix) -> Gf2Matrix:
-    """Reduced row-echelon form with zero rows dropped."""
-    red = _eliminate(list(m.row_bits), m.cols)
-    return Gf2Matrix(len(red), m.cols, tuple(red))
-
-
-def _column_elimination(m: Gf2Matrix) -> tuple[list[tuple[int, int]], list[int]]:
-    """Eliminate the columns of m, tracking which columns were combined.
-
-    Returns (pivots, kernel): pivots are (reduced column, combination)
-    pairs with distinct lowest set bits, spanning the column space;
-    kernel holds the combinations whose columns cancel.
-    """
-    pivots: list[tuple[int, int]] = []
-    kernel: list[int] = []
-    for j, col_bits in enumerate(m.transpose().row_bits):
-        combo = 1 << j
-        for p_bits, p_combo in pivots:
-            if col_bits & p_bits & -p_bits:
-                col_bits ^= p_bits
-                combo ^= p_combo
-        if col_bits:
-            pivots.append((col_bits, combo))
-        else:
-            kernel.append(combo)
-    return pivots, kernel
+    return len(_forward(m.row_bits)[0])
 
 
 def kernel_basis(m: Gf2Matrix) -> list[Gf2Vector]:
     """Basis of the right null space {v : M·v = 0}."""
-    return [Gf2Vector(m.cols, combo) for combo in _column_elimination(m)[1]]
+    return [Gf2Vector(m.cols, combo)
+            for combo in _forward(m.transpose().row_bits)[1]]
 
 
 def in_span(basis: Sequence[Gf2Vector], v: Gf2Vector) -> bool:
@@ -266,10 +223,10 @@ def solve(m: Gf2Matrix, rhs: Gf2Vector) -> Gf2Vector | None:
     if rhs.n != m.rows:
         raise LengthMismatch(f"{rhs.n} != {m.rows}")
     r, x = rhs.bits, 0
-    for p_bits, p_combo in _column_elimination(m)[0]:
-        if r & p_bits & -p_bits:
-            r ^= p_bits
-            x ^= p_combo
+    for bit, col, combo in _forward(m.transpose().row_bits)[0]:
+        if r & bit:
+            r ^= col
+            x ^= combo
     if r:
         return None
     return Gf2Vector(m.cols, x)
@@ -279,8 +236,7 @@ def rowspace_equal(a: Gf2Matrix, b: Gf2Matrix) -> bool:
     """True iff the two matrices span the same row space."""
     if a.cols != b.cols:
         raise LengthMismatch(f"{a.cols} != {b.cols}")
-    ra, rb = rank(a), rank(b)
-    return ra == rb == rank(a.stack(b))
+    return rank(a) == rank(b) == len(_forward(a.row_bits + b.row_bits)[0])
 
 
 def min_weight_in_coset(

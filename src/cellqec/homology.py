@@ -3,17 +3,18 @@
 Every minimum-weight-nontrivial-vector question in the library -- the
 primal and dual systoles here, and the code distances in ``stabilizer``
 -- is answered by one exact engine, ``_min_weight_logical``: a
-breadth-first search in the two-fold parity cover of the graph whose
-nodes are the rows of a check matrix.  It requires every check column to
-have weight <= 2 (true of every cellulation incidence matrix and planar
-check matrix) and raises ``UnsupportedCheckStructure`` otherwise.  The
+breadth-first search in the two-fold parity cover of the check graph.
+``_check_graph`` builds that graph, for this search and for the decoder:
+its nodes are the rows of a check matrix plus one boundary node, and
+each column is an edge.  It requires every check column to have weight
+<= 2 (true of every cellulation incidence matrix and planar check
+matrix) and raises ``UnsupportedCheckStructure`` otherwise.  The
 exhaustive coset search ``gf2.min_weight_in_coset`` is not used here; the
 tests keep it as an independent oracle.
 """
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from typing import Sequence
 
 from . import gf2, surface
@@ -33,26 +34,10 @@ class UnsupportedCheckStructure(ValueError):
     """A check matrix column touches more than two generators."""
 
 
-@dataclass(frozen=True)
-class HomologySummary:
-    z1_dim: int
-    b1_dim: int
-    h1_dim: int
-    primal_systole: int | None   # None = infinite (h1 = 0)
-    dual_systole: int | None
-    primal_witness: Gf2Vector | None
-    dual_witness: Gf2Vector | None
-
-
-def _cycle_boundary_dims(fe: Gf2Matrix, ve: Gf2Matrix) -> tuple[int, int]:
-    """(dim Z1, dim B1) = (dim ker(boundary_1), rank(boundary_2))."""
-    return fe.cols - gf2.rank(ve), gf2.rank(fe)
-
-
 def h1_dim(c: Cellulation) -> int:
     """dim H1(c; Z2) = dim ker(boundary_1) - rank(boundary_2)."""
-    z1, b1 = _cycle_boundary_dims(*surface.incidence_matrices(c))
-    return z1 - b1
+    fe, ve = surface.incidence_matrices(c)
+    return fe.cols - gf2.rank(ve) - gf2.rank(fe)
 
 
 def is_essential(c: Cellulation, chain: Gf2Vector) -> bool:
@@ -78,14 +63,31 @@ def _class_representatives(fe: Gf2Matrix, ve: Gf2Matrix) -> list[Gf2Vector]:
     for v in gf2.kernel_basis(ve):
         r = gf2._remainder(reduced, v.bits)
         if r:
-            # absorb into the elimination so later vectors are independent
-            p = (r & -r).bit_length() - 1
-            for i, pr in enumerate(reduced):
-                if (pr >> p) & 1:
-                    reduced[i] = pr ^ r
+            # r holds no earlier pivot bit, so it extends the echelon
             reduced.append(r)
             reps.append(v)
     return reps
+
+
+def _check_graph(check: Gf2Matrix) -> list[tuple[int, int] | None]:
+    """Per column of check, the two nodes it joins in the check graph.
+
+    The nodes are the rows of check plus one boundary node, check.rows.
+    A column of weight 2 joins its two rows, a column of weight 1 joins
+    its row to the boundary, and a column of weight 0 gives None.
+    """
+    ends: list[tuple[int, int] | None] = []
+    for e, col in enumerate(check.transpose().row_bits):
+        weight = col.bit_count()
+        if weight > 2:
+            raise UnsupportedCheckStructure(
+                f"column {e} touches {weight} generators")
+        if weight == 0:
+            ends.append(None)
+        else:
+            b = col.bit_length() - 1 if weight == 2 else check.rows
+            ends.append(((col & -col).bit_length() - 1, b))
+    return ends
 
 
 def _min_weight_logical(check: Gf2Matrix,
@@ -105,21 +107,15 @@ def _min_weight_logical(check: Gf2Matrix,
     n = check.cols
     if not functionals:
         raise ValueError("no functionals: code has k = 0")
-    virtual = check.rows
     n_nodes = check.rows + 1
     adj: list[list[tuple[int, int]]] = [[] for _ in range(n_nodes)]
     ends: list[int] = [0] * n  # XOR of an edge's two end nodes
     free: list[int] = []       # columns of weight 0
-    for e, col in enumerate(check.transpose().row_bits):
-        weight = col.bit_count()
-        if weight > 2:
-            raise UnsupportedCheckStructure(
-                f"column {e} touches {weight} generators")
-        if weight == 0:
+    for e, ab in enumerate(_check_graph(check)):
+        if ab is None:
             free.append(e)
             continue
-        a = (col & -col).bit_length() - 1
-        b = col.bit_length() - 1 if weight == 2 else virtual
+        a, b = ab
         adj[a].append((b, e))
         adj[b].append((a, e))
         ends[e] = a ^ b
@@ -187,14 +183,3 @@ def dual_systole(c: Cellulation) -> tuple[int, Gf2Vector]:
     """Shortest essential dual cycle: the roles of the incidences swap."""
     fe, ve = surface.incidence_matrices(c)
     return _min_essential(ve, fe)
-
-
-def summary(c: Cellulation) -> HomologySummary:
-    fe, ve = surface.incidence_matrices(c)
-    z1, b1 = _cycle_boundary_dims(fe, ve)
-    h1 = z1 - b1
-    if h1 == 0:
-        return HomologySummary(z1, b1, 0, None, None, None, None)
-    ps, pw = _min_essential(fe, ve)
-    ds, dw = _min_essential(ve, fe)
-    return HomologySummary(z1, b1, h1, ps, ds, pw, dw)

@@ -46,8 +46,9 @@ class RankProfile:
 
 def _restricted_subgroup_dim(m: Gf2Matrix, pair: tuple[int, int]) -> int:
     """dim of {v in rowspace(m) : support(v) inside pair}."""
-    outside = [j for j in range(m.cols) if j not in pair]
-    return gf2.rank(m) - gf2.rank(m.restrict_columns(outside))
+    outside = ~((1 << pair[0]) | (1 << pair[1]))
+    masked = Gf2Matrix(m.rows, m.cols, tuple(r & outside for r in m.row_bits))
+    return gf2.rank(m) - gf2.rank(masked)
 
 
 def pair_rank_stabilizer(code: CssCode, pair: tuple[int, int]) -> int:
@@ -85,8 +86,9 @@ def _dense_projector(code: CssCode) -> np.ndarray:
     dim = 1 << n
     proj = np.eye(dim, dtype=np.float64)
     idx = np.arange(dim, dtype=np.uint64)
-    gens = [("x", b) for b in gf2.row_reduce(code.x_stabilizers).row_bits]
-    gens += [("z", b) for b in gf2.row_reduce(code.z_stabilizers).row_bits]
+    gens = []
+    for kind, m in (("x", code.x_stabilizers), ("z", code.z_stabilizers)):
+        gens += [(kind, b) for b in gf2._eliminate(list(m.row_bits), n)]
     for kind, bits in gens:
         if kind == "x":
             perm = (idx ^ np.uint64(bits)).astype(np.int64)

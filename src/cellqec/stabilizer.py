@@ -5,11 +5,15 @@ operators are Z-type.  d_z (bit-flip distance) is the primal systole,
 d_x (phase distance) the dual systole.  logical_x vectors live in
 ker(vertex_edge) \\ rowspace(face_edge); logical_z dually.
 
-Closed-surface and planar codes are finished by the same code: both
-distances come from the parity-cover search ``homology._min_weight_logical``
-on the check matrices, which needs every check column to have weight
-<= 2, and the logical operators are class representatives paired by
-``_normalize_pairing`` (valid, not necessarily of minimum weight).
+Closed-surface and planar codes are finished by the same code,
+``_code_from_checks``: k is the number of logical class representatives
+(the checks commute, which is why ``build_code`` validates its
+cellulation first), both distances come from the parity-cover search
+``homology._min_weight_logical`` on the check matrices, which needs
+every check column to have weight <= 2, and the logical operators are
+class representatives paired by ``_normalize_pairing``, which solves the
+Gram system with ``gf2.solve`` (valid, not necessarily of minimum
+weight).
 """
 from __future__ import annotations
 
@@ -30,11 +34,6 @@ class PauliOperator:
     n: int
     x_bits: int
     z_bits: int
-    phase: int = 1  # +1 or -1
-
-    def __post_init__(self):
-        if self.phase not in (1, -1):
-            raise ValueError("phase must be +1 or -1")
 
     @classmethod
     def x_type(cls, support: Gf2Vector) -> "PauliOperator":
@@ -44,26 +43,10 @@ class PauliOperator:
     def z_type(cls, support: Gf2Vector) -> "PauliOperator":
         return cls(support.n, 0, support.bits)
 
-    def __mul__(self, other: "PauliOperator") -> "PauliOperator":
-        if self.n != other.n:
-            raise gf2.LengthMismatch(f"{self.n} != {other.n}")
-        # moving other's X part past self's Z part costs one sign per overlap
-        sign = -1 if (self.z_bits & other.x_bits).bit_count() & 1 else 1
-        return PauliOperator(self.n, self.x_bits ^ other.x_bits,
-                             self.z_bits ^ other.z_bits,
-                             self.phase * other.phase * sign)
-
     def commutes_with(self, other: "PauliOperator") -> bool:
         s = (self.x_bits & other.z_bits).bit_count()
         s += (self.z_bits & other.x_bits).bit_count()
         return s % 2 == 0
-
-    def hadamard_all(self) -> "PauliOperator":
-        """Conjugate every tensor factor by H: swaps the X and Z parts."""
-        return PauliOperator(self.n, self.z_bits, self.x_bits, self.phase)
-
-    def weight(self) -> int:
-        return (self.x_bits | self.z_bits).bit_count()
 
     def to_string(self) -> str:
         out = []
@@ -71,8 +54,7 @@ class PauliOperator:
             x = (self.x_bits >> i) & 1
             z = (self.z_bits >> i) & 1
             out.append("IXZY"[x + 2 * z])
-        prefix = "" if self.phase == 1 else "-"
-        return prefix + "".join(out)
+        return "".join(out)
 
 
 @dataclass(frozen=True)
@@ -89,15 +71,11 @@ class CssCode:
     def parameters(self) -> tuple:
         return (self.n, self.k, self.d_x, self.d_z)
 
-    def x_operators(self) -> list[PauliOperator]:
-        return [PauliOperator.x_type(r) for r in self.x_stabilizers.row_vectors()]
-
-    def z_operators(self) -> list[PauliOperator]:
-        return [PauliOperator.z_type(r) for r in self.z_stabilizers.row_vectors()]
-
     def pauli_strings(self) -> list[str]:
-        return ([p.to_string() for p in self.x_operators()]
-                + [p.to_string() for p in self.z_operators()])
+        return ([PauliOperator.x_type(r).to_string()
+                 for r in self.x_stabilizers.row_vectors()]
+                + [PauliOperator.z_type(r).to_string()
+                   for r in self.z_stabilizers.row_vectors()])
 
     def to_json_dict(self) -> dict:
         return {
@@ -112,56 +90,51 @@ class CssCode:
         }
 
 
-def _invert_gf2(rows: list[int], k: int) -> list[int]:
-    """Inverse of a k x k GF(2) matrix given as row bit sets."""
-    aug = [rows[i] | (1 << (k + i)) for i in range(k)]
-    red = gf2._eliminate(aug, 2 * k)
-    if len(red) != k:
-        raise ValueError("matrix is singular over GF(2)")
-    inv = [0] * k
-    for r in red:
-        p = (r & -r).bit_length() - 1
-        if p >= k:
-            raise ValueError("matrix is singular over GF(2)")
-        inv[p] = r >> k
-    return inv
-
-
 def _normalize_pairing(logical_x: list[Gf2Vector],
                        logical_z: list[Gf2Vector]) -> list[Gf2Vector]:
-    """Recombine logical_x so that logical_x[i] . logical_z[j] = delta_ij."""
+    """Recombine logical_x so that logical_x[i] . logical_z[j] = delta_ij.
+
+    Output i combines the logical_x[a] for the bits a of the solution x of
+    sum_a x_a (logical_x[a] . logical_z[j]) = delta_ij, one row of the
+    inverse Gram matrix.
+    """
     k = len(logical_z)
-    gram = []
-    for lx in logical_x:
-        bits = 0
-        for j, lz in enumerate(logical_z):
-            bits |= lx.dot(lz) << j
-        gram.append(bits)
-    inv = _invert_gf2(gram, k)
+    gram = Gf2Matrix(k, len(logical_x), tuple(
+        sum(lx.dot(lz) << a for a, lx in enumerate(logical_x))
+        for lz in logical_z))
     out = []
     for i in range(k):
+        combo = gf2.solve(gram, Gf2Vector(k, 1 << i))
+        if combo is None:
+            raise ValueError("matrix is singular over GF(2)")
         acc = Gf2Vector.zero(logical_x[0].n)
-        for a in range(k):
-            if (inv[i] >> a) & 1:
-                acc ^= logical_x[a]
+        for a in combo.support():
+            acc ^= logical_x[a]
         out.append(acc)
     return out
 
 
 def build_code(c: Cellulation) -> CssCode:
-    """The CSS code of a cellulation: X on faces, Z on vertices."""
+    """The CSS code of a cellulation: X on faces, Z on vertices.
+
+    Raises CellulationError unless c is a valid cellulation.
+    """
+    surface.validate(c)
     fe, ve = surface.incidence_matrices(c)
     return _code_from_checks(fe, ve)
 
 
 def _code_from_checks(x_stab: Gf2Matrix, z_stab: Gf2Matrix) -> CssCode:
-    """k, both distances and paired logical operators of a CSS code."""
+    """k, both distances and paired logical operators of a CSS code.
+
+    The checks must commute (as a valid cellulation's do), so that k is
+    the number of logical classes on either side.
+    """
     n = x_stab.cols
-    k = n - gf2.rank(x_stab) - gf2.rank(z_stab)
-    partial = CssCode(n, x_stab, z_stab, k, None, None)
+    x_side, z_side = _logical_representatives(x_stab, z_stab)
+    k = len(x_side)
     if k == 0:
-        return partial
-    x_side, z_side = _logical_representatives(partial)
+        return CssCode(n, x_stab, z_stab, 0, None, None)
     d_z, _ = _min_weight_logical(z_stab, x_side)
     d_x, _ = _min_weight_logical(x_stab, z_side)
     # z_side lives in ker(z_stab), so those supports carry X-type logicals
@@ -206,17 +179,15 @@ def hadamard_dual_equivalent(c: Cellulation) -> bool:
 # generic CSS distance via the incidence graph of the check matrices
 # ---------------------------------------------------------------------------
 
-def _logical_representatives(code: CssCode) -> tuple[list[Gf2Vector], list[Gf2Vector]]:
+def _logical_representatives(x_stab: Gf2Matrix, z_stab: Gf2Matrix
+                             ) -> tuple[list[Gf2Vector], list[Gf2Vector]]:
     """(x-side, z-side) homology-class bases from the check matrices.
 
-    x-side reps span ker(x_stabilizers) / rowspace(z_stabilizers); z-side
-    reps span ker(z_stabilizers) / rowspace(x_stabilizers).
+    x-side reps span ker(x_stab) / rowspace(z_stab); z-side reps span
+    ker(z_stab) / rowspace(x_stab).
     """
-    x_side = homology._class_representatives(code.z_stabilizers,
-                                             code.x_stabilizers)
-    z_side = homology._class_representatives(code.x_stabilizers,
-                                             code.z_stabilizers)
-    return x_side, z_side
+    return (homology._class_representatives(z_stab, x_stab),
+            homology._class_representatives(x_stab, z_stab))
 
 
 def css_distance(code: CssCode) -> tuple[int, int]:
@@ -228,7 +199,8 @@ def css_distance(code: CssCode) -> tuple[int, int]:
     """
     if code.k < 1:
         raise ValueError("distance undefined for k = 0")
-    x_side, z_side = _logical_representatives(code)
+    x_side, z_side = _logical_representatives(code.x_stabilizers,
+                                              code.z_stabilizers)
     d_z, _ = _min_weight_logical(code.z_stabilizers, x_side)
     d_x, _ = _min_weight_logical(code.x_stabilizers, z_side)
     return d_x, d_z
@@ -328,8 +300,13 @@ class PlanarPatch:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "PlanarPatch":
-        return cls(int(doc["width"]), int(doc["height"]),
-                   tuple(tuple(int(v) for v in h) for h in doc["holes"]))
+        try:
+            return cls(int(doc["width"]), int(doc["height"]),
+                       tuple(tuple(int(v) for v in h) for h in doc["holes"]))
+        except KeyError as exc:
+            raise ValueError(f"missing key {exc.args[0]!r}") from None
+        except TypeError as exc:
+            raise ValueError(f"malformed patch: {exc}") from None
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), separators=(",", ":"))

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -219,11 +220,55 @@ class TestPlanar:
         assert doc["parameters"][1] == 2
 
 
+class TestLogicalOperators:
+    # sha256 of stdout, which carries the paired logical operators; these
+    # bytes are what the GF(2) elimination order decides
+    @pytest.mark.parametrize("argv,digest", [
+        (["code", "stabilizers", "fig1_hemi_icosahedron"],
+         "45c6745bb8a267f6f3baa5349469873100d5e0011daa8c2f290be80eaefc69d8"),
+        (["code", "stabilizers", "fig2_nine_edge"],
+         "9f6d070e14f432f1285f7e3bb214ac9499ee005ef1223a2d9dcfae5975188b40"),
+        (["code", "stabilizers", "toric(3,3)"],
+         "fb03dd3ae344d4ad884f77bba0e185a655147293b2e9ef7c255a6113e8c9d6aa"),
+        (["planar", "puncture", "toric(3,3)", "--face", "0", "--vertex", "0"],
+         "01d591e74497a01fe76e533882ec0a23393c39e261b881a2ac9a9508647f0478"),
+    ], ids=["fig1", "fig2", "toric33", "puncture-toric33"])
+    def test_stdout_is_pinned(self, capsys, argv, digest):
+        code, out, _ = run(capsys, argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 class TestErrors:
     def test_unknown_catalog_name(self, capsys):
-        code, _, err = run(capsys, ["code", "params", "dodecahedron"])
+        code, out, err = run(capsys, ["code", "params", "dodecahedron"])
         assert code == 1
-        assert "error" in err
+        assert out == ""
+        assert err == "error: unknown catalog name: dodecahedron\n"
+
+    def test_catalog_name_is_not_shadowed_by_a_file(self, capsys, tmp_path,
+                                                   monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "fig4_shor").write_text(surface.rp2_minimal().to_json())
+        code, out, _ = run(capsys, ["code", "params", "fig4_shor"])
+        assert code == 0
+        assert json.loads(out)["parameters"] == [9, 1, 3, 3]
+        code, out, _ = run(capsys, ["code", "params", "./fig4_shor"])
+        assert code == 0
+        assert json.loads(out)["parameters"] == [1, 1, 1, 1]
+
+    @pytest.mark.parametrize("doc,message", [
+        ({"width": 3}, "missing key 'height'"),
+        ({"width": 3, "height": 3, "holes": 5},
+         "malformed patch: 'int' object is not iterable"),
+    ], ids=["missing-key", "wrong-type"])
+    def test_bad_patch_json(self, capsys, tmp_path, doc, message):
+        p = tmp_path / "patch.json"
+        p.write_text(json.dumps(doc))
+        code, out, err = run(capsys, ["planar", "holes", "--spec", str(p)])
+        assert code == 1
+        assert out == ""
+        assert err == f"error: {message}\n"
 
     def test_workers_flag_is_gone(self, capsys):
         with pytest.raises(SystemExit) as exc:

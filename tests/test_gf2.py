@@ -50,10 +50,13 @@ class TestMatrix:
         m = Gf2Matrix.from_rows([[1, 0, 1], [1, 1, 0]])
         assert m.transpose().transpose() == m
 
-    def test_restrict_columns(self):
-        m = Gf2Matrix.from_rows([[1, 0, 1], [0, 1, 1]])
-        r = m.restrict_columns([0, 2])
-        assert r.to_lists() == [[1, 1], [0, 1]]
+    def test_forward_tracks_combinations(self):
+        rows = [0b011, 0b110, 0b101, 0b100]
+        pivots, kernel = gf2._forward(rows)
+        assert [(bit, row) for bit, row, _ in pivots] == [
+            (0b001, 0b011), (0b010, 0b110), (0b100, 0b100)]
+        assert [combo for _, _, combo in pivots] == [0b0001, 0b0010, 0b1000]
+        assert kernel == [0b0111]
 
 
 class TestSolvers:
@@ -158,6 +161,36 @@ def test_solve_agrees_with_image(data, raw):
         assert not gf2.in_span(t.row_vectors(), rhs)
     else:
         assert m.mul_vector(x) == rhs
+
+
+def _combine(rows, combo):
+    out = 0
+    for i, r in enumerate(rows):
+        if combo >> i & 1:
+            out ^= r
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(bitvectors, st.integers(0, 255))
+def test_forward_elimination_invariants(data, raw):
+    n, rows = data
+    pivots, kernel = gf2._forward(rows)
+    assert len(pivots) + len(kernel) == len(rows)
+    for i, (bit, row, combo) in enumerate(pivots):
+        assert bit == row & -row
+        assert _combine(rows, combo) == row
+        # no pivot row holds the pivot bit of an earlier one
+        assert all(not row & earlier for earlier, _, _ in pivots[:i])
+    for combo in kernel:
+        assert combo and _combine(rows, combo) == 0
+    # the remainder is zero exactly on the span, found by brute force
+    span = {0}
+    for r in rows:
+        span |= {s ^ r for s in span}
+    v = raw & ((1 << n) - 1)
+    reduced = gf2._eliminate(rows, n)
+    assert (gf2._remainder(reduced, v) == 0) == (v in span)
 
 
 @settings(max_examples=40, deadline=None)

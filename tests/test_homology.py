@@ -1,7 +1,7 @@
 import pytest
 
 from cellqec import homology, surface
-from cellqec.gf2 import Gf2Vector
+from cellqec.gf2 import Gf2Matrix, Gf2Vector
 from cellqec.surface import Cellulation
 
 
@@ -100,15 +100,20 @@ class TestSystole:
                 surface.dual(c))[0]
 
 
-class TestSummary:
-    def test_summary_consistency(self):
-        c = surface.catalog("toric(3,3)")
-        s = homology.summary(c)
-        assert s.h1_dim == 2
-        assert s.z1_dim == s.b1_dim + s.h1_dim
-        assert (s.primal_systole, s.dual_systole) == (3, 3)
+class TestCheckGraph:
+    def test_column_ends(self):
+        # columns: rows 0 and 2, row 1 alone, no row, rows 1 and 2
+        check = Gf2Matrix(3, 4, (0b0001, 0b1010, 0b1001))
+        assert homology._check_graph(check) == [(0, 2), (1, 3), None, (1, 2)]
 
-    def test_trivial_summary(self):
-        s = homology.summary(surface.cube_sphere())
-        assert s.h1_dim == 0
-        assert s.primal_systole is None and s.dual_witness is None
+    def test_incidence_columns_are_edges(self):
+        c = surface.catalog("toric(3,3)")
+        _, ve = surface.incidence_matrices(c)
+        assert homology._check_graph(ve) == [tuple(sorted(e))
+                                             for e in c.edges]
+
+    def test_weight_three_column_is_rejected(self):
+        check = Gf2Matrix(3, 2, (0b01, 0b01, 0b11))
+        with pytest.raises(homology.UnsupportedCheckStructure,
+                           match="column 0 touches 3 generators"):
+            homology._check_graph(check)
