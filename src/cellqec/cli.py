@@ -19,9 +19,9 @@ def _load_cellulation(spec: str) -> Cellulation:
     """Catalog name, JSON file path, or inline JSON document.
 
     Catalog names come first, so a file named like one is read only by a
-    path such as ./fig4_shor.  JSON input is validated here, so a
-    malformed surface is reported as such rather than by whatever later
-    step it breaks.
+    path such as ./fig4_shor.  JSON input is not validated here:
+    `catalog show` validates in its handler and every other command
+    builds a code, which validates.
     """
     try:
         return surface.catalog(spec)
@@ -33,9 +33,7 @@ def _load_cellulation(spec: str) -> Cellulation:
             text = spec
         else:
             raise
-    c = Cellulation.from_json(text)
-    surface.validate(c)
-    return c
+    return Cellulation.from_json(text)
 
 
 def _emit(payload, summary: str) -> int:

@@ -5,8 +5,13 @@ system: a cyclic order of edge-ends around each vertex plus a twist bit
 per edge.  The enumerator fixes a vertex degree sequence, lays the edge
 ends out as slots and depth-first searches over perfect matchings of the
 slots with twist bits, tracing faces and orientability incrementally.
-A complete scheme whose face count or orientability misses the target
-surface is counted and dropped before its flag system is built.
+All search state lives in flat lists, and every write first pushes
+(list, index, old value) onto one trail; backtracking pops the trail
+back to a mark.  A complete scheme whose face count or orientability
+misses the target surface is counted and dropped before its flag system
+is built.  The census driver runs the search over every degree sequence,
+keeps one cellulation per class and applies the filters; it returns the
+survivors with the scheme and class counts that census_report prints.
 Isomorphism rejection is by the canonical form of the flag system
 (``FlagMap.canonical_form``), whose BFS starts only from the flags of
 minimal (vertex degree, face size, far-end degree) key.
@@ -103,11 +108,7 @@ def _scheme_search(degrees: tuple[int, ...],
     """
     v = len(degrees)
     nslots = sum(degrees)
-    starts: list[int] = []
-    acc = 0
-    for d in degrees:
-        starts.append(acc)
-        acc += d
+    starts = [sum(degrees[:i]) for i in range(v)]
     slot_vertex = [i for i, d in enumerate(degrees) for _ in range(d)]
     nflags = 2 * nslots
 
@@ -125,65 +126,63 @@ def _scheme_search(degrees: tuple[int, ...],
     for i in range(1, v):
         class_of[i] = class_of[i - 1] + (degrees[i] != degrees[i - 1])
 
+    # match[a] = 2 * b + t for the ribbon on slots a, b with twist t, -1
+    # while a is free; a full match is s0 with s0[2a] = match[a] ^ 1 and
+    # s0[2a + 1] = match[a]
     match = [-1] * nslots
-    twist = [0] * nslots
     # face tracing: paths alternating fixed s1 edges and matched s0
     # edges; end[] maps a path endpoint to the opposite endpoint and
     # plen[] holds the path's s0-edge count (= face size on closure + 1)
     end = list(s1)
     plen = [0] * nflags
-    parent = list(range(v))
-    rel = [0] * v      # orientation parity relative to the union-find parent
-    size = [1] * v
+    # union-find: link[x] = 2 * parent + orientation parity relative to
+    # the parent; a root x has link[x] == 2 * x
+    link = [2 * x for x in range(v)]
     free = list(degrees)
     touched = [False] * v
-    st = {"free": nslots, "faces": 0, "conflicts": 0, "leaves": 0,
-          "bigons": 0}
+    count = [nslots, 0, 0, 0]  # free slots, faces, conflicts, bigons
+    leaves = 0
+    # every write below first pushes (array, index, old value); undo(mark)
+    # pops back to a mark, so new search state needs no undo code of its own
+    trail: list[tuple[list, int, object]] = []
+    push, extend = trail.append, trail.extend
 
     def find(x: int) -> tuple[int, int]:
         p = 0
-        while parent[x] != x:
-            p ^= rel[x]
-            x = parent[x]
+        while link[x] != 2 * x:
+            p ^= link[x] & 1
+            x = link[x] >> 1
         return x, p
 
-    def apply(a: int, b: int, t: int):
-        """Match slots a, b with twist t; returns an undo record or None
-        when the branch is pruned."""
-        rec: list[tuple] = []
+    def apply(a: int, b: int, t: int) -> bool:
+        """Match slots a, b with twist t; False when the branch is pruned."""
         va, vb = slot_vertex[a], slot_vertex[b]
-        match[a] = b
-        match[b] = a
-        twist[a] = t
-        twist[b] = t
-        st["free"] -= 2
-        rec.append(("slots", a, b))
+        extend(((match, a, -1), (match, b, -1), (count, 0, count[0])))
+        match[a] = 2 * b + t
+        match[b] = 2 * a + t
+        count[0] -= 2
         if not touched[vb]:
+            push((touched, vb, False))
             touched[vb] = True
-            rec.append(("touch", vb))
         # orientation parity: an untwisted edge keeps the local
         # orientations aligned, a twisted one flips them
         ra, pa = find(va)
         rb, pb = find(vb)
         if ra == rb:
             if (pa ^ pb) != t:
-                st["conflicts"] += 1
-                rec.append(("conflict",))
+                push((count, 2, count[2]))
+                count[2] += 1
+            push((free, ra, free[ra]))
             free[ra] -= 2
-            rec.append(("free", ra))
-            root = ra
         else:
-            if size[ra] < size[rb]:
+            if ra > rb:  # the lower root stays, keeping the trees shallow
                 ra, rb = rb, ra
                 pa, pb = pb, pa
-            rec.append(("union", rb, size[ra], free[ra]))
-            parent[rb] = ra
-            rel[rb] = pa ^ pb ^ t
-            size[ra] += size[rb]
+            extend(((link, rb, 2 * rb), (free, ra, free[ra])))
+            link[rb] = 2 * ra + (pa ^ pb ^ t)
             free[ra] += free[rb] - 2
-            root = ra
-        if free[root] == 0 and st["free"] > 0:
-            return rec, False  # a closed component with slots left over
+        if free[ra] == 0 and count[0] > 0:
+            return False  # a closed component with slots left over
         # face tracing: the two s0 flag edges of the new ribbon
         if t == 0:
             pairs = ((2 * a, 2 * b + 1), (2 * a + 1, 2 * b))
@@ -191,89 +190,52 @@ def _scheme_search(degrees: tuple[int, ...],
             pairs = ((2 * a, 2 * b), (2 * a + 1, 2 * b + 1))
         for p, q in pairs:
             if end[p] == q:
-                st["faces"] += 1
-                bigon = plen[p] + 1 == 2
-                if bigon:
-                    st["bigons"] += 1
-                rec.append(("face", bigon))
+                push((count, 1, count[1]))
+                count[1] += 1
+                if plen[p] == 1:
+                    push((count, 3, count[3]))
+                    count[3] += 1
             else:
                 ep, eq = end[p], end[q]
                 merged = plen[p] + plen[q] + 1
-                rec.append(("ends", ep, end[ep], plen[ep],
-                            eq, end[eq], plen[eq]))
+                extend(((end, ep, end[ep]), (end, eq, end[eq]),
+                        (plen, ep, plen[ep]), (plen, eq, plen[eq])))
                 end[ep] = eq
                 end[eq] = ep
                 plen[ep] = merged
                 plen[eq] = merged
         if f_target is not None:
-            if st["faces"] > f_target or (st["faces"] == f_target
-                                          and st["free"] > 0):
-                return rec, False
-        if max_bigons is not None and st["bigons"] > max_bigons:
-            return rec, False
-        return rec, True
+            if count[1] > f_target or (count[1] == f_target and count[0] > 0):
+                return False
+        return max_bigons is None or count[3] <= max_bigons
 
-    def undo(rec: list[tuple]) -> None:
-        for item in reversed(rec):
-            tag = item[0]
-            if tag == "slots":
-                _, a, b = item
-                match[a] = -1
-                match[b] = -1
-                st["free"] += 2
-            elif tag == "touch":
-                touched[item[1]] = False
-            elif tag == "conflict":
-                st["conflicts"] -= 1
-            elif tag == "free":
-                free[item[1]] += 2
-            elif tag == "union":
-                _, rb, sz, fr = item
-                ra = parent[rb]
-                parent[rb] = rb
-                rel[rb] = 0
-                size[ra] = sz
-                free[ra] = fr
-            elif tag == "face":
-                st["faces"] -= 1
-                if item[1]:
-                    st["bigons"] -= 1
-            else:  # ends
-                _, ep, oep, olp, eq, oeq, olq = item
-                end[ep] = oep
-                end[eq] = oeq
-                plen[ep] = olp
-                plen[eq] = olq
+    def undo(mark: int) -> None:
+        for arr, i, old in reversed(trail[mark:]):
+            arr[i] = old
+        del trail[mark:]
 
     def emit() -> None:
-        st["leaves"] += 1
-        if f_target is not None and st["faces"] != f_target:
+        nonlocal leaves
+        leaves += 1
+        if f_target is not None and count[1] != f_target:
             return
-        if orientable is not None and (st["conflicts"] == 0) != orientable:
+        if orientable is not None and (count[2] == 0) != orientable:
             return
-        s0 = [0] * nflags
-        for a in range(nslots):
-            b = match[a]
-            if b < a:
-                continue
-            if twist[a] == 0:
-                s0[2 * a], s0[2 * b + 1] = 2 * b + 1, 2 * a
-                s0[2 * a + 1], s0[2 * b] = 2 * b, 2 * a + 1
-            else:
-                s0[2 * a], s0[2 * b] = 2 * b, 2 * a
-                s0[2 * a + 1], s0[2 * b + 1] = 2 * b + 1, 2 * a + 1
-        visit(s0, s1)
+        visit([f for m in match for f in (m ^ 1, m)], s1)
 
     def rec_search(hint: int) -> None:
-        if st["free"] == 0:
+        if count[0] == 0:
             emit()
             return
         a = hint
         while match[a] >= 0:
             a += 1
         va = slot_vertex[a]
+        base = len(trail)
         seed = not touched[va]
-        touched[va] = True
+        if seed:
+            push((touched, va, False))
+            touched[va] = True
         offered: set[int] = set()
         for b in range(a + 1, nslots):
             if match[b] >= 0:
@@ -287,29 +249,21 @@ def _scheme_search(degrees: tuple[int, ...],
                 offered.add(cls)
             twists = (0,) if fresh and reduce_tree_twists else (0, 1)
             for t in twists:
-                record, ok = apply(a, b, t)
-                if ok:
+                mark = len(trail)
+                if apply(a, b, t):
                     rec_search(a + 1)
-                undo(record)
+                undo(mark)
         if seed:
-            touched[va] = False
+            undo(base)
 
     if v and nslots % 2 == 0 and (f_target is None or f_target >= 1):
         rec_search(0)
-    return st["leaves"]
+    return leaves
 
 
 # ---------------------------------------------------------------------------
 # census driver
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class CensusStats:
-    edge_count: int
-    schemes_examined: int
-    classes_examined: int
-    survivors: int
-
 
 def _face_sizes(c: Cellulation) -> list[int]:
     return [len(walk) for walk in c.faces]
@@ -348,8 +302,8 @@ def _passes_filters(c: Cellulation, cons: EnumerationConstraints) -> bool:
 def _enumerate_with_stats(cons: EnumerationConstraints,
                           reduce_tree_twists: bool = True,
                           use_duality: bool = True,
-                          progress: Callable[[str], None] | None = None,
-                          ) -> tuple[list[Cellulation], CensusStats]:
+                          ) -> tuple[list[Cellulation], int, int]:
+    """(classes passing the filters, schemes examined, classes examined)."""
     if cons.edge_count > MAX_EDGE_COUNT:
         raise EnumerationBudgetError(
             f"edge count {cons.edge_count} exceeds the budget of"
@@ -362,7 +316,7 @@ def _enumerate_with_stats(cons: EnumerationConstraints,
         v_lo = max(v_lo, chi - e)      # face count is at most 2e
     if cons.vertex_count is not None:
         if not v_lo <= cons.vertex_count <= v_hi:
-            return [], CensusStats(e, 0, 0, 0)
+            return [], 0, 0
         v_lo = v_hi = cons.vertex_count
 
     seen: set[tuple] = set()
@@ -404,16 +358,12 @@ def _enumerate_with_stats(cons: EnumerationConstraints,
         for degs in _partitions(2 * e, side_v, 2 * e):
             if want2 is not None and degs.count(2) != want2:
                 continue
-            n = _scheme_search(degs, visit, f_target,
-                               reduce_tree_twists,
-                               max_bigons=side_bigons,
-                               orientable=cons.orientable)
-            schemes += n
-            if progress is not None:
-                progress(f"v={v} side={side_v} degrees={degs}:"
-                         f" {n} schemes, {classes} classes so far")
+            schemes += _scheme_search(degs, visit, f_target,
+                                      reduce_tree_twists,
+                                      max_bigons=side_bigons,
+                                      orientable=cons.orientable)
 
-    return results, CensusStats(e, schemes, classes, len(results))
+    return results, schemes, classes
 
 
 def enumerate_cellulations(cons: EnumerationConstraints,
@@ -433,14 +383,14 @@ def census_report(edge_count: int, min_systole: int = 3,
     cons = EnumerationConstraints.rp2(
         edge_count, min_primal_systole=min_systole,
         min_dual_systole=min_systole, **kw)
-    survivors, stats = _enumerate_with_stats(cons)
+    survivors, schemes, classes = _enumerate_with_stats(cons)
     docs = [s.to_json_dict()
             for s in sorted(survivors, key=surface.canonical_form)]
     return {
         "edge_count": edge_count,
         "min_systole": min_systole,
-        "schemes_examined": stats.schemes_examined,
-        "classes_examined": stats.classes_examined,
+        "schemes_examined": schemes,
+        "classes_examined": classes,
         "survivor_count": len(docs),
         "survivors": docs,
     }

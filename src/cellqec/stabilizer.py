@@ -301,12 +301,20 @@ class PlanarPatch:
     @classmethod
     def from_json_dict(cls, doc: dict) -> "PlanarPatch":
         try:
-            return cls(int(doc["width"]), int(doc["height"]),
-                       tuple(tuple(int(v) for v in h) for h in doc["holes"]))
+            width, height = doc["width"], doc["height"]
+            holes = tuple(tuple(h) for h in doc["holes"])
         except KeyError as exc:
             raise ValueError(f"missing key {exc.args[0]!r}") from None
         except TypeError as exc:
             raise ValueError(f"malformed patch: {exc}") from None
+        for v in (width, height, *(v for h in holes for v in h)):
+            if type(v) is not int:
+                raise ValueError(f"malformed patch: {v!r} is not an integer")
+        for h in holes:
+            if len(h) != 4:
+                raise ValueError(f"malformed patch: hole {list(h)} is not"
+                                 " [x, y, w, h]")
+        return cls(width, height, holes)
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), separators=(",", ":"))

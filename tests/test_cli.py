@@ -75,6 +75,11 @@ class TestCode:
         assert doc["histogram"] == {"1": 0, "2": 9, "4": 27}
         assert "rank-2 pairs: 9" in err
 
+    def test_invariants_large_toric(self, capsys):
+        code, out, _ = run(capsys, ["code", "invariants", "toric(6,6)"])
+        assert code == 0
+        assert json.loads(out)["histogram"] == {"1": 0, "2": 0, "4": 2556}
+
     def test_compare_figures(self, capsys):
         code, out, _ = run(capsys, ["code", "compare", "fig2_nine_edge",
                                     "fig3_nine_edge"])
@@ -193,10 +198,9 @@ class TestSearch:
             '{"edges":[[0,0],[0,1],[0,1]],"faces":[[[0,1],[1,1],[2,-1]],'
             '[[0,1],[2,1],[1,-1]]],"vertices":2}]}\n')
 
-    def test_verify_nonexistence(self, capsys):
-        code, out, _ = run(capsys, ["search", "verify-paper"])
-        assert code == 0
-        reports = json.loads(out)["reports"]
+    def test_verify_nonexistence(self, verify_paper_run):
+        assert verify_paper_run.code == 0
+        reports = json.loads(verify_paper_run.stdout)["reports"]
         assert [r["edge_count"] for r in reports] == [5, 7]
         for r in reports:
             assert r["survivor_count"] == 0
@@ -261,7 +265,11 @@ class TestErrors:
         ({"width": 3}, "missing key 'height'"),
         ({"width": 3, "height": 3, "holes": 5},
          "malformed patch: 'int' object is not iterable"),
-    ], ids=["missing-key", "wrong-type"])
+        ({"width": 5, "height": 5, "holes": [[1, 2]]},
+         "malformed patch: hole [1, 2] is not [x, y, w, h]"),
+        ({"width": "a", "height": 5, "holes": []},
+         "malformed patch: 'a' is not an integer"),
+    ], ids=["missing-key", "wrong-type", "short-hole", "non-integer"])
     def test_bad_patch_json(self, capsys, tmp_path, doc, message):
         p = tmp_path / "patch.json"
         p.write_text(json.dumps(doc))

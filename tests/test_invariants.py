@@ -1,8 +1,8 @@
 import pytest
 
-from cellqec import invariants, search, stabilizer, surface
-from cellqec.gf2 import Gf2Matrix
-from cellqec.stabilizer import CssCode
+from cellqec import gf2, invariants, search, stabilizer, surface
+from cellqec.gf2 import Gf2Matrix, Gf2Vector
+from cellqec.stabilizer import CssCode, PlanarPatch
 
 
 def _code(name):
@@ -42,6 +42,39 @@ class TestPairRankStabilizer:
         code = _code("fig4_shor")
         assert (invariants.pair_rank_stabilizer(code, (5, 2))
                 == invariants.pair_rank_stabilizer(code, (2, 5)))
+
+
+def _span_pair_rank(code, i, j):
+    """4 / |S_pair|, with S_pair counted by span tests of e_i, e_j and
+    e_i + e_j against each side's generators."""
+    size = 1
+    for m in (code.x_stabilizers, code.z_stabilizers):
+        basis = m.row_vectors()
+        size *= 1 + sum(gf2.in_span(basis, Gf2Vector(code.n, bits))
+                        for bits in (1 << i, 1 << j, (1 << i) | (1 << j)))
+    return 4 // size
+
+
+class TestSpanOracle:
+    def test_every_pair_matches_span_counting(self):
+        codes = [_code(name) for name in surface.closed_catalog_names()]
+        codes += [_code(f"toric({m},{m})") for m in (2, 3, 4)]
+        codes.append(stabilizer.puncture(surface.fig4_shor(), 6, 0).code)
+        codes.append(stabilizer.build_punctured_disk_code(
+            PlanarPatch(3, 3, ((1, 1, 1, 1),))))
+        codes += [stabilizer.build_code(c)
+                  for c in search.sample_small_cellulations(20, seed=7)]
+        seen = set()
+        for code in codes:
+            profile = invariants.rank_profile(code)
+            for i in range(code.n):
+                for j in range(i + 1, code.n):
+                    want = _span_pair_rank(code, i, j)
+                    assert profile.pair_ranks[(i, j)] == want
+                    assert invariants.pair_rank_stabilizer(
+                        code, (i, j)) == want
+                    seen.add(want)
+        assert seen == {1, 2, 4}
 
 
 class TestDenseOracle:

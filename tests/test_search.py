@@ -84,6 +84,39 @@ class TestCensus:
         assert report["classes_examined"] > 0
         assert report["schemes_examined"] >= report["classes_examined"]
 
+    # (schemes_examined, classes_examined) pinned so that changes to the
+    # search state or its undo trail cannot move them unnoticed
+    @pytest.mark.parametrize("edges,counts", [
+        (3, (112, 19)), (4, (1154, 106)), (5, (20224, 709))])
+    def test_report_counts_are_pinned(self, edges, counts):
+        report = search.census_report(edges)
+        assert (report["schemes_examined"],
+                report["classes_examined"]) == counts
+
+    @pytest.mark.parametrize("cons,reduced,counts", [
+        (EnumerationConstraints.rp2(3), False, (339, 19, 19)),
+        (EnumerationConstraints.rp2(4), False, (7262, 106, 106)),
+        (EnumerationConstraints(1), True, (3, 3, 3)),
+        (EnumerationConstraints(2), True, (21, 11, 11)),
+        (EnumerationConstraints(3), True, (253, 63, 63)),
+        # the only runs that prune on the bigon counter
+        (EnumerationConstraints.rp2(4, bigon_faces=0), True, (799, 67, 67)),
+        (EnumerationConstraints.rp2(4, bigon_faces=1), True, (838, 73, 30)),
+        (EnumerationConstraints.rp2(5, bigon_faces=2, valence2_vertices=1),
+         True, (7443, 226, 16)),
+        # chi = 0 leaves differ only in orientability: torus, Klein bottle
+        (EnumerationConstraints(4, chi=0, orientable=True), True,
+         (1778, 40, 40)),
+        (EnumerationConstraints(4, chi=0, orientable=False), True,
+         (1778, 137, 137)),
+    ], ids=["rp2-3-unreduced", "rp2-4-unreduced", "all-1", "all-2",
+            "all-3", "rp2-4-no-bigons", "rp2-4-bigons",
+            "rp2-5-bigons-valence2", "torus-4", "klein-4"])
+    def test_scheme_and_class_counts_are_pinned(self, cons, reduced, counts):
+        found, schemes, classes = search._enumerate_with_stats(
+            cons, reduce_tree_twists=reduced, use_duality=reduced)
+        assert (schemes, classes, len(found)) == counts
+
     def test_filters_reach_the_report(self):
         report = search.census_report(4, min_systole=1, vertex_count=1)
         assert report["survivor_count"] > 0
