@@ -110,9 +110,8 @@ def _cmd_code_compare(args) -> int:
 def _cmd_decode_sweep(args) -> int:
     c = _load_cellulation(args.cellulation)
     code = stabilizer.build_code(c)
-    probs = [float(p) for p in args.p.split(",")]
     results = [decoder.monte_carlo(code, p, p, args.trials, args.seed)
-               for p in probs]
+               for p in args.p]
     csv = decoder.sweep_csv(results)
     sys.stdout.write(csv)
     print(f"{len(results)} sweep points, {args.trials} trials each,"
@@ -196,6 +195,19 @@ def _non_negative_int(text: str) -> int:
     return value
 
 
+def _probabilities(text: str) -> list[float]:
+    values = []
+    for item in text.split(","):
+        try:
+            values.append(float(item))
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"not a number: {item!r}") from None
+        if not 0.0 <= values[-1] <= 1.0:  # NaN fails too
+            raise argparse.ArgumentTypeError(f"not in [0, 1]: {item!r}")
+    return values
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cellqec",
@@ -229,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
     dec_sub = dec.add_subparsers(dest="subcommand", required=True)
     p = dec_sub.add_parser("sweep")
     p.add_argument("cellulation")
-    p.add_argument("--p", required=True,
+    p.add_argument("--p", type=_probabilities, required=True,
                    help="comma-separated error probabilities")
     p.add_argument("--trials", type=_non_negative_int, required=True)
     p.add_argument("--seed", type=_non_negative_int, required=True)

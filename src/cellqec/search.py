@@ -28,8 +28,8 @@ R2  The edge that first reaches an untouched vertex is generated
     cross-checked against the unreduced search in the test suite.
 
 Duality halves the work when the Euler characteristic pins the face
-count: sides with more faces than vertices are enumerated as their duals
-and dualized back.
+count: each side is searched once, as its dual when it has more faces
+than vertices, and each new class is read as itself, its dual or both.
 """
 from __future__ import annotations
 
@@ -303,7 +303,13 @@ def _enumerate_with_stats(cons: EnumerationConstraints,
                           reduce_tree_twists: bool = True,
                           use_duality: bool = True,
                           ) -> tuple[list[Cellulation], int, int]:
-    """(classes passing the filters, schemes examined, classes examined)."""
+    """(classes passing the filters, schemes examined, classes examined).
+
+    Target vertex counts that need the same search share it, and each of
+    its leaves is keyed once by its own canonical form; a new key becomes
+    one Cellulation per target, through the flag dual for a mirrored one.
+    Classes come out grouped by search, not by vertex count.
+    """
     if cons.edge_count > MAX_EDGE_COUNT:
         raise EnumerationBudgetError(
             f"edge count {cons.edge_count} exceeds the budget of"
@@ -319,42 +325,34 @@ def _enumerate_with_stats(cons: EnumerationConstraints,
             return [], 0, 0
         v_lo = v_hi = cons.vertex_count
 
-    seen: set[tuple] = set()
-    results: list[Cellulation] = []
-    schemes = 0
-    classes = 0
-
-    def handle(flags: FlagMap, dualize: bool) -> None:
-        nonlocal classes
-        side = flags.dual() if dualize else flags
-        key = side.canonical_form()
-        if key in seen:
-            return
-        seen.add(key)
-        c = side.to_cellulation()
-        classes += 1
-        if _passes_filters(c, cons):
-            results.append(c)
-
+    # a side with more faces than vertices is searched as its dual (finer
+    # degree sequences), whose vertex degrees and face sizes trade places,
+    # so both structural counts prune; one search per distinct input
+    searches: dict[tuple, list[bool]] = {}
     for v in range(v_lo, v_hi + 1):
-        dualize = False
-        side_v = v
-        if chi is not None and use_duality:
-            f = chi - v + e
-            if f > v:
-                # enumerate the mirror side, which has the finer degree
-                # sequences, and dualize each class back
-                side_v, dualize = f, True
+        f = None if chi is None else chi - v + e
+        dualize = use_duality and f is not None and f > v
+        key = ((f, cons.bigon_faces, cons.valence2_vertices) if dualize
+               else (v, cons.valence2_vertices, cons.bigon_faces))
+        searches.setdefault(key, []).append(dualize)
+
+    s2 = [f ^ 1 for f in range(4 * e)]  # every leaf has 4e flags
+    results: list[Cellulation] = []
+    schemes = classes = 0
+    for (side_v, want2, side_bigons), targets in searches.items():
+        seen: set[bytes] = set()
+
+        def visit(s0, s1, _targets=targets, _seen=seen):
+            flags = FlagMap(s0, s1, s2)
+            key = flags.canonical_form()
+            if key not in _seen:
+                _seen.add(key)
+                for dualize in _targets:
+                    c = (flags.dual() if dualize else flags).to_cellulation()
+                    if _passes_filters(c, cons):
+                        results.append(c)
+
         f_target = None if chi is None else chi - side_v + e
-
-        def visit(s0, s1, _dual=dualize):
-            s2 = [f ^ 1 for f in range(len(s0))]
-            handle(FlagMap(s0, s1, s2), _dual)
-
-        # the enumerated side's vertex degrees and face sizes trade
-        # places under dualization, so both structural counts prune
-        want2 = cons.bigon_faces if dualize else cons.valence2_vertices
-        side_bigons = cons.valence2_vertices if dualize else cons.bigon_faces
         for degs in _partitions(2 * e, side_v, 2 * e):
             if want2 is not None and degs.count(2) != want2:
                 continue
@@ -362,7 +360,7 @@ def _enumerate_with_stats(cons: EnumerationConstraints,
                                       reduce_tree_twists,
                                       max_bigons=side_bigons,
                                       orientable=cons.orientable)
-
+        classes += len(seen) * len(targets)
     return results, schemes, classes
 
 
@@ -496,15 +494,10 @@ def edge_slides(c: Cellulation) -> Iterator[Cellulation]:
         fm = surface.FlagMap(flags.s0, s1, flags.s2)
         if fm.component_count() != 1 or fm.euler_characteristic() != chi:
             continue
-        out = fm.to_cellulation(labels)
-        try:
-            surface.validate(out)
-        except CellulationError:
-            continue
-        key = surface.canonical_form(out)
+        key = fm.canonical_form()
         if key not in seen:
             seen.add(key)
-            yield out
+            yield fm.to_cellulation(labels)
 
 
 def identification_with_slides_reaches(c: Cellulation, target: Cellulation,

@@ -74,16 +74,20 @@ class Cellulation:
     @classmethod
     def from_json_dict(cls, doc: dict) -> "Cellulation":
         try:
-            return cls(
-                vertex_count=int(doc["vertices"]),
-                edges=tuple((int(a), int(b)) for a, b in doc["edges"]),
-                faces=tuple(tuple((int(e), int(d)) for e, d in walk)
-                            for walk in doc["faces"]),
-            )
+            vertices = doc["vertices"]
+            edges = tuple((a, b) for a, b in doc["edges"])
+            faces = tuple(tuple((e, d) for e, d in walk)
+                          for walk in doc["faces"])
         except KeyError as exc:
             raise CellulationError(f"missing key {exc.args[0]!r}") from None
-        except TypeError as exc:
+        except (TypeError, ValueError) as exc:  # ValueError: not a pair
             raise CellulationError(f"malformed cellulation: {exc}") from None
+        for v in (vertices, *(v for ab in edges for v in ab),
+                  *(v for walk in faces for ed in walk for v in ed)):
+            if type(v) is not int:
+                raise CellulationError(
+                    f"malformed cellulation: {v!r} is not an integer")
+        return cls(vertices, edges, faces)
 
     @classmethod
     def from_json(cls, text: str) -> "Cellulation":
@@ -132,19 +136,16 @@ class FlagMap:
     Vertices are the orbits of <s1,s2>, edges the orbits of <s0,s2> (size
     4) and faces the orbits of <s0,s1>.  The surface is orientable iff
     the flag graph is bipartite, and duality is the swap of s0 and s2.
+    Every builder makes three fixed-point-free involutions by
+    construction, so the lists are stored as given, neither copied nor
+    checked, and are never mutated.
     """
 
     __slots__ = ("n", "s0", "s1", "s2")
 
-    def __init__(self, s0: Sequence[int], s1: Sequence[int], s2: Sequence[int]):
+    def __init__(self, s0: list[int], s1: list[int], s2: list[int]):
         self.n = len(s0)
-        self.s0 = list(s0)
-        self.s1 = list(s1)
-        self.s2 = list(s2)
-        for s in (self.s0, self.s1, self.s2):
-            for i, j in enumerate(s):
-                if s[j] != i or j == i:
-                    raise CellulationError("flag involution is not fixed-point-free")
+        self.s0, self.s1, self.s2 = s0, s1, s2
 
     # -- orbit machinery --------------------------------------------------
     def _orbits(self, gens: list[list[int]]) -> list[list[int]]:
@@ -540,22 +541,19 @@ def toric(m: int, n: int) -> Cellulation:
     edges = []
     for i in range(m):
         for j in range(n):
-            edges.append((vid(i, j), vid(i + 1, j)))   # horizontal h(i,j)
+            edges.append((vid(i, j), vid(i + 1, j)))   # horizontal
     for i in range(m):
         for j in range(n):
-            edges.append((vid(i, j), vid(i, j + 1)))   # vertical v(i,j)
-
-    def h(i, j):
-        return (i % m) * n + (j % n)
+            edges.append((vid(i, j), vid(i, j + 1)))   # vertical
 
     def v(i, j):
-        return m * n + (i % m) * n + (j % n)
+        return m * n + vid(i, j)
 
     faces = []
     for i in range(m):
         for j in range(n):
-            faces.append(((h(i, j), 1), (v(i + 1, j), 1),
-                          (h(i, j + 1), -1), (v(i, j), -1)))
+            faces.append(((vid(i, j), 1), (v(i + 1, j), 1),
+                          (vid(i, j + 1), -1), (v(i, j), -1)))
     return Cellulation(nv, tuple(edges), tuple(faces))
 
 
@@ -619,11 +617,6 @@ FIG3_CERTIFICATE: dict = {
 }
 
 _TORIC_RE = re.compile(r"^toric\((\d+),(\d+)\)$")
-
-
-def catalog_names() -> list[str]:
-    return ["rp2_minimal", "fig1_hemi_icosahedron", "fig2_nine_edge",
-            "fig3_nine_edge", "fig4_shor", "cube_sphere", "toric(m,n)"]
 
 
 def catalog(name: str) -> Cellulation:

@@ -303,7 +303,17 @@ class TestErrors:
          "missing key 'edges'"),
         ({"vertices": 1, "edges": 5, "faces": []},
          "malformed cellulation"),
-    ], ids=["single-cover", "missing-key", "wrong-type"])
+        ({"vertices": 1.7, "edges": [[0, 0.2]],
+          "faces": [[[0, 1], ["0", True]]]},
+         "malformed cellulation: 1.7 is not an integer"),
+        ({"vertices": 1, "edges": [[0, 0]], "faces": [[[0, 1], ["0", 1]]]},
+         "malformed cellulation: '0' is not an integer"),
+        ({"vertices": 1, "edges": [[0, 0]], "faces": [[[0, 1], [0, True]]]},
+         "malformed cellulation: True is not an integer"),
+        ({"vertices": 1, "edges": [[0]], "faces": [[[0, 1], [0, 1]]]},
+         "malformed cellulation: not enough values to unpack"),
+    ], ids=["single-cover", "missing-key", "wrong-type", "float", "string",
+            "boolean", "short-edge"])
     def test_bad_cellulation_json(self, capsys, tmp_path, doc, message):
         p = tmp_path / "c.json"
         p.write_text(json.dumps(doc))
@@ -325,6 +335,20 @@ class TestErrors:
             cli.main(argv)
         assert exc.value.code == 2
         assert "non-negative" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("p,message", [
+        ("abc", "not a number: 'abc'"),
+        ("0.1,,0.2", "not a number: ''"),
+        ("1.5", "not in [0, 1]: '1.5'"),
+        ("-0.1", "not in [0, 1]: '-0.1'"),
+        ("nan", "not in [0, 1]: 'nan'"),
+    ], ids=["word", "empty-item", "above-one", "negative", "nan"])
+    def test_bad_probability_is_usage_error(self, capsys, p, message):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["decode", "sweep", "fig4_shor", "--p", p,
+                      "--trials", "3", "--seed", "1"])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
 
     def test_usage_error_exit_code(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -41,6 +41,16 @@ _CONJUGATION_POOL = (
     + search.sample_small_cellulations(20, seed=11))
 
 
+_CLOSED_AND_SAMPLED = (
+    [surface.catalog(n) for n in surface.closed_catalog_names()]
+    + search.sample_small_cellulations(20, seed=11))
+
+
+def _fixed_point_free_involution(s, n):
+    return len(s) == n and all(0 <= j < n and j != i and s[j] == i
+                               for i, j in enumerate(s))
+
+
 class TestValidation:
     def test_minimal_projective_plane(self):
         info = surface.validate(surface.rp2_minimal())
@@ -166,6 +176,25 @@ class TestDuality:
         dfe, dve = surface.incidence_matrices(d)
         assert sorted(dve.row_bits) == sorted(fe.row_bits)
         assert sorted(dfe.row_bits) == sorted(ve.row_bits)
+
+
+class TestFlagBuilders:
+    # FlagMap stores its involutions unchecked, so every builder must
+    # make them fixed-point-free involutions by construction
+    def test_builders_make_fixed_point_free_involutions(self):
+        maps = _every_scheme(4)
+        for c in _CLOSED_AND_SAMPLED:
+            flags = surface.build_flags(c)
+            maps += [flags, flags.dual()]
+        for m in maps:
+            for s in (m.s0, m.s1, m.s2):
+                assert _fixed_point_free_involution(s, m.n)
+
+    def test_edge_slides_are_valid(self):
+        for c in _CLOSED_AND_SAMPLED:
+            for m in [c, *search.all_identifications(c)]:
+                for slid in search.edge_slides(m):
+                    surface.validate(slid)
 
 
 class TestCanonicalForm:
