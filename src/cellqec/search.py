@@ -24,8 +24,25 @@ R1  Vertices of equal degree are interchangeable and each vertex's
     degree class, at its slot 0.  Pure relabelling, always sound.
 R2  The edge that first reaches an untouched vertex is generated
     untwisted (loops and cycle-closing edges get both twist values).
-    Justified by local orientation flips; enabled by default and
-    cross-checked against the unreduced search in the test suite.
+    Justified by local orientation flips.
+R3  Root rank.  Vertex 0 has the maximum degree d0 and slot 0 is the
+    root.  An edge end at a degree-d0 vertex ranks by the first match
+    (0, b) it would give as the root: a loop whose ends sit delta apart
+    ranks min(delta, d0 - delta) (the root may turn either way), an
+    edge to a vertex of degree d ranks 2 d0 - d.  A loop root with
+    2b > d0 is pruned, and so is every later match with an end of
+    lower rank than the root's.  Leaves come out in lexicographic order
+    of their matches and every root choice of a class is reached, so
+    the first leaf of each class has its lowest root rank and is never
+    pruned; pruning cuts whole subtrees, so the classes, their order
+    and each representative (built from the first leaf) are unchanged.
+R2 and R3 are switched by reduce_symmetry, on by default; with it off
+the search keeps only R1 and serves as the test suite's oracle.
+
+Two feasibility bounds always prune on the face count: a branch with
+too many faces, and a branch whose free slots can no longer close
+enough of them (every free slot adds one s0 join, and a join closes
+at most one face).
 
 Duality halves the work when the Euler characteristic pins the face
 count: each side is searched once, as its dual when it has more faces
@@ -94,22 +111,26 @@ def _partitions(total: int, parts: int, cap: int) -> Iterator[tuple[int, ...]]:
 def _scheme_search(degrees: tuple[int, ...],
                    visit: Callable[[list[int], list[int]], None],
                    f_target: int | None,
-                   reduce_tree_twists: bool,
+                   reduce_symmetry: bool,
                    max_bigons: int | None = None,
                    orientable: bool | None = None) -> int:
     """DFS over signed matchings of the slot structure given by degrees.
 
     Returns the number of complete schemes reached (the matching is
-    guaranteed connected).  f_target, when set, prunes branches whose
-    face count already rules out the target Euler characteristic, and
-    a complete scheme is accepted only with exactly f_target faces and,
-    when orientable is set, the requested orientability.  visit(s0, s1)
-    is called on the flag involutions of every accepted scheme.
+    guaranteed connected).  f_target, when set, prunes branches that
+    already have too many faces or can no longer close enough of them,
+    and a complete scheme is accepted only with exactly f_target faces
+    and, when orientable is set, the requested orientability.
+    reduce_symmetry switches on R2 and R3; R1 is always on.  visit(s0,
+    s1) is called on the flag involutions of every accepted scheme, in
+    lexicographic order of the matches.
     """
     v = len(degrees)
     nslots = sum(degrees)
     starts = [sum(degrees[:i]) for i in range(v)]
     slot_vertex = [i for i, d in enumerate(degrees) for _ in range(d)]
+    d0 = degrees[0] if v else 0
+    root_rank = 0  # R3 rank of the root edge, set by the match of slot 0
     nflags = 2 * nslots
 
     # corner involution s1 is fixed by the rotation layout; the side
@@ -156,7 +177,21 @@ def _scheme_search(degrees: tuple[int, ...],
 
     def apply(a: int, b: int, t: int) -> bool:
         """Match slots a, b with twist t; False when the branch is pruned."""
+        nonlocal root_rank
         va, vb = slot_vertex[a], slot_vertex[b]
+        da, db = degrees[va], degrees[vb]
+        if reduce_symmetry and max(da, db) == d0:
+            # R3: the rank this edge would give as the root edge
+            if va == vb:
+                rank = min(b - a, d0 - b + a)
+                if a == 0 and rank < b:
+                    return False  # the reversed rotation roots it lower
+            else:
+                rank = 2 * d0 - min(da, db)
+            if a == 0:
+                root_rank = rank
+            elif rank < root_rank:
+                return False
         extend(((match, a, -1), (match, b, -1), (count, 0, count[0])))
         match[a] = 2 * b + t
         match[b] = 2 * a + t
@@ -207,6 +242,8 @@ def _scheme_search(degrees: tuple[int, ...],
         if f_target is not None:
             if count[1] > f_target or (count[1] == f_target and count[0] > 0):
                 return False
+            if count[1] + count[0] < f_target:
+                return False  # each free slot closes at most one face
         return max_bigons is None or count[3] <= max_bigons
 
     def undo(mark: int) -> None:
@@ -247,7 +284,7 @@ def _scheme_search(degrees: tuple[int, ...],
                 if b != starts[vb] or cls in offered:
                     continue
                 offered.add(cls)
-            twists = (0,) if fresh and reduce_tree_twists else (0, 1)
+            twists = (0,) if fresh and reduce_symmetry else (0, 1)
             for t in twists:
                 mark = len(trail)
                 if apply(a, b, t):
@@ -300,7 +337,7 @@ def _passes_filters(c: Cellulation, cons: EnumerationConstraints) -> bool:
 
 
 def _enumerate_with_stats(cons: EnumerationConstraints,
-                          reduce_tree_twists: bool = True,
+                          reduce_symmetry: bool = True,
                           use_duality: bool = True,
                           ) -> tuple[list[Cellulation], int, int]:
     """(classes passing the filters, schemes examined, classes examined).
@@ -357,7 +394,7 @@ def _enumerate_with_stats(cons: EnumerationConstraints,
             if want2 is not None and degs.count(2) != want2:
                 continue
             schemes += _scheme_search(degs, visit, f_target,
-                                      reduce_tree_twists,
+                                      reduce_symmetry,
                                       max_bigons=side_bigons,
                                       orientable=cons.orientable)
         classes += len(seen) * len(targets)
@@ -365,10 +402,10 @@ def _enumerate_with_stats(cons: EnumerationConstraints,
 
 
 def enumerate_cellulations(cons: EnumerationConstraints,
-                           reduce_tree_twists: bool = True,
+                           reduce_symmetry: bool = True,
                            use_duality: bool = True) -> list[Cellulation]:
     """One representative per isomorphism class matching the constraints."""
-    return _enumerate_with_stats(cons, reduce_tree_twists, use_duality)[0]
+    return _enumerate_with_stats(cons, reduce_symmetry, use_duality)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -470,6 +507,11 @@ def edge_slides(c: Cellulation) -> Iterator[Cellulation]:
     unchanged; the two faces meeting the moved end trade the crossed
     edge.  Realized as a local resewing of the corner involution s1.
     """
+    return (s for _, s in _keyed_slides(c))
+
+
+def _keyed_slides(c: Cellulation) -> Iterator[tuple[bytes, Cellulation]]:
+    """(canonical form, cellulation) of every edge_slides result."""
     flags, labels = surface.build_flags_labeled(c)
     chi = flags.euler_characteristic()
     seen: set[bytes] = set()
@@ -497,7 +539,7 @@ def edge_slides(c: Cellulation) -> Iterator[Cellulation]:
         key = fm.canonical_form()
         if key not in seen:
             seen.add(key)
-            yield fm.to_cellulation(labels)
+            yield key, fm.to_cellulation(labels)
 
 
 def identification_with_slides_reaches(c: Cellulation, target: Cellulation,
@@ -515,8 +557,7 @@ def identification_with_slides_reaches(c: Cellulation, target: Cellulation,
     for _ in range(max_slides):
         step: dict[bytes, Cellulation] = {}
         for m in frontier.values():
-            for s in edge_slides(m):
-                k = surface.canonical_form(s)
+            for k, s in _keyed_slides(m):
                 if k == key:
                     return True
                 if k not in visited:
@@ -594,23 +635,3 @@ def reconstruct_figures() -> tuple[Cellulation, Cellulation, dict]:
             fig3, surface.fig4_shor(), max_slides=3),
     }
     return fig2, fig3, certificates
-
-
-# ---------------------------------------------------------------------------
-# sampling for property suites
-# ---------------------------------------------------------------------------
-
-def sample_small_cellulations(count: int, seed: int,
-                              max_edges: int = 3) -> list[Cellulation]:
-    """Deterministic sample from the census of all closed surfaces."""
-    import random
-
-    pool: list[Cellulation] = []
-    for e in range(1, max_edges + 1):
-        pool.extend(enumerate_cellulations(EnumerationConstraints(e)))
-    rng = random.Random(seed)
-    if count >= len(pool):
-        picks = [pool[rng.randrange(len(pool))]
-                 for _ in range(count - len(pool))]
-        return pool + picks
-    return rng.sample(pool, count)

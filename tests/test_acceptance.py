@@ -4,12 +4,15 @@ Runtime limits are wall-clock on a single core.  The exact tolerances:
 criterion 1 < 1 s, criterion 2 < 5 s, criterion 6 < 30 s with singular
 value threshold 1e-9, criterion 7 < 600 s for the 5- and 7-edge runs,
 criterion 10 < 120 s.  The full 9-edge census is opt-in via the
-environment variable CELLQEC_E9_CENSUS=1; extrapolating from the
-measured 7-edge run (5.8e6 schemes, ~2 min) and the constrained
-9-edge pools (6.7e8 schemes, ~2 h), its budget is on the order of
-10^9 to 10^10 matching schemes, i.e. roughly a day of single-core
-time.  The always-on control checks that the three frozen nine-edge
-catalog classes are pairwise distinct and pass the census filter.
+environment variable CELLQEC_E9_CENSUS=1.  Measured single-core runs:
+the 7- and 8-edge censuses examine 119,046 and 966,745 schemes (about
+20 s and 3.5 min), and the two constrained 9-edge pools of the figure
+reconstruction 350,985 and 2,337,234 schemes (about 1 and 13 min).
+The class count grows about ninefold per edge, to some 3.5 million at
+nine edges, which extrapolates (not measured) to 30-60 min of
+single-core time.  The always-on control checks that the three frozen
+nine-edge catalog classes are pairwise distinct and pass the census
+filter.
 """
 import json
 import os
@@ -17,6 +20,7 @@ import time
 
 import pytest
 from coset_oracle import coset_min_essential
+from sampling import sample_small_cellulations
 
 from cellqec import decoder, gf2, homology, invariants, search, stabilizer, surface
 from cellqec.decoder import ErrorPattern
@@ -221,8 +225,8 @@ def test_criterion_12_property_suites(record):
         import random
 
         pool = [surface.catalog(n) for n in surface.closed_catalog_names()]
-        pool += search.sample_small_cellulations(100, seed=20260825,
-                                                 max_edges=4)
+        pool += sample_small_cellulations(100, seed=20260825,
+                                          max_edges=4)
         # non-orientable genus 4 and orientable genus 2 reach k = 4
         assert max(homology.h1_dim(c) for c in pool) == 4
         rng = random.Random(987)

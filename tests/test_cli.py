@@ -178,7 +178,7 @@ class TestSearch:
         assert code == 0
         assert out == (
             '{"classes_examined":9,"edge_count":3,"min_systole":1,'
-            '"schemes_examined":86,"survivor_count":9,"survivors":['
+            '"schemes_examined":16,"survivor_count":9,"survivors":['
             '{"edges":[[0,0],[0,1],[1,1]],"faces":[[[0,1],[1,1],[2,1],'
             '[2,1],[1,-1]],[[0,1]]],"vertices":2},'
             '{"edges":[[0,0],[0,0],[0,1]],"faces":[[[0,1],[0,1],[1,1]],'

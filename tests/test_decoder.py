@@ -5,8 +5,9 @@ import pytest
 from coset_oracle import coset_min_weight_chain
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sampling import sample_small_cellulations
 
-from cellqec import decoder, gf2, homology, search, stabilizer, surface
+from cellqec import decoder, gf2, homology, stabilizer, surface
 from cellqec.decoder import ErrorPattern, Syndrome
 from cellqec.gf2 import Gf2Vector
 
@@ -29,8 +30,8 @@ def _oracle_codes() -> dict:
             surface.catalog(name), face, vertex).code
     codes["planar 3x3, one hole"] = stabilizer.build_punctured_disk_code(
         stabilizer.PlanarPatch(3, 3, ((1, 1, 1, 1),)))
-    for i, c in enumerate(search.sample_small_cellulations(30, seed=4,
-                                                           max_edges=4)):
+    for i, c in enumerate(sample_small_cellulations(30, seed=4,
+                                                    max_edges=4)):
         codes[f"sample {i}"] = stabilizer.build_code(c)
     return codes
 

@@ -1,6 +1,8 @@
 import pytest
 
-from cellqec import gf2, invariants, search, stabilizer, surface
+from sampling import sample_small_cellulations
+
+from cellqec import gf2, invariants, stabilizer, surface
 from cellqec.gf2 import Gf2Matrix, Gf2Vector
 from cellqec.stabilizer import CssCode, PlanarPatch
 
@@ -63,7 +65,7 @@ class TestSpanOracle:
         codes.append(stabilizer.build_punctured_disk_code(
             PlanarPatch(3, 3, ((1, 1, 1, 1),))))
         codes += [stabilizer.build_code(c)
-                  for c in search.sample_small_cellulations(20, seed=7)]
+                  for c in sample_small_cellulations(20, seed=7)]
         seen = set()
         for code in codes:
             profile = invariants.rank_profile(code)
@@ -87,7 +89,7 @@ class TestDenseOracle:
                         == invariants.pair_rank_stabilizer(code, (i, j)))
 
     def test_agrees_on_sampled_cellulations(self):
-        for c in search.sample_small_cellulations(10, seed=7):
+        for c in sample_small_cellulations(10, seed=7):
             code = stabilizer.build_code(c)
             if code.n < 2:
                 continue

@@ -48,11 +48,34 @@ class TestEnumerate:
                         EnumerationConstraints.rp2(edges), **kw)}
 
         for edges in (3, 4):
-            baseline = forms(edges, reduce_tree_twists=False,
+            baseline = forms(edges, reduce_symmetry=False,
                              use_duality=False)
             assert forms(edges) == baseline
-            assert forms(edges, reduce_tree_twists=False) == baseline
+            assert forms(edges, reduce_symmetry=False) == baseline
             assert forms(edges, use_duality=False) == baseline
+
+    @pytest.mark.parametrize("cons", [
+        EnumerationConstraints(1), EnumerationConstraints(2),
+        EnumerationConstraints(3), EnumerationConstraints(4),
+        EnumerationConstraints.rp2(2), EnumerationConstraints.rp2(3),
+        EnumerationConstraints.rp2(4), EnumerationConstraints.rp2(5),
+        EnumerationConstraints(4, chi=0, orientable=True),
+        EnumerationConstraints(4, chi=0, orientable=False),
+        EnumerationConstraints(4, chi=-1),
+        EnumerationConstraints(4, chi=2),
+        EnumerationConstraints.rp2(5, bigon_faces=1),
+        EnumerationConstraints.rp2(5, valence2_vertices=2),
+    ], ids=["all-1", "all-2", "all-3", "all-4", "rp2-2", "rp2-3", "rp2-4",
+            "rp2-5", "torus-4", "klein-4", "chi-1-4", "sphere-4",
+            "rp2-5-bigon", "rp2-5-valence2"])
+    def test_reductions_keep_representatives_and_order(self, cons):
+        # the first leaf of each class is never pruned, so the reduced
+        # search lists the very same cellulations in the same order
+        def docs(**kw):
+            return [c.to_json()
+                    for c in search.enumerate_cellulations(cons, **kw)]
+
+        assert docs() == docs(reduce_symmetry=False)
 
     def test_shor_class_is_unique_at_its_counts(self):
         found = search.enumerate_cellulations(EnumerationConstraints.rp2(
@@ -87,34 +110,34 @@ class TestCensus:
     # (schemes_examined, classes_examined) pinned so that changes to the
     # search state or its undo trail cannot move them unnoticed
     @pytest.mark.parametrize("edges,counts", [
-        (3, (99, 19)), (4, (577, 106)), (5, (17031, 709))])
+        (3, (22, 19)), (4, (109, 106)), (5, (1263, 709))])
     def test_report_counts_are_pinned(self, edges, counts):
         report = search.census_report(edges)
         assert (report["schemes_examined"],
                 report["classes_examined"]) == counts
 
     @pytest.mark.parametrize("cons,reduced,counts", [
-        (EnumerationConstraints.rp2(3), False, (339, 19, 19)),
-        (EnumerationConstraints.rp2(4), False, (7262, 106, 106)),
+        (EnumerationConstraints.rp2(3), False, (162, 19, 19)),
+        (EnumerationConstraints.rp2(4), False, (2169, 106, 106)),
         (EnumerationConstraints(1), True, (3, 3, 3)),
-        (EnumerationConstraints(2), True, (21, 11, 11)),
-        (EnumerationConstraints(3), True, (253, 63, 63)),
+        (EnumerationConstraints(2), True, (13, 11, 11)),
+        (EnumerationConstraints(3), True, (94, 63, 63)),
         # the only runs that prune on the bigon counter
-        (EnumerationConstraints.rp2(4, bigon_faces=0), True, (799, 67, 67)),
-        (EnumerationConstraints.rp2(4, bigon_faces=1), True, (838, 73, 30)),
+        (EnumerationConstraints.rp2(4, bigon_faces=0), True, (135, 67, 67)),
+        (EnumerationConstraints.rp2(4, bigon_faces=1), True, (154, 73, 30)),
         (EnumerationConstraints.rp2(5, bigon_faces=2, valence2_vertices=1),
-         True, (7443, 226, 16)),
+         True, (623, 226, 16)),
         # chi = 0 leaves differ only in orientability: torus, Klein bottle
         (EnumerationConstraints(4, chi=0, orientable=True), True,
-         (1529, 40, 40)),
+         (282, 40, 40)),
         (EnumerationConstraints(4, chi=0, orientable=False), True,
-         (1529, 137, 137)),
+         (282, 137, 137)),
     ], ids=["rp2-3-unreduced", "rp2-4-unreduced", "all-1", "all-2",
             "all-3", "rp2-4-no-bigons", "rp2-4-bigons",
             "rp2-5-bigons-valence2", "torus-4", "klein-4"])
     def test_scheme_and_class_counts_are_pinned(self, cons, reduced, counts):
         found, schemes, classes = search._enumerate_with_stats(
-            cons, reduce_tree_twists=reduced, use_duality=reduced)
+            cons, reduce_symmetry=reduced, use_duality=reduced)
         assert (schemes, classes, len(found)) == counts
 
     @pytest.mark.parametrize("cons", [
@@ -126,11 +149,11 @@ class TestCensus:
         calls = []
         real = search._scheme_search
 
-        def spy(degrees, visit, f_target, reduce_tree_twists,
+        def spy(degrees, visit, f_target, reduce_symmetry,
                 max_bigons=None, orientable=None):
-            calls.append((degrees, f_target, reduce_tree_twists,
+            calls.append((degrees, f_target, reduce_symmetry,
                           max_bigons, orientable))
-            return real(degrees, visit, f_target, reduce_tree_twists,
+            return real(degrees, visit, f_target, reduce_symmetry,
                         max_bigons, orientable)
 
         monkeypatch.setattr(search, "_scheme_search", spy)
@@ -190,20 +213,6 @@ class TestEdgeSlides:
         for s in search.edge_slides(c):
             back = {surface.canonical_form(t) for t in search.edge_slides(s)}
             assert key in back
-
-
-class TestSampling:
-    def test_deterministic_and_valid(self):
-        a = search.sample_small_cellulations(12, seed=5)
-        b = search.sample_small_cellulations(12, seed=5)
-        assert len(a) == 12
-        assert [c.to_json() for c in a] == [c.to_json() for c in b]
-        for c in a:
-            surface.validate(c)
-
-    def test_oversampling_keeps_the_pool(self):
-        pool = search.sample_small_cellulations(200, seed=1)
-        assert len(pool) == 200
 
 
 class TestFilters:

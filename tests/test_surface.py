@@ -3,6 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from canonical_oracle import full_scan_form
+from sampling import sample_small_cellulations
 from cellqec import search, surface
 from cellqec.surface import Cellulation, CellulationError, FlagMap
 
@@ -38,12 +39,12 @@ def _conjugate(flags, perm):
 _CONJUGATION_POOL = (
     [surface.catalog(n) for n in surface.closed_catalog_names()]
     + [surface.toric(m, m) for m in range(2, 6)]
-    + search.sample_small_cellulations(20, seed=11))
+    + sample_small_cellulations(20, seed=11))
 
 
 _CLOSED_AND_SAMPLED = (
     [surface.catalog(n) for n in surface.closed_catalog_names()]
-    + search.sample_small_cellulations(20, seed=11))
+    + sample_small_cellulations(20, seed=11))
 
 
 def _fixed_point_free_involution(s, n):
