@@ -47,6 +47,18 @@ at most one face).
 Duality halves the work when the Euler characteristic pins the face
 count: each side is searched once, as its dual when it has more faces
 than vertices, and each new class is read as itself, its dual or both.
+
+Before a new class becomes a Cellulation, its flag map is tested for a
+short orientation-reversing cycle: a twisted loop (length 1) or two
+edges with the same ends and different twists (length 2), in the vertex
+graph against min_primal_systole and in the face graph (the flag dual)
+against min_dual_systole.  Such a cycle pairs oddly with the first
+Stiefel-Whitney class, so it is essential on every surface and the
+homology systole filter would reject the class; the test drops only
+those classes, and the filter still decides every class it keeps.  On
+RP2 every essential cycle reverses orientation, so for bounds up to 3
+the test is exact there, and the census builds no Cellulation for a
+class it rejects.
 """
 from __future__ import annotations
 
@@ -314,6 +326,47 @@ def _vertex_degrees(c: Cellulation) -> list[int]:
     return deg
 
 
+def _short_reversing_cycle(fm: FlagMap, bound: int) -> bool:
+    """Does the vertex graph of fm have an orientation-reversing cycle
+    shorter than bound, as a loop or as two edges with the same ends?
+
+    Each <s1,s2> orbit gives its flags a vertex id and an alternating
+    colour (a local orientation), and an edge twists, t = 1, when s0
+    keeps the colour.  A cycle reverses orientation iff its twists add
+    to 1, so it pairs oddly with w1 and is essential on every surface.
+    The face graph is tested on fm.dual().
+    """
+    if bound < 2:
+        return False
+    s0, s1, s2 = fm.s0, fm.s1, fm.s2
+    vert = [-1] * fm.n
+    colour = [0] * fm.n
+    nv = 0
+    for f in range(fm.n):
+        if vert[f] >= 0:
+            continue
+        x = f
+        while vert[x] < 0:  # the orbit alternates s2 and s1 steps
+            y = s2[x]
+            vert[x] = vert[y] = nv
+            colour[y] = 1
+            x = s1[y]
+        nv += 1
+    twist: dict[tuple[int, int], int] = {}
+    for f in range(fm.n):
+        g = s0[f]
+        if g < f:
+            continue
+        u, w = vert[f], vert[g]
+        t = colour[f] ^ colour[g] ^ 1
+        if u == w:
+            if t:
+                return True
+        elif bound > 2 and twist.setdefault((min(u, w), max(u, w)), t) != t:
+            return True
+    return False
+
+
 def _passes_filters(c: Cellulation, cons: EnumerationConstraints) -> bool:
     if cons.bigon_faces is not None:
         if _face_sizes(c).count(2) != cons.bigon_faces:
@@ -385,7 +438,12 @@ def _enumerate_with_stats(cons: EnumerationConstraints,
             if key not in _seen:
                 _seen.add(key)
                 for dualize in _targets:
-                    c = (flags.dual() if dualize else flags).to_cellulation()
+                    side = flags.dual() if dualize else flags
+                    if (_short_reversing_cycle(side, cons.min_primal_systole)
+                            or _short_reversing_cycle(side.dual(),
+                                                      cons.min_dual_systole)):
+                        continue  # the systole filter would reject it
+                    c = side.to_cellulation()
                     if _passes_filters(c, cons):
                         results.append(c)
 

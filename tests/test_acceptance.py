@@ -6,7 +6,7 @@ value threshold 1e-9, criterion 7 < 600 s for the 5- and 7-edge runs,
 criterion 10 < 120 s.  The full 9-edge census is opt-in via the
 environment variable CELLQEC_E9_CENSUS=1.  Measured single-core runs:
 the 7- and 8-edge censuses examine 119,046 and 966,745 schemes (about
-20 s and 3.5 min), and the two constrained 9-edge pools of the figure
+15 s and 2.5 min), and the two constrained 9-edge pools of the figure
 reconstruction 350,985 and 2,337,234 schemes (about 1 and 13 min).
 The class count grows about ninefold per edge, to some 3.5 million at
 nine edges, which extrapolates (not measured) to 30-60 min of
@@ -18,6 +18,7 @@ import json
 import os
 import time
 
+import dense_oracle
 import pytest
 from coset_oracle import coset_min_essential
 from sampling import sample_small_cellulations
@@ -112,7 +113,7 @@ def test_criterion_05_inequivalence_triple(record):
         bigon_pairs = {(0, 1), (1, 2), (3, 4), (4, 5), (6, 7), (7, 8)}
         assert len(p4.rank2_pairs) >= 6
         assert bigon_pairs <= set(p4.rank2_pairs)
-        dense4 = sum(invariants.pair_rank_dense(code4, (i, j)) == 2
+        dense4 = sum(dense_oracle.pair_rank_dense(code4, (i, j)) == 2
                      for i in range(9) for j in range(i + 1, 9))
         assert len(p4.rank2_pairs) == dense4 == 9
     record(5, "rank-2 counts 2/3/9", check)
@@ -120,7 +121,7 @@ def test_criterion_05_inequivalence_triple(record):
 
 def test_criterion_06_oracle_equivalence(record):
     def check():
-        assert invariants.SINGULAR_VALUE_THRESHOLD == 1e-9
+        assert dense_oracle.SINGULAR_VALUE_THRESHOLD == 1e-9
         t0 = time.perf_counter()
         comparisons = 0
         for name in ["fig2_nine_edge", "fig3_nine_edge", "fig4_shor"]:
@@ -128,7 +129,7 @@ def test_criterion_06_oracle_equivalence(record):
             for i in range(9):
                 for j in range(i + 1, 9):
                     assert (invariants.pair_rank_stabilizer(code, (i, j))
-                            == invariants.pair_rank_dense(code, (i, j)))
+                            == dense_oracle.pair_rank_dense(code, (i, j)))
                     comparisons += 1
         assert comparisons == 108
         assert time.perf_counter() - t0 < 30.0

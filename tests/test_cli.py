@@ -198,6 +198,16 @@ class TestSearch:
             '{"edges":[[0,0],[0,1],[0,1]],"faces":[[[0,1],[1,1],[2,-1]],'
             '[[0,1],[2,1],[1,-1]]],"vertices":2}]}\n')
 
+    def test_census_with_survivors_is_pinned(self, capsys):
+        # both the flag-level reject and the homology filter decide
+        # classes here, and 13 survive
+        code, out, _ = run(capsys, ["search", "census", "--edges", "5",
+                                    "--min-systole", "2"])
+        assert code == 0
+        assert json.loads(out)["survivor_count"] == 13
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "00f8e5486bf0f6f031ef6e1bd32f5271101c5c5dacac1e10de32046f3589ca8e")
+
     def test_verify_nonexistence(self, verify_paper_run):
         assert verify_paper_run.code == 0
         reports = json.loads(verify_paper_run.stdout)["reports"]

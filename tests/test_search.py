@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import pytest
@@ -227,3 +228,65 @@ class TestFilters:
         assert found
         for c in found:
             assert search._face_sizes(c).count(2) == 1
+
+    @pytest.mark.parametrize("cons", [
+        EnumerationConstraints.rp2(e, min_primal_systole=p,
+                                   min_dual_systole=d)
+        for e in (3, 4, 5) for p, d in ((2, 2), (3, 3), (2, 1), (1, 3))
+    ] + [
+        EnumerationConstraints(4, chi=chi, orientable=orientable,
+                               min_primal_systole=b, min_dual_systole=b)
+        for chi, orientable in ((0, True), (0, False), (-1, None))
+        for b in (2, 3)
+    ], ids=lambda cons: (f"chi{cons.chi}-{cons.orientable}-"
+                         f"{cons.edge_count}-{cons.min_primal_systole}"
+                         f"{cons.min_dual_systole}"))
+    def test_flag_test_drops_only_what_the_filter_drops(self, cons):
+        # the flag-level reject must leave exactly the classes, in the
+        # same order, that the homology filter keeps on its own
+        unbounded = dataclasses.replace(cons, min_primal_systole=1,
+                                        min_dual_systole=1)
+        want = [c.to_json() for c in search.enumerate_cellulations(unbounded)
+                if search._passes_filters(c, cons)]
+        got = [c.to_json() for c in search.enumerate_cellulations(cons)]
+        assert got == want
+        if cons == EnumerationConstraints.rp2(5, min_primal_systole=2,
+                                              min_dual_systole=2):
+            assert len(got) == 13
+
+
+def _flag_test_cases():
+    """(name, cellulation) for every class with E <= 5 on every surface,
+    the closed catalog and toric(2..4)."""
+    for e in range(1, 6):
+        for i, c in enumerate(search.enumerate_cellulations(
+                EnumerationConstraints(e))):
+            yield f"census-{e}-{i}", c
+    for name in surface.closed_catalog_names() + [
+            f"toric({m},{m})" for m in (2, 3, 4)]:
+        yield name, surface.catalog(name)
+
+
+class TestShortReversingCycle:
+    def test_agrees_with_the_systoles(self):
+        # sound on every surface; exact on RP2, where every essential
+        # cycle reverses orientation, for bounds up to 3
+        rejected = {2: 0, 3: 0}
+        rp2_kept = {2: 0, 3: 0}
+        for name, c in _flag_test_cases():
+            rp2 = surface.validate(c).surface_name == "projective plane"
+            fm = surface.build_flags(c)
+            for side, systole in ((fm, homology.systole),
+                                  (fm.dual(), homology.dual_systole)):
+                try:
+                    length = systole(c)[0]
+                except homology.TrivialHomologyError:
+                    length = None
+                for bound in (2, 3):
+                    if search._short_reversing_cycle(side, bound):
+                        rejected[bound] += 1
+                        assert length is not None and length < bound, name
+                    elif rp2:
+                        rp2_kept[bound] += 1
+                        assert length >= bound, name
+        assert min(rejected.values()) > 0 and min(rp2_kept.values()) > 0
