@@ -144,23 +144,16 @@ class CheckGraph:
 
 @dataclass(frozen=True)
 class DecodingTables:
-    """What every decode on one code reuses; build once per code."""
+    """The check graphs every decode on one code reuses; build once per
+    code."""
 
     z_graph: CheckGraph               # of z_stabilizers: corrects x errors
     x_graph: CheckGraph               # of x_stabilizers: corrects z errors
-    x_rowspace: tuple[int, ...]       # reduced x_stabilizers rows
-    z_rowspace: tuple[int, ...]
 
     @classmethod
     def build(cls, code: CssCode) -> "DecodingTables":
-        return cls(
-            z_graph=CheckGraph.build(code.z_stabilizers),
-            x_graph=CheckGraph.build(code.x_stabilizers),
-            x_rowspace=tuple(gf2._eliminate(list(code.x_stabilizers.row_bits),
-                                            code.n)),
-            z_rowspace=tuple(gf2._eliminate(list(code.z_stabilizers.row_bits),
-                                            code.n)),
-        )
+        return cls(z_graph=CheckGraph.build(code.z_stabilizers),
+                   x_graph=CheckGraph.build(code.x_stabilizers))
 
 
 def correct(code: CssCode, syn: Syndrome,
@@ -179,31 +172,33 @@ def correct(code: CssCode, syn: Syndrome,
     )
 
 
-def is_failure(code: CssCode, err: ErrorPattern, corr: ErrorPattern,
-               tables: DecodingTables | None = None) -> tuple[bool, bool]:
+def is_failure(code: CssCode, err: ErrorPattern,
+               corr: ErrorPattern) -> tuple[bool, bool]:
     """(x_fail, z_fail): does the residual act on the code space?
 
-    x_fail is essentiality of the residual bit-flip chain (nontrivial in
-    ker(z_stabilizers)/rowspace(x_stabilizers)); z_fail dually.
+    The residual err + corr has zero syndrome, so its bit-flip part r
+    lies in ker(z_stabilizers).  As ker(x_stabilizers) is spanned by
+    rowspace(z_stabilizers) and logical_z, r lies in
+    rowspace(x_stabilizers) iff it pairs evenly with every logical_z:
+    x_fail is an odd pairing with some logical_z, and z_fail dually with
+    logical_x.  Raises ValueError when the code does not carry k
+    logical operators on each side.
     """
+    if len(code.logical_x) != code.k or len(code.logical_z) != code.k:
+        raise ValueError("code does not carry k logical operators per side")
     s1, s2 = syndrome(code, err), syndrome(code, corr)
     if s1 != s2:
         raise SyndromeMismatch("correction does not match the error syndrome")
-    if tables is None:
-        tables = DecodingTables.build(code)
     res_x = err.x_errors.bits ^ corr.x_errors.bits
     res_z = err.z_errors.bits ^ corr.z_errors.bits
-    x_fail = gf2._remainder(tables.x_rowspace, res_x) != 0
-    z_fail = gf2._remainder(tables.z_rowspace, res_z) != 0
+    x_fail = any((res_x & lz.bits).bit_count() & 1 for lz in code.logical_z)
+    z_fail = any((res_z & lx.bits).bit_count() & 1 for lx in code.logical_x)
     return x_fail, z_fail
 
 
 def decode_error(code: CssCode, err: ErrorPattern,
                  tables: DecodingTables | None = None) -> tuple[bool, bool]:
-    if tables is None:
-        tables = DecodingTables.build(code)
-    return is_failure(code, err, correct(code, syndrome(code, err), tables),
-                      tables)
+    return is_failure(code, err, correct(code, syndrome(code, err), tables))
 
 
 @dataclass(frozen=True)

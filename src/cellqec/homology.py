@@ -43,10 +43,6 @@ def h1_dim(c: Cellulation) -> int:
 def is_essential(c: Cellulation, chain: Gf2Vector) -> bool:
     """True iff the cycle is not a sum of face boundaries."""
     fe, ve = surface.incidence_matrices(c)
-    return _is_essential(fe, ve, chain)
-
-
-def _is_essential(fe: Gf2Matrix, ve: Gf2Matrix, chain: Gf2Vector) -> bool:
     if not ve.mul_vector(chain).is_zero():
         raise NonCycleError("chain has nonzero boundary")
     return not gf2.in_span(fe.row_vectors(), chain)

@@ -59,6 +59,13 @@ those classes, and the filter still decides every class it keeps.  On
 RP2 every essential cycle reverses orientation, so for bounds up to 3
 the test is exact there, and the census builds no Cellulation for a
 class it rejects.
+
+Vertex identification and edge slides are both moves on the flag map:
+pinching a face at two corners at different vertices swaps the s1
+partners of the corners' tail flags, and a slide resews s1 at three
+corners.  s0 and s2 never change, so ``identification_reaches`` walks
+flag maps alone, and a Cellulation is built only for a result that is
+returned.
 """
 from __future__ import annotations
 
@@ -489,14 +496,14 @@ def census_report(edge_count: int, min_systole: int = 3,
     }
 
 
-def verify_no_small_codes(edge_counts: tuple[int, ...] = (5, 7)) -> dict:
+def verify_no_small_codes() -> dict:
     """Census of RP2 cellulations with both systoles >= 3.
 
     At 5 and 7 edges the survivor lists must come out empty while the
     examined-class counts stay positive (the filter, not the generator,
     is what empties them).
     """
-    return {"reports": [census_report(e) for e in edge_counts]}
+    return {"reports": [census_report(e) for e in (5, 7)]}
 
 
 # ---------------------------------------------------------------------------
@@ -510,51 +517,56 @@ def identify_vertices(c: Cellulation, face_index: int,
     Corner t of a face walk sits at the start vertex of step t.  The
     pinch splits the face into two closed walks through the merged
     vertex: V drops by 1, F grows by 1, edges and the Euler
-    characteristic are unchanged.  Raises CellulationError when the two
-    corners sit at the same vertex or the pinch does not close up into a
-    surface.
+    characteristic are unchanged.  Raises CellulationError when the face
+    index is out of range or the two corners sit at the same vertex.
     """
+    if not 0 <= face_index < c.face_count:
+        raise CellulationError(
+            f"face {face_index} is out of range 0..{c.face_count - 1}")
     walk = c.faces[face_index]
-    size = len(walk)
-    t1, t2 = sorted((corner_a % size, corner_b % size))
-    u = c.step_tail(*walk[t1])
-    w = c.step_tail(*walk[t2])
-    if u == w:
+    t1, t2 = corner_a % len(walk), corner_b % len(walk)
+    if c.step_tail(*walk[t1]) == c.step_tail(*walk[t2]):
         raise CellulationError("corners lie at the same vertex")
-    if w < u:
-        u, w = w, u
-        # the split below only depends on the corner positions
+    flags, labels = surface.build_flags_labeled(c)
+    base = sum(len(w) for w in c.faces[:face_index])
+    return _pinch(flags, 2 * (base + t1), 2 * (base + t2)).to_cellulation(
+        labels)
 
-    def relabel(x: int) -> int:
-        if x == w:
-            return u
-        return x - 1 if x > w else x
 
-    edges = tuple((relabel(a), relabel(b)) for a, b in c.edges)
-    part_a = walk[t1:t2]
-    part_b = walk[t2:] + walk[:t1]
-    faces = tuple(f for i, f in enumerate(c.faces) if i != face_index)
-    faces += (tuple(part_a), tuple(part_b))
-    merged = Cellulation(c.vertex_count - 1, edges, faces)
-    surface.validate(merged)  # raises on pinched stars
-    return merged
+def _pinches(c: Cellulation, flags: FlagMap) -> list[FlagMap]:
+    """The flag map of each all_identifications result; flags is c's."""
+    maps = []
+    base = 0  # traversals are numbered face by face, as in the flag map
+    for walk in c.faces:
+        tails = [c.step_tail(e, d) for e, d in walk]
+        maps += [_pinch(flags, 2 * (base + t1), 2 * (base + t2))
+                 for t1 in range(len(walk)) for t2 in range(t1 + 1, len(walk))
+                 if tails[t1] != tails[t2]]
+        base += len(walk)
+    return maps
 
 
 def all_identifications(c: Cellulation) -> Iterator[Cellulation]:
-    """Every valid single vertex identification, one per face-corner pair."""
-    for fi, walk in enumerate(c.faces):
-        for t1 in range(len(walk)):
-            for t2 in range(t1 + 1, len(walk)):
-                try:
-                    yield identify_vertices(c, fi, t1, t2)
-                except CellulationError:
-                    continue
+    """Every single vertex identification, one per face-corner pair at
+    two different vertices."""
+    flags, labels = surface.build_flags_labeled(c)
+    return (fm.to_cellulation(labels) for fm in _pinches(c, flags))
 
 
-def identification_reaches(c: Cellulation, target: Cellulation) -> bool:
-    key = surface.canonical_form(target)
-    return any(surface.canonical_form(m) == key
-               for m in all_identifications(c))
+def _pinch(flags: FlagMap, a: int, b: int) -> FlagMap:
+    """Swap the s1 partners of the tail flags a and b of one face.
+
+    This is the vertex identification at those two corners: the face
+    orbit of <s0,s1> splits in two at them, and the two vertex orbits of
+    <s1,s2> through them merge into one.  The corners must lie at
+    different vertices (one orbit would split instead), and then the
+    result is always a map of the same surface.
+    """
+    s1 = list(flags.s1)
+    pa, pb = s1[a], s1[b]
+    s1[a], s1[pb] = pb, a
+    s1[b], s1[pa] = pa, b
+    return FlagMap(flags.s0, s1, flags.s2)
 
 
 def edge_slides(c: Cellulation) -> Iterator[Cellulation]:
@@ -565,12 +577,13 @@ def edge_slides(c: Cellulation) -> Iterator[Cellulation]:
     unchanged; the two faces meeting the moved end trade the crossed
     edge.  Realized as a local resewing of the corner involution s1.
     """
-    return (s for _, s in _keyed_slides(c))
-
-
-def _keyed_slides(c: Cellulation) -> Iterator[tuple[bytes, Cellulation]]:
-    """(canonical form, cellulation) of every edge_slides result."""
     flags, labels = surface.build_flags_labeled(c)
+    return (fm.to_cellulation(labels) for _, fm in _keyed_slides(flags))
+
+
+def _keyed_slides(flags: FlagMap) -> Iterator[tuple[bytes, FlagMap]]:
+    """(canonical form, flag map) of every edge_slides result; each map
+    shares s0 and s2, and so the edge labels, with flags."""
     chi = flags.euler_characteristic()
     seen: set[bytes] = set()
     for a1 in range(flags.n):
@@ -597,25 +610,25 @@ def _keyed_slides(c: Cellulation) -> Iterator[tuple[bytes, Cellulation]]:
         key = fm.canonical_form()
         if key not in seen:
             seen.add(key)
-            yield key, fm.to_cellulation(labels)
+            yield key, fm
 
 
-def identification_with_slides_reaches(c: Cellulation, target: Cellulation,
-                                       max_slides: int = 2) -> bool:
+def identification_reaches(c: Cellulation, target: Cellulation,
+                           max_slides: int = 0) -> bool:
     """Does a vertex identification plus at most max_slides edge slides
     land in target's class?"""
     key = surface.canonical_form(target)
-    frontier: dict[bytes, Cellulation] = {}
-    for m in all_identifications(c):
-        k = surface.canonical_form(m)
+    frontier: dict[bytes, FlagMap] = {}
+    for fm in _pinches(c, surface.build_flags(c)):
+        k = fm.canonical_form()
         if k == key:
             return True
-        frontier.setdefault(k, m)
+        frontier.setdefault(k, fm)
     visited = set(frontier)
     for _ in range(max_slides):
-        step: dict[bytes, Cellulation] = {}
-        for m in frontier.values():
-            for k, s in _keyed_slides(m):
+        step: dict[bytes, FlagMap] = {}
+        for fm in frontier.values():
+            for k, s in _keyed_slides(fm):
                 if k == key:
                     return True
                 if k not in visited:
@@ -689,7 +702,7 @@ def reconstruct_figures() -> tuple[Cellulation, Cellulation, dict]:
         "fig2": cert(fig2, fig2_pool, fig2_hits),
         "fig3": cert(fig3, fig3_pool, fig3_hits),
         "fig2_identifies_to_fig3": True,
-        "fig3_identifies_to_shor": identification_with_slides_reaches(
+        "fig3_identifies_to_shor": identification_reaches(
             fig3, surface.fig4_shor(), max_slides=3),
     }
     return fig2, fig3, certificates

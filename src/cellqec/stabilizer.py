@@ -131,7 +131,9 @@ def _code_from_checks(x_stab: Gf2Matrix, z_stab: Gf2Matrix) -> CssCode:
     the number of logical classes on either side.
     """
     n = x_stab.cols
-    x_side, z_side = _logical_representatives(x_stab, z_stab)
+    # x_side spans ker(x_stab) / rowspace(z_stab), z_side the reverse
+    x_side = homology._class_representatives(z_stab, x_stab)
+    z_side = homology._class_representatives(x_stab, z_stab)
     k = len(x_side)
     if k == 0:
         return CssCode(n, x_stab, z_stab, 0, None, None)
@@ -179,31 +181,18 @@ def hadamard_dual_equivalent(c: Cellulation) -> bool:
 # generic CSS distance via the incidence graph of the check matrices
 # ---------------------------------------------------------------------------
 
-def _logical_representatives(x_stab: Gf2Matrix, z_stab: Gf2Matrix
-                             ) -> tuple[list[Gf2Vector], list[Gf2Vector]]:
-    """(x-side, z-side) homology-class bases from the check matrices.
-
-    x-side reps span ker(x_stab) / rowspace(z_stab); z-side reps span
-    ker(z_stab) / rowspace(x_stab).
-    """
-    return (homology._class_representatives(z_stab, x_stab),
-            homology._class_representatives(x_stab, z_stab))
-
-
 def css_distance(code: CssCode) -> tuple[int, int]:
     """(d_x, d_z) computed from the check matrices alone.
 
     d_z = min weight in ker(z_stabilizers) \\ rowspace(x_stabilizers);
-    d_x with the roles swapped.  Uses the parity-cover graph search, so
+    d_x with the roles swapped.  These are the distances that
+    ``_code_from_checks`` finds with the parity-cover graph search, so
     it scales to the large planar instances.
     """
     if code.k < 1:
         raise ValueError("distance undefined for k = 0")
-    x_side, z_side = _logical_representatives(code.x_stabilizers,
-                                              code.z_stabilizers)
-    d_z, _ = _min_weight_logical(code.z_stabilizers, x_side)
-    d_x, _ = _min_weight_logical(code.x_stabilizers, z_side)
-    return d_x, d_z
+    fresh = _code_from_checks(code.x_stabilizers, code.z_stabilizers)
+    return fresh.d_x, fresh.d_z
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import functools
+import itertools
 
 import numpy as np
 import pytest
@@ -106,6 +107,33 @@ class TestCorrect:
         with pytest.raises(decoder.SyndromeMismatch):
             decoder.is_failure(code, err, ErrorPattern.zero(9))
 
+    @pytest.mark.parametrize("name", ["fig4_shor", "toric(3,3)",
+                                      "fig1_hemi_icosahedron"])
+    def test_failure_is_the_row_space_test(self, name):
+        # every X-only and Z-only error of weight <= 2: a residual fails
+        # iff it is outside the stabilizer row space of its side
+        code = _code(name)
+        n, zero = code.n, Gf2Vector.zero(code.n)
+        x_rows = code.x_stabilizers.row_vectors()
+        z_rows = code.z_stabilizers.row_vectors()
+        for w in range(3):
+            for support in itertools.combinations(range(n), w):
+                v = Gf2Vector.from_support(n, support)
+                for err in (ErrorPattern(v, zero), ErrorPattern(zero, v)):
+                    corr = decoder.correct(code, decoder.syndrome(code, err))
+                    expected = (
+                        not gf2.in_span(x_rows, err.x_errors ^ corr.x_errors),
+                        not gf2.in_span(z_rows, err.z_errors ^ corr.z_errors))
+                    assert decoder.is_failure(code, err, corr) == expected
+
+    def test_code_without_logical_operators_rejected(self):
+        full = _code("fig4_shor")
+        bare = stabilizer.CssCode(full.n, full.x_stabilizers,
+                                  full.z_stabilizers, 1, 3, 3)
+        err = ErrorPattern.zero(full.n)
+        with pytest.raises(ValueError, match="logical operators"):
+            decoder.is_failure(bare, err, err)
+
     def test_toric_weight_one(self):
         code = _code("toric(3,3)")
         for q in range(code.n):
@@ -145,8 +173,8 @@ class TestCorrect:
                                                        syn.z_checks)
         assert corr.z_errors == coset_min_weight_chain(code.x_stabilizers,
                                                        syn.x_checks)
-        # failure verdicts from the row spaces reduced once per code
-        # agree with a fresh span test
+        # failure verdicts from the logical operators agree with a fresh
+        # span test
         expected = (
             not gf2.in_span(code.x_stabilizers.row_vectors(),
                             err.x_errors ^ corr.x_errors),

@@ -72,7 +72,7 @@ class TestLinkage:
             surface.catalog("fig3_nine_edge"))
 
     def test_fig3_reaches_shor_with_slides(self):
-        assert search.identification_with_slides_reaches(
+        assert search.identification_reaches(
             surface.catalog("fig3_nine_edge"), surface.fig4_shor(),
             max_slides=3)
 

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import itertools
 
 import pytest
@@ -184,6 +185,29 @@ class TestIdentifyVertices:
         hexagon = max(range(c.face_count), key=lambda f: len(c.faces[f]))
         with pytest.raises(CellulationError):
             search.identify_vertices(c, hexagon, 0, 3)  # both at vertex a
+
+    @pytest.mark.parametrize("face", [-1, 7])
+    def test_face_index_out_of_range_rejected(self, face):
+        c = surface.fig4_shor()  # faces 0..6
+        with pytest.raises(CellulationError, match="out of range"):
+            search.identify_vertices(c, face, 0, 1)
+
+    def test_identification_classes_are_pinned(self):
+        # the digest was taken from an independent construction, which
+        # split the face walk and relabelled the vertices by hand
+        digest = hashlib.sha256()
+        count = 0
+        for name in surface.closed_catalog_names() + ["toric(2,3)"]:
+            c = surface.catalog(name)
+            for m in search.all_identifications(c):
+                surface.validate(m)
+                assert (m.vertex_count, m.edge_count, m.face_count) == (
+                    c.vertex_count - 1, c.edge_count, c.face_count + 1)
+                digest.update(surface.canonical_form(m))
+                count += 1
+        assert count == 220
+        assert digest.hexdigest() == (
+            "489cb7460a2337c17c1b0bce10ccaadc51747516d910e00b7c182e223a1ff64c")
 
     def test_reaches_its_own_products(self):
         c = surface.fig4_shor()
