@@ -176,9 +176,10 @@ def is_failure(code: CssCode, err: ErrorPattern,
                corr: ErrorPattern) -> tuple[bool, bool]:
     """(x_fail, z_fail): does the residual act on the code space?
 
-    The residual err + corr has zero syndrome, so its bit-flip part r
-    lies in ker(z_stabilizers).  As ker(x_stabilizers) is spanned by
-    rowspace(z_stabilizers) and logical_z, r lies in
+    The residual err + corr must have zero syndrome, which by linearity
+    says that corr reproduces err's syndrome (else SyndromeMismatch), so
+    its bit-flip part r lies in ker(z_stabilizers).  As ker(x_stabilizers)
+    is spanned by rowspace(z_stabilizers) and logical_z, r lies in
     rowspace(x_stabilizers) iff it pairs evenly with every logical_z:
     x_fail is an odd pairing with some logical_z, and z_fail dually with
     logical_x.  Raises ValueError when the code does not carry k
@@ -186,11 +187,12 @@ def is_failure(code: CssCode, err: ErrorPattern,
     """
     if len(code.logical_x) != code.k or len(code.logical_z) != code.k:
         raise ValueError("code does not carry k logical operators per side")
-    s1, s2 = syndrome(code, err), syndrome(code, corr)
-    if s1 != s2:
+    res = ErrorPattern(err.x_errors ^ corr.x_errors,
+                       err.z_errors ^ corr.z_errors)
+    syn = syndrome(code, res)
+    if syn.z_checks.bits or syn.x_checks.bits:
         raise SyndromeMismatch("correction does not match the error syndrome")
-    res_x = err.x_errors.bits ^ corr.x_errors.bits
-    res_z = err.z_errors.bits ^ corr.z_errors.bits
+    res_x, res_z = res.x_errors.bits, res.z_errors.bits
     x_fail = any((res_x & lz.bits).bit_count() & 1 for lz in code.logical_z)
     z_fail = any((res_z & lx.bits).bit_count() & 1 for lx in code.logical_x)
     return x_fail, z_fail

@@ -52,7 +52,9 @@ Before a new class becomes a Cellulation, its flag map is tested for a
 short orientation-reversing cycle: a twisted loop (length 1) or two
 edges with the same ends and different twists (length 2), in the vertex
 graph against min_primal_systole and in the face graph (the flag dual)
-against min_dual_systole.  Such a cycle pairs oddly with the first
+against min_dual_systole.  The vertex ids and the local orientations
+that give the twists come from one labelling of the vertex cells
+(``FlagMap._cells``).  Such a cycle pairs oddly with the first
 Stiefel-Whitney class, so it is essential on every surface and the
 homology systole filter would reject the class; the test drops only
 those classes, and the filter still decides every class it keeps.  On
@@ -105,6 +107,9 @@ class EnumerationConstraints:
             raise ValueError("edge_count must be at least 1")
         if self.min_primal_systole < 1 or self.min_dual_systole < 1:
             raise ValueError("systole bounds must be at least 1")
+        for name in ("vertex_count", "bigon_faces", "valence2_vertices"):
+            if (getattr(self, name) or 0) < 0:
+                raise ValueError(f"{name} must be non-negative")
 
     @classmethod
     def rp2(cls, edge_count: int, **kw) -> "EnumerationConstraints":
@@ -337,28 +342,17 @@ def _short_reversing_cycle(fm: FlagMap, bound: int) -> bool:
     """Does the vertex graph of fm have an orientation-reversing cycle
     shorter than bound, as a loop or as two edges with the same ends?
 
-    Each <s1,s2> orbit gives its flags a vertex id and an alternating
-    colour (a local orientation), and an edge twists, t = 1, when s0
-    keeps the colour.  A cycle reverses orientation iff its twists add
-    to 1, so it pairs oddly with w1 and is essential on every surface.
-    The face graph is tested on fm.dual().
+    The vertex cells of fm (``FlagMap._cells`` of s2, s1) give each flag
+    a vertex id and an alternating colour (a local orientation), and an
+    edge twists, t = 1, when s0 keeps the colour.  A cycle reverses
+    orientation iff its twists add to 1, so it pairs oddly with w1 and
+    is essential on every surface.  The face graph is tested on
+    fm.dual().
     """
     if bound < 2:
         return False
-    s0, s1, s2 = fm.s0, fm.s1, fm.s2
-    vert = [-1] * fm.n
-    colour = [0] * fm.n
-    nv = 0
-    for f in range(fm.n):
-        if vert[f] >= 0:
-            continue
-        x = f
-        while vert[x] < 0:  # the orbit alternates s2 and s1 steps
-            y = s2[x]
-            vert[x] = vert[y] = nv
-            colour[y] = 1
-            x = s1[y]
-        nv += 1
+    s0 = fm.s0
+    vert, colour, _ = fm._cells(fm.s2, fm.s1)
     twist: dict[tuple[int, int], int] = {}
     for f in range(fm.n):
         g = s0[f]
@@ -605,7 +599,7 @@ def _keyed_slides(flags: FlagMap) -> Iterator[tuple[bytes, FlagMap]]:
         s1[c1] = a2
         s1[a2] = c1
         fm = surface.FlagMap(flags.s0, s1, flags.s2)
-        if fm.component_count() != 1 or fm.euler_characteristic() != chi:
+        if fm.components()[0] != 1 or fm.euler_characteristic() != chi:
             continue
         key = fm.canonical_form()
         if key not in seen:

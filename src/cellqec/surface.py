@@ -5,7 +5,10 @@ and faces as closed directed edge walks; a face may traverse one edge
 twice.  Internally everything is converted to a flag system (three
 fixed-point-free involutions s0, s1, s2 on 4|E| flags), which makes
 validation, orientability, duality and canonical forms uniform even for
-the degenerate cellulations the small-code catalog relies on.
+the degenerate cellulations the small-code catalog relies on.  Every
+vertex, edge and face is one cycle alternating two of the involutions,
+and one walk (``FlagMap._cells``) finds them all; one 2-colouring of the
+flag graph gives the components and orientability.
 """
 from __future__ import annotations
 
@@ -133,12 +136,13 @@ def classify_surface(chi: int, orientable: bool, connected: bool = True) -> str:
 class FlagMap:
     """Flag system of a map: involutions s0 (edge), s1 (corner), s2 (side).
 
-    Vertices are the orbits of <s1,s2>, edges the orbits of <s0,s2> (size
-    4) and faces the orbits of <s0,s1>.  The surface is orientable iff
-    the flag graph is bipartite, and duality is the swap of s0 and s2.
-    Every builder makes three fixed-point-free involutions by
-    construction, so the lists are stored as given, neither copied nor
-    checked, and are never mutated.
+    Vertices are the alternating cycles of (s2, s1), edges those of
+    (s0, s2) (4 flags each) and faces those of (s0, s1), all labelled by
+    ``_cells``.  The surface is orientable iff the flag graph is
+    bipartite, and duality is the swap of s0 and s2.  Every builder
+    makes three fixed-point-free involutions by construction, so the
+    lists are stored as given, neither copied nor checked, and are
+    never mutated.
     """
 
     __slots__ = ("n", "s0", "s1", "s2")
@@ -147,60 +151,57 @@ class FlagMap:
         self.n = len(s0)
         self.s0, self.s1, self.s2 = s0, s1, s2
 
-    # -- orbit machinery --------------------------------------------------
-    def _orbits(self, gens: list[list[int]]) -> list[list[int]]:
-        seen = [False] * self.n
-        orbits = []
-        for start in range(self.n):
-            if seen[start]:
+    # -- cells ------------------------------------------------------------
+    def _cells(self, a: list[int],
+               b: list[int]) -> tuple[list[int], list[int], int]:
+        """(cell, colour, count) of the cycles that alternate a and b.
+
+        cell[f] numbers f's cycle in order of the cycle's minimum flag,
+        and colour[f] alternates along the cycle from 0 at that flag.
+        """
+        cell = [-1] * self.n
+        colour = [0] * self.n
+        count = 0
+        for f in range(self.n):
+            if cell[f] >= 0:
                 continue
-            orbit = [start]
-            seen[start] = True
+            x = f
+            while cell[x] < 0:
+                y = a[x]
+                cell[x] = cell[y] = count
+                colour[y] = 1
+                x = b[y]
+            count += 1
+        return cell, colour, count
+
+    def components(self) -> tuple[int, bool]:
+        """(component count, orientable), by one 2-colouring of the flag
+        graph: the map is orientable iff every component is bipartite."""
+        colour = [-1] * self.n
+        count = 0
+        orientable = True
+        for start in range(self.n):
+            if colour[start] >= 0:
+                continue
+            count += 1
+            colour[start] = 0
             stack = [start]
             while stack:
                 f = stack.pop()
-                for g in gens:
-                    t = g[f]
-                    if not seen[t]:
-                        seen[t] = True
-                        orbit.append(t)
-                        stack.append(t)
-            orbits.append(sorted(orbit))
-        return orbits
-
-    def vertex_orbits(self) -> list[list[int]]:
-        return self._orbits([self.s1, self.s2])
-
-    def edge_orbits(self) -> list[list[int]]:
-        return self._orbits([self.s0, self.s2])
-
-    def face_orbits(self) -> list[list[int]]:
-        return self._orbits([self.s0, self.s1])
-
-    def component_count(self) -> int:
-        return len(self._orbits([self.s0, self.s1, self.s2]))
-
-    def euler_characteristic(self) -> int:
-        return (len(self.vertex_orbits()) - len(self.edge_orbits())
-                + len(self.face_orbits()))
-
-    def orientable(self) -> bool:
-        color = [-1] * self.n
-        for start in range(self.n):
-            if color[start] >= 0:
-                continue
-            color[start] = 0
-            stack = [start]
-            while stack:
-                f = stack.pop()
+                other = colour[f] ^ 1
                 for s in (self.s0, self.s1, self.s2):
                     t = s[f]
-                    if color[t] < 0:
-                        color[t] = 1 - color[f]
+                    if colour[t] < 0:
+                        colour[t] = other
                         stack.append(t)
-                    elif color[t] == color[f]:
-                        return False
-        return True
+                    elif colour[t] != other:
+                        orientable = False
+        return count, orientable
+
+    def euler_characteristic(self) -> int:
+        s0, s1, s2 = self.s0, self.s1, self.s2
+        return (self._cells(s2, s1)[2] - self._cells(s0, s2)[2]
+                + self._cells(s0, s1)[2])
 
     def dual(self) -> "FlagMap":
         return FlagMap(self.s2, self.s1, self.s0)
@@ -209,24 +210,18 @@ class FlagMap:
     def _start_flags(self) -> list[int]:
         """Flags of minimal key (vertex degree, face size, far-end degree).
 
-        The vertex degree at f is the length of the cycle of s1 s2
-        through f, the face size that of s0 s1, and the far-end degree
-        the vertex degree at s0[f].  Face sizes are walked only from
+        The vertex degree at f counts the flags of f's vertex cell, the
+        face size the s0 s1 steps round f's face, and the far-end degree
+        is the vertex degree at s0[f].  Face sizes are walked only from
         flags of minimal degree.
         """
-        s0, s1, s2 = self.s0, self.s1, self.s2
-        deg = [0] * self.n
-        for f in range(self.n):
-            if deg[f]:
-                continue
-            cycle = [f]
-            x = s1[s2[f]]
-            while x != f:
-                cycle.append(x)
-                x = s1[s2[x]]
-            for x in cycle:
-                deg[x] = len(cycle)
-        low = min(deg)
+        s0, s1 = self.s0, self.s1
+        vert, _, nv = self._cells(self.s2, s1)
+        flags_at = [0] * nv
+        for v in vert:
+            flags_at[v] += 1
+        deg = [flags_at[v] for v in vert]
+        low = min(flags_at)
         best = None
         starts: list[int] = []
         for f in range(self.n):
@@ -304,49 +299,41 @@ class FlagMap:
 
     # -- conversion to a cellulation --------------------------------------
     def to_cellulation(self, edge_labels: Sequence[int] | None = None) -> Cellulation:
-        """Rebuild a Cellulation; cells are labelled by minimum flag.
+        """Rebuild a Cellulation; cells are numbered by minimum flag.
 
-        edge_labels, if given, prescribes the edge id of each flag's
-        orbit (used to keep dual edge i identified with primal edge i).
+        Edge e runs from the vertex of its minimum flag m to the vertex of
+        s0[m], and a face walk, started at the face's minimum flag, steps
+        along e forwards at m and s2[m].  edge_labels, if given, is the
+        edge id of each flag, a bijection of the edges onto 0..E-1 (used
+        to keep dual edge i identified with primal edge i).
         """
-        v_orbs = self.vertex_orbits()
-        e_orbs = self.edge_orbits()
-        f_orbs = self.face_orbits()
-        if edge_labels is not None:
-            e_orbs = sorted(e_orbs, key=lambda orb: edge_labels[orb[0]])
-        v_of = [-1] * self.n
-        for vid, orb in enumerate(v_orbs):
-            for f in orb:
-                v_of[f] = vid
-        e_of = [-1] * self.n
-        for eid, orb in enumerate(e_orbs):
-            if len(orb) != 4:
-                raise CellulationError("edge orbit of unexpected size")
-            for f in orb:
-                e_of[f] = eid
-        # end0 of each edge = the s2-pair containing the minimum flag
-        end0_flags = [set() for _ in e_orbs]
-        edges = []
-        for eid, orb in enumerate(e_orbs):
-            m = orb[0]
-            end0 = {m, self.s2[m]}
-            end0_flags[eid] = end0
-            other = [f for f in orb if f not in end0]
-            edges.append((v_of[m], v_of[other[0]]))
+        s0, s1, s2 = self.s0, self.s1, self.s2
+        vert, _, nv = self._cells(s2, s1)
+        if edge_labels is None:
+            edge, _, ne = self._cells(s0, s2)
+        else:
+            edge, ne = edge_labels, self.n // 4
+        face, _, _ = self._cells(s0, s1)
+        first = [0] * ne
+        for f in range(self.n - 1, -1, -1):
+            first[edge[f]] = f
+        forward = [-1] * self.n
+        for m in first:
+            forward[m] = forward[s2[m]] = 1
         faces = []
-        for orb in f_orbs:
-            start = orb[0]
+        for f in range(self.n):
+            if face[f] != len(faces):
+                continue  # f is not the minimum flag of the next face
             walk = []
-            x = start
+            x = f
             while True:
-                eid = e_of[x]
-                d = 1 if x in end0_flags[eid] else -1
-                walk.append((eid, d))
-                x = self.s1[self.s0[x]]
-                if x == start:
+                walk.append((edge[x], forward[x]))
+                x = s1[s0[x]]
+                if x == f:
                     break
             faces.append(tuple(walk))
-        return Cellulation(len(v_orbs), tuple(edges), tuple(faces))
+        return Cellulation(nv, tuple((vert[m], vert[s0[m]]) for m in first),
+                           tuple(faces))
 
 
 def build_flags(c: Cellulation) -> FlagMap:
@@ -355,60 +342,52 @@ def build_flags(c: Cellulation) -> FlagMap:
 
 
 def build_flags_labeled(c: Cellulation) -> tuple[FlagMap, list[int]]:
-    """(flag system, per-flag edge id) of a cellulation."""
-    traversals = []  # (face, step, edge, dir)
+    """(flag system, per-flag edge id) of a cellulation.
+
+    Traversals (face walk steps) are numbered face by face, and flags
+    2t and 2t+1 are the tail and head corners of traversal t.
+    """
+    traversals = [step for walk in c.faces for step in walk]  # (edge, dir)
     per_edge: list[list[int]] = [[] for _ in c.edges]
-    for fi, walk in enumerate(c.faces):
-        for si, (e, d) in enumerate(walk):
-            per_edge[e].append(len(traversals))
-            traversals.append((fi, si, e, d))
+    for t, (e, _) in enumerate(traversals):
+        per_edge[e].append(t)
     for e, ts in enumerate(per_edge):
         if len(ts) != 2:
             raise CellulationError(
                 f"edge {e} is traversed {len(ts)} times; closed surfaces need"
                 " exactly 2")
-    # walk closure
-    for fi, walk in enumerate(c.faces):
-        for si, (e, d) in enumerate(walk):
-            e2, d2 = walk[(si + 1) % len(walk)]
-            if c.step_head(e, d) != c.step_tail(e2, d2):
-                raise CellulationError(
-                    f"face {fi} walk is not closed at step {si}")
-    n = 2 * len(traversals)  # flag = 2*t + end  (0 = tail corner, 1 = head)
-    s0 = [0] * n
+    n = 2 * len(traversals)
+    s0 = [f ^ 1 for f in range(n)]
     s1 = [0] * n
     s2 = [0] * n
-    for t in range(len(traversals)):
-        s0[2 * t] = 2 * t + 1
-        s0[2 * t + 1] = 2 * t
-    # s1: head flag of a step pairs with the tail flag of the next step
-    step_index: dict[tuple[int, int], int] = {}
-    for t, (fi, si, _, _) in enumerate(traversals):
-        step_index[(fi, si)] = t
-    for t, (fi, si, _, _) in enumerate(traversals):
-        nxt = step_index[(fi, (si + 1) % len(c.faces[fi]))]
-        s1[2 * t + 1] = 2 * nxt
-        s1[2 * nxt] = 2 * t + 1
+    # s1: the head flag of a step pairs with the tail flag of the next
+    base = 0
+    for fi, walk in enumerate(c.faces):
+        for si, (e, d) in enumerate(walk):
+            nxt = (si + 1) % len(walk)
+            if c.step_head(e, d) != c.step_tail(*walk[nxt]):
+                raise CellulationError(
+                    f"face {fi} walk is not closed at step {si}")
+            s1[2 * (base + si) + 1] = 2 * (base + nxt)
+            s1[2 * (base + nxt)] = 2 * (base + si) + 1
+        base += len(walk)
     # s2: match the two traversals of an edge by physical edge end
     for e, (ta, tb) in enumerate(per_edge):
         for end in (0, 1):  # end 0 = stored endpoint a side, 1 = b side
-            fa = 2 * ta + (end if traversals[ta][3] == 1 else 1 - end)
-            fb = 2 * tb + (end if traversals[tb][3] == 1 else 1 - end)
+            fa = 2 * ta + (end if traversals[ta][1] == 1 else 1 - end)
+            fb = 2 * tb + (end if traversals[tb][1] == 1 else 1 - end)
             s2[fa] = fb
             s2[fb] = fa
     flags = FlagMap(s0, s1, s2)
-    # vertex orbit consistency: orbits of <s1,s2> must match declared vertices
-    declared = [0] * n
-    for t, (fi, si, e, d) in enumerate(traversals):
-        declared[2 * t] = c.step_tail(e, d)
-        declared[2 * t + 1] = c.step_head(e, d)
-    orbs = flags.vertex_orbits()
+    # s1 and s2 join flags at one declared vertex (the walks are closed,
+    # s2 pairs like edge ends), so each vertex cell has one owner, the
+    # tail of any traversal in it; a vertex owning two cells is pinched
+    vert, _, nv = flags._cells(s2, s1)
+    owner = [0] * nv
+    for t, (e, d) in enumerate(traversals):
+        owner[vert[2 * t]] = c.step_tail(e, d)
     used = set()
-    for orb in orbs:
-        vs = {declared[f] for f in orb}
-        if len(vs) != 1:
-            raise CellulationError("inconsistent vertex incidences in face walks")
-        v = vs.pop()
+    for v in owner:
         if v in used:
             raise CellulationError(
                 f"vertex {v} has a disconnected star (pinched complex)")
@@ -416,19 +395,14 @@ def build_flags_labeled(c: Cellulation) -> tuple[FlagMap, list[int]]:
     for v in range(c.vertex_count):
         if v not in used:
             raise CellulationError(f"vertex {v} lies on no edge")
-    flag_edge = [0] * n
-    for t, (_, _, e, _) in enumerate(traversals):
-        flag_edge[2 * t] = e
-        flag_edge[2 * t + 1] = e
-    return flags, flag_edge
+    return flags, [traversals[f >> 1][0] for f in range(n)]
 
 
 def validate(c: Cellulation) -> SurfaceInfo:
     """Check all cellulation invariants and classify the surface."""
-    flags = build_flags(c)
+    components, orientable = build_flags(c).components()
     chi = c.euler_characteristic()
-    orientable = flags.orientable()
-    connected = flags.component_count() == 1
+    connected = components == 1
     return SurfaceInfo(chi, orientable, connected,
                        classify_surface(chi, orientable, connected))
 

@@ -52,6 +52,12 @@ class TestCode:
         assert code == 0
         assert json.loads(out)["parameters"] == [1, 1, 1, 1]
 
+    def test_params_empty_cellulation(self, capsys):
+        code, out, _ = run(capsys, ["code", "params",
+                                    '{"vertices":0,"edges":[],"faces":[]}'])
+        assert code == 0
+        assert json.loads(out)["parameters"] == [0, 0, None, None]
+
     def test_params_from_file(self, capsys, tmp_path):
         p = tmp_path / "c.json"
         p.write_text(surface.fig4_shor().to_json())
@@ -207,6 +213,14 @@ class TestSearch:
         assert json.loads(out)["survivor_count"] == 13
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "00f8e5486bf0f6f031ef6e1bd32f5271101c5c5dacac1e10de32046f3589ca8e")
+
+    @pytest.mark.parametrize("flag,field", [("--vertices", "vertex_count"),
+                                            ("--bigons", "bigon_faces")])
+    def test_negative_count_is_an_error(self, capsys, flag, field):
+        code, out, err = run(capsys, ["search", "census", "--edges", "3",
+                                      flag, "-1"])
+        assert (code, out) == (1, "")
+        assert err == f"error: {field} must be non-negative\n"
 
     def test_verify_nonexistence(self, verify_paper_run):
         assert verify_paper_run.code == 0

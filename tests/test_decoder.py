@@ -107,6 +107,13 @@ class TestCorrect:
         with pytest.raises(decoder.SyndromeMismatch):
             decoder.is_failure(code, err, ErrorPattern.zero(9))
 
+    def test_mismatched_phase_correction_rejected(self):
+        # the residual's syndrome is checked on both sides
+        code = _code("fig4_shor")
+        err = ErrorPattern(Gf2Vector.zero(9), Gf2Vector.from_support(9, [0]))
+        with pytest.raises(decoder.SyndromeMismatch):
+            decoder.is_failure(code, err, ErrorPattern.zero(9))
+
     @pytest.mark.parametrize("name", ["fig4_shor", "toric(3,3)",
                                       "fig1_hemi_icosahedron"])
     def test_failure_is_the_row_space_test(self, name):

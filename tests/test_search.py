@@ -100,6 +100,13 @@ class TestEnumerate:
         with pytest.raises(ValueError):
             EnumerationConstraints(3, min_primal_systole=0)
 
+    @pytest.mark.parametrize("field", ["vertex_count", "bigon_faces",
+                                       "valence2_vertices"])
+    def test_negative_counts_rejected(self, field):
+        with pytest.raises(ValueError, match=f"{field} must be non-negative"):
+            EnumerationConstraints(3, **{field: -1})
+        EnumerationConstraints(3, **{field: 0})  # zero is a real demand
+
 
 class TestCensus:
     def test_five_edges_has_no_survivors(self):
@@ -218,6 +225,32 @@ class TestIdentifyVertices:
     def test_unreachable_target(self):
         assert not search.identification_reaches(
             surface.fig4_shor(), surface.rp2_minimal())
+
+
+class TestLabelling:
+    # the cell numbering of FlagMap.to_cellulation reaches every printed
+    # cellulation; both digests were taken before the cells were found
+    # by one walk, with the orbit search they replace
+    def test_flag_moves_keep_their_labels(self):
+        digest = hashlib.sha256()
+        for name in surface.closed_catalog_names() + ["toric(2,3)"]:
+            c = surface.catalog(name)
+            digest.update(surface.dual(c).to_json().encode())
+            for m in search.all_identifications(c):
+                digest.update(m.to_json().encode())
+            for m in search.edge_slides(c):
+                digest.update(m.to_json().encode())
+        assert digest.hexdigest() == (
+            "6e028542d0167c3a78b501f8c972b35455d8e4276ca7c8386c7a2b57c5260a9c")
+
+    def test_census_classes_keep_their_labels(self):
+        digest = hashlib.sha256()
+        for e in range(1, 5):
+            for c in search.enumerate_cellulations(EnumerationConstraints(e)):
+                digest.update(c.to_json().encode())
+                digest.update(surface.dual(c).to_json().encode())
+        assert digest.hexdigest() == (
+            "d1006fe1a8499e87dcb0cf85aae8939defa1d47582d541e6898715930d7db79c")
 
 
 class TestEdgeSlides:

@@ -198,6 +198,78 @@ class TestFlagBuilders:
                     surface.validate(slid)
 
 
+def _orbit_count(m, gens):
+    """Orbits of the group generated by gens, by union-find (an oracle
+    independent of the cycle walk in FlagMap._cells)."""
+    parent = list(range(m.n))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for g in gens:
+        for f in range(m.n):
+            parent[find(f)] = find(g[f])
+    return len({find(f) for f in range(m.n)})
+
+
+def _disjoint_union(a, b):
+    def shifted(s):
+        return [t + a.n for t in s]
+    return FlagMap(a.s0 + shifted(b.s0), a.s1 + shifted(b.s1),
+                   a.s2 + shifted(b.s2))
+
+
+class TestCells:
+    def test_cells_are_the_alternating_cycles(self):
+        maps = _every_scheme(3)
+        for c in _CLOSED_AND_SAMPLED:
+            flags = surface.build_flags(c)
+            maps += [flags, flags.dual()]
+        for m in maps:
+            for a, b in ((m.s2, m.s1), (m.s0, m.s2), (m.s0, m.s1)):
+                cell, colour, count = m._cells(a, b)
+                assert count == _orbit_count(m, (a, b))
+                firsts = []
+                for f in range(m.n):
+                    assert cell[a[f]] == cell[b[f]] == cell[f]
+                    assert colour[a[f]] != colour[f] != colour[b[f]]
+                    if cell[f] == len(firsts):
+                        firsts.append(f)
+                        assert colour[f] == 0
+                    assert cell[f] < len(firsts)  # numbered by minimum flag
+                assert len(firsts) == count
+            edge, _, count = m._cells(m.s0, m.s2)
+            assert sorted(edge) == sorted(list(range(count)) * 4)
+
+    def test_components_and_orientability(self):
+        torus = surface.build_flags(surface.toric(2, 3))
+        plane = surface.build_flags(surface.rp2_minimal())
+        assert _disjoint_union(torus, torus).components() == (2, True)
+        assert _disjoint_union(torus, plane).components() == (2, False)
+        assert _disjoint_union(plane, torus).components() == (2, False)
+        for name in surface.closed_catalog_names():
+            orientable = name in ("cube_sphere", "toric(3,3)")  # else RP2
+            flags = surface.build_flags(surface.catalog(name))
+            assert flags.components() == (1, orientable)
+        for c in _CLOSED_AND_SAMPLED:
+            flags = surface.build_flags(c)
+            assert flags.components()[0] == _orbit_count(
+                flags, (flags.s0, flags.s1, flags.s2))
+
+    def test_empty_cellulation(self):
+        empty = Cellulation(0, (), ())
+        assert surface.dual(empty) == empty
+        info = surface.validate(empty)
+        assert (info.euler_characteristic, info.orientable,
+                info.connected) == (0, True, False)
+        flags = surface.build_flags(empty)
+        assert flags.components() == (0, True)
+        assert flags._cells(flags.s2, flags.s1) == ([], [], 0)
+        assert flags.euler_characteristic() == 0
+
+
 class TestCanonicalForm:
     def test_relabeling_invariance(self):
         c = surface.fig4_shor()
