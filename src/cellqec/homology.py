@@ -3,7 +3,8 @@
 Every minimum-weight-nontrivial-vector question in the library -- the
 primal and dual systoles here, and the code distances in ``stabilizer``
 -- is answered by one exact engine, ``_min_weight_logical``: a
-breadth-first search in the two-fold parity cover of the check graph.
+breadth-first search in the two-fold parity cover of the check graph,
+started only at one end of each column a class representative hits.
 ``_check_graph`` builds that graph, for this search and for the decoder:
 its nodes are the rows of a check matrix plus one boundary node, and
 each column is an edge.  It requires every check column to have weight
@@ -94,11 +95,16 @@ def _min_weight_logical(check: Gf2Matrix,
     of a graph (columns of weight 1 attach to a single virtual boundary
     node; columns of weight 0 are free single-edge cycles).  A vector is
     nontrivial iff it pairs oddly with some functional, so the minimum is
-    taken over one breadth-first search per functional in the two-fold
-    parity cover.  This is exact: a lightest vector pairing oddly with a
-    functional contains a connected cycle that does too and weighs no
-    more, and the search from any node of that cycle finds a closed walk
-    of odd parity no longer than it.
+    taken over breadth-first searches in the two-fold parity cover, per
+    functional f one from the lower end node of each column in f's
+    support (each such node once, in ascending order).  This is exact: a
+    lightest vector pairing oddly with f contains a connected cycle that
+    does too and weighs no more.  That cycle crosses an odd number of
+    f's columns, so it passes through the lower end of one of them, and
+    the search from that node finds a closed walk of odd parity no
+    longer than it.  A free column in f's support is a vector of weight
+    1 by itself.  Among several lightest vectors, the one returned
+    depends on the functionals' supports, not only on their classes.
     """
     n = check.cols
     if not functionals:
@@ -106,22 +112,27 @@ def _min_weight_logical(check: Gf2Matrix,
     n_nodes = check.rows + 1
     adj: list[list[tuple[int, int]]] = [[] for _ in range(n_nodes)]
     ends: list[int] = [0] * n  # XOR of an edge's two end nodes
-    free: list[int] = []       # columns of weight 0
+    lower: list[int] = [-1] * n  # an edge's first end node, -1 if free
     for e, ab in enumerate(_check_graph(check)):
         if ab is None:
-            free.append(e)
             continue
         a, b = ab
         adj[a].append((b, e))
         adj[b].append((a, e))
         ends[e] = a ^ b
+        lower[e] = a
     best: tuple[int, int] | None = None  # (weight, bits)
     for f in functionals:
         tau = [(f.bits >> e) & 1 for e in range(n)]
-        for e in free:
-            if tau[e] and (best is None or (1, 1 << e) < best):
-                best = (1, 1 << e)
-        for start in range(n_nodes):
+        starts = set()
+        for e in range(n):
+            if not tau[e]:
+                continue
+            if lower[e] >= 0:
+                starts.add(lower[e])
+            elif best is None or (1, 1 << e) < best:
+                best = (1, 1 << e)  # a free column pairing oddly
+        for start in sorted(starts):
             # BFS over states 2 * node + parity, from (start, 0) until
             # (start, 1) is reached or no walk can beat the best so far
             via = [-1] * (2 * n_nodes)  # edge that first reached a state
@@ -170,12 +181,15 @@ def _min_essential(fe: Gf2Matrix, ve: Gf2Matrix) -> tuple[int, Gf2Vector]:
 
 
 def systole(c: Cellulation) -> tuple[int, Gf2Vector]:
-    """(length, witness) of a shortest essential cycle."""
+    """(length, witness): a shortest essential cycle, not a canonical one."""
     fe, ve = surface.incidence_matrices(c)
     return _min_essential(fe, ve)
 
 
 def dual_systole(c: Cellulation) -> tuple[int, Gf2Vector]:
-    """Shortest essential dual cycle: the roles of the incidences swap."""
+    """Shortest essential dual cycle: the roles of the incidences swap.
+
+    As for ``systole``, the witness is a shortest one, not a canonical one.
+    """
     fe, ve = surface.incidence_matrices(c)
     return _min_essential(ve, fe)

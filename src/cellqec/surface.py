@@ -290,8 +290,11 @@ class FlagMap:
         two connected maps are isomorphic iff their forms are equal.
 
         Labels take one byte each up to 256 flags and two big-endian
-        bytes each above that.
+        bytes each above that.  The empty map, with no start flag, has
+        the empty form b"".
         """
+        if not self.n:
+            return b""
         best = min(self._bfs_code(f) for f in self._start_flags())
         if self.n <= 256:
             return bytes(best)

@@ -3,11 +3,13 @@
 The library computes every systole and code distance with the
 parity-cover search in ``homology``, and decodes by matching in
 ``decoder``.  These oracles answer the same questions with a different
-algorithm -- a Gray-code search of a coset -- so tests can cross-check
-both.  They are exponential in the subspace dimension: keep their
-inputs small.
+algorithm -- a Gray-code search of a coset, or a scan of supports by
+weight -- so tests can cross-check both.  They are exponential in the
+subspace dimension or in the distance: keep their inputs small.
 """
 from __future__ import annotations
+
+import itertools
 
 from cellqec import gf2, homology
 from cellqec.gf2 import Gf2Matrix, Gf2Vector
@@ -32,6 +34,23 @@ def coset_min_essential(fe: Gf2Matrix, ve: Gf2Matrix) -> int:
                 offset ^= r
         weights.append(gf2.min_weight_in_coset(boundary_basis, offset)[0])
     return min(weights)
+
+
+def support_min_essential(fe: Gf2Matrix, ve: Gf2Matrix) -> int:
+    """Minimum weight over ker(ve) \\ rowspace(fe), support by support.
+
+    Tries every support in order of weight.  It costs about C(n, d)
+    steps for distance d, so it suits a small d over a rowspace(fe) too
+    large for ``coset_min_essential``.
+    """
+    boundary_basis = fe.row_vectors()
+    for w in range(1, fe.cols + 1):
+        for support in itertools.combinations(range(fe.cols), w):
+            v = Gf2Vector.from_support(fe.cols, support)
+            if (ve.mul_vector(v).is_zero()
+                    and not gf2.in_span(boundary_basis, v)):
+                return w
+    raise homology.TrivialHomologyError("surface has trivial first homology")
 
 
 def coset_min_weight_chain(checks: Gf2Matrix, syn: Gf2Vector) -> Gf2Vector | None:

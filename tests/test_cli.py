@@ -1,13 +1,31 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
 
 import pytest
+from coset_oracle import coset_min_essential, support_min_essential
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import cellqec
-from cellqec import cli, surface
+from cellqec import cli, stabilizer, surface
+
+
+@st.composite
+def _small_patch_docs(draw):
+    """A planar patch spec: up to two holes at any position in or
+    around a patch of width and height 1..4."""
+    width, height = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    holes = draw(st.lists(st.tuples(st.integers(-1, width),
+                                    st.integers(-1, height),
+                                    st.integers(1, 2), st.integers(1, 2)),
+                          max_size=2))
+    return {"width": width, "height": height,
+            "holes": [list(h) for h in holes]}
 
 
 def run(capsys, argv):
@@ -247,6 +265,37 @@ class TestPlanar:
         doc = json.loads(out)
         assert doc["parameters"][1] == 2
 
+    # holes anywhere in and around small patches, so most are invalid;
+    # d_x is checked by a scan of supports, since d_x <= 2 at these sizes
+    # while rowspace(z_stabilizers) is too large for a coset search
+    @settings(max_examples=60, deadline=None)
+    @given(doc=_small_patch_docs())
+    @example(doc={"width": 4, "height": 4, "holes": [[1, 1, 1, 1],
+                                                     [2, 2, 1, 1]]})
+    @example(doc={"width": 4, "height": 3, "holes": [[1, 1, 1, 1],
+                                                     [2, 1, 1, 1]]})
+    @example(doc={"width": 4, "height": 4, "holes": [[1, 1, 2, 2]]})
+    def test_holes_spec_against_the_oracles(self, tmp_path_factory, doc):
+        spec = tmp_path_factory.mktemp("spec") / "patch.json"
+        spec.write_text(json.dumps(doc))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(["planar", "holes", "--spec", str(spec)])
+        assert code in (0, 1)
+        assert "Traceback" not in err.getvalue()
+        if code == 1:
+            assert out.getvalue() == ""
+            return
+        built = stabilizer.build_punctured_disk_code(
+            stabilizer.PlanarPatch.from_json_dict(doc))
+        assert json.loads(out.getvalue())["parameters"] == list(
+            built.parameters())
+        assert built.k == len(doc["holes"])
+        if built.k:
+            x_stab, z_stab = built.x_stabilizers, built.z_stabilizers
+            assert built.d_z == coset_min_essential(x_stab, z_stab)
+            assert built.d_x == support_min_essential(z_stab, x_stab)
+
 
 class TestLogicalOperators:
     # sha256 of stdout, which carries the paired logical operators; these
@@ -260,7 +309,12 @@ class TestLogicalOperators:
          "fb03dd3ae344d4ad884f77bba0e185a655147293b2e9ef7c255a6113e8c9d6aa"),
         (["planar", "puncture", "toric(3,3)", "--face", "0", "--vertex", "0"],
          "01d591e74497a01fe76e533882ec0a23393c39e261b881a2ac9a9508647f0478"),
-    ], ids=["fig1", "fig2", "toric33", "puncture-toric33"])
+        (["code", "stabilizers", "toric(8,8)"],
+         "e6b40766bf017a382b94bb428755803bccaa071d435e3431cde17490eefa0c3e"),
+        (["planar", "holes"],
+         "fc751b7ebc91ffe36d5244508bc5f519ca2cb46c47113e318377f305474d9143"),
+    ], ids=["fig1", "fig2", "toric33", "puncture-toric33", "toric88",
+            "planar-holes"])
     def test_stdout_is_pinned(self, capsys, argv, digest):
         code, out, _ = run(capsys, argv)
         assert code == 0

@@ -1,6 +1,8 @@
+import random
+
 import pytest
 
-from cellqec import homology, surface
+from cellqec import homology, stabilizer, surface
 from cellqec.gf2 import Gf2Matrix, Gf2Vector
 from cellqec.surface import Cellulation
 
@@ -117,3 +119,65 @@ class TestCheckGraph:
         with pytest.raises(homology.UnsupportedCheckStructure,
                            match="column 0 touches 3 generators"):
             homology._check_graph(check)
+
+
+def _searched_sides(label, x_stab, z_stab):
+    """pytest params (check, functionals) of both distance searches."""
+    x_side = homology._class_representatives(z_stab, x_stab)
+    z_side = homology._class_representatives(x_stab, z_stab)
+    if not x_side:
+        return []
+    return [pytest.param(z_stab, x_side, id=f"{label}-d_z"),
+            pytest.param(x_stab, z_side, id=f"{label}-d_x")]
+
+
+def _start_rule_cases():
+    cases = []
+    names = dict.fromkeys(surface.closed_catalog_names()
+                          + [f"toric({m},{m})" for m in range(2, 6)])
+    for name in names:
+        fe, ve = surface.incidence_matrices(surface.catalog(name))
+        cases += _searched_sides(name, fe, ve)
+    punctured = stabilizer.puncture(surface.fig4_shor(), 6, 0).code
+    cases += _searched_sides("puncture-fig4_shor-6-0",
+                             punctured.x_stabilizers, punctured.z_stabilizers)
+    planar = stabilizer.build_punctured_disk_code(
+        stabilizer.planar_two_holes_patch())
+    cases += _searched_sides("planar-two-holes",
+                             planar.x_stabilizers, planar.z_stabilizers)
+    return cases
+
+
+class TestStartRule:
+    # the search starts only at the lower end of each column a functional
+    # hits, so moving a functional within its class moves the starts
+    @pytest.mark.parametrize("check,functionals", _start_rule_cases())
+    def test_shifted_functionals_keep_the_distance(self, check,
+                                                    functionals):
+        d, witness = homology._min_weight_logical(check, functionals)
+        assert witness.weight == d
+        assert check.mul_vector(witness).is_zero()
+        rng = random.Random(12)
+        for _ in range(5):
+            shifted = []
+            for f in functionals:
+                bits = f.bits
+                for row in check.row_bits:
+                    if rng.random() < 0.5:
+                        bits ^= row
+                shifted.append(Gf2Vector(f.n, bits))
+            assert homology._min_weight_logical(check, shifted)[0] == d
+
+    def test_zero_column_in_the_support_gives_distance_one(self):
+        # columns: rows 0 and 1, row 1 alone, no row
+        check = Gf2Matrix(2, 3, (0b001, 0b011))
+        d, witness = homology._min_weight_logical(
+            check, [Gf2Vector.from_support(3, [0, 2])])
+        assert (d, witness) == (1, Gf2Vector.from_support(3, [2]))
+
+    def test_zero_column_outside_the_support_is_skipped(self):
+        # columns 0 and 1 both join row 0 to the boundary, column 2 is zero
+        check = Gf2Matrix(1, 3, (0b011,))
+        d, witness = homology._min_weight_logical(
+            check, [Gf2Vector.from_support(3, [0])])
+        assert (d, witness) == (2, Gf2Vector.from_support(3, [0, 1]))

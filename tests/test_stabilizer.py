@@ -29,6 +29,8 @@ class TestBuildCode:
         ("toric(6,6)", (72, 2, 6, 6)),
         ("toric(8,8)", (128, 2, 8, 8)),
         ("toric(12,12)", (288, 2, 12, 12)),
+        ("toric(3,5)", (30, 2, 3, 3)),
+        ("toric(2,7)", (28, 2, 2, 2)),
     ])
     def test_parameters(self, name, params):
         code = stabilizer.build_code(surface.catalog(name))

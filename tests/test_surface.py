@@ -317,6 +317,13 @@ class TestCanonicalForm:
         assert len(square) == len(long) == 3 * 512 * 2
         assert square != long
 
+    def test_empty_map(self):
+        empty = Cellulation(0, (), ())
+        assert surface.canonical_form(empty) == b""
+        assert FlagMap([], [], []).canonical_form() == b""
+        assert surface.isomorphic(empty, empty)
+        assert not surface.isomorphic(empty, surface.rp2_minimal())
+
 
 class TestIncidence:
     def test_boundary_of_boundary_vanishes(self):
