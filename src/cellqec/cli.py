@@ -7,6 +7,7 @@ seeds); human-readable summaries go to standard error.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -208,7 +209,13 @@ def _probabilities(text: str) -> list[float]:
     return values
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process.
+
+    parse_args never changes the parser and returns a fresh Namespace,
+    so one parser serves every call of main.
+    """
     parser = argparse.ArgumentParser(
         prog="cellqec",
         description="CSS codes from cellulations of closed surfaces")

@@ -1,5 +1,12 @@
 """Z2 homology of a cellulation: H1, essential cycles, systoles.
 
+Class representatives of ker(ve) / rowspace(fe) -- the logical classes
+of every code and the functionals of every systole -- come from the two
+check graphs, ``_class_representatives``: a spanning forest of ve's
+graph, a forest of fe's graph over the columns the first one leaves
+out, and the cycles that the remaining columns close in the first
+forest.  No GF(2) elimination is involved.
+
 Every minimum-weight-nontrivial-vector question in the library -- the
 primal and dual systoles here, and the code distances in ``stabilizer``
 -- is answered by one exact engine, ``_min_weight_logical``: a
@@ -10,8 +17,9 @@ its nodes are the rows of a check matrix plus one boundary node, and
 each column is an edge.  It requires every check column to have weight
 <= 2 (true of every cellulation incidence matrix and planar check
 matrix) and raises ``UnsupportedCheckStructure`` otherwise.  The
-exhaustive coset search ``gf2.min_weight_in_coset`` is not used here; the
-tests keep it as an independent oracle.
+exhaustive coset search ``gf2.min_weight_in_coset`` and the greedy pass
+over ``gf2.kernel_basis`` are not used here; the tests keep them as
+independent oracles.
 """
 from __future__ import annotations
 
@@ -49,20 +57,99 @@ def is_essential(c: Cellulation, chain: Gf2Vector) -> bool:
     return not gf2.in_span(fe.row_vectors(), chain)
 
 
-def _class_representatives(fe: Gf2Matrix, ve: Gf2Matrix) -> list[Gf2Vector]:
-    """A basis of ker(ve) / rowspace(fe): kernel vectors, one per new class.
+def _forest(ends: Sequence[tuple[int, int] | None], n_nodes: int,
+            columns: Sequence[int]) -> list[int]:
+    """The columns, in the given order, that join two trees so far.
 
-    Kernel basis vectors are kept greedily, each one independent of the
-    boundaries and of the vectors kept before it.
+    A union-find over the n_nodes nodes of a check graph; ends is what
+    ``_check_graph`` gives.  A column of weight 0 never joins.
     """
-    reduced = gf2._eliminate(list(fe.row_bits), fe.cols)
+    root = list(range(n_nodes))
+
+    def find(a: int) -> int:
+        while root[a] != a:
+            root[a] = root[root[a]]
+            a = root[a]
+        return a
+
+    joined = []
+    for e in columns:
+        ab = ends[e]
+        if ab is None:
+            continue
+        a, b = find(ab[0]), find(ab[1])
+        if a != b:
+            root[a] = b
+            joined.append(e)
+    return joined
+
+
+def _class_representatives(fe: Gf2Matrix, ve: Gf2Matrix) -> list[Gf2Vector]:
+    """A basis of ker(ve) / rowspace(fe), from the two check graphs.
+
+    The rows of fe must lie in ker(ve), as commuting checks' do, and both
+    checks must have column weights <= 2 (``_check_graph``).  Let F be
+    the spanning forest of ve's check graph that Kruskal's rule builds
+    from the columns in ascending order, and N the columns F leaves out.
+    Let F* be the forest of fe's check graph built the same way from the
+    columns of N only, in descending order.  For each column e of N not
+    in F*, in ascending order, the representative is e plus the path in
+    F between e's two ends (e alone for a column of weight 0).
+
+    These are exactly the vectors that a greedy pass over
+    ``gf2.kernel_basis(ve)`` keeps, each one kept iff it is independent
+    of rowspace(fe) and of the vectors kept before it, in that order:
+
+    - ``kernel_basis`` eliminates the columns of ve in ascending order,
+      and a column is a pivot iff it joins two trees of the earlier
+      pivots, so the pivots are F and the kernel basis is the list of
+      F's fundamental cycles, one per column of N, in ascending order.
+    - Restricting to the coordinates of N is injective on ker(ve) (F has
+      no cycle) and sends the cycle of column j to the unit vector e_j.
+      The greedy pass then keeps j iff no vector of rowspace(fe),
+      restricted to N, has j as its highest column.  Those highest
+      columns are the columns of fe|N independent of all the columns
+      above them: the descending greedy basis of fe|N's column matroid,
+      which is F*.
+    """
+    ve_ends, fe_ends = _check_graph(ve), _check_graph(fe)
+    n = ve.cols
+    tree = _forest(ve_ends, ve.rows + 1, range(n))
+    in_tree = set(tree)
+    cotree = [e for e in range(n) if e not in in_tree]
+    in_fstar = set(_forest(fe_ends, fe.rows + 1, cotree[::-1]))
+    kept = [e for e in cotree if e not in in_fstar]
+    # parent edges and depths of F, from one DFS per tree
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(ve.rows + 1)]
+    for e in tree:
+        a, b = ve_ends[e]
+        adj[a].append((b, e))
+        adj[b].append((a, e))
+    parent: list[tuple[int, int] | None] = [None] * (ve.rows + 1)
+    depth = [-1] * (ve.rows + 1)
+    for r in range(ve.rows + 1):
+        if depth[r] >= 0:
+            continue
+        depth[r] = 0
+        stack = [r]
+        while stack:
+            a = stack.pop()
+            for b, e in adj[a]:
+                if depth[b] < 0:
+                    depth[b] = depth[a] + 1
+                    parent[b] = (a, e)
+                    stack.append(b)
     reps = []
-    for v in gf2.kernel_basis(ve):
-        r = gf2._remainder(reduced, v.bits)
-        if r:
-            # r holds no earlier pivot bit, so it extends the echelon
-            reduced.append(r)
-            reps.append(v)
+    for e in kept:
+        bits = 1 << e
+        if ve_ends[e] is not None:
+            a, b = ve_ends[e]
+            while a != b:
+                if depth[a] < depth[b]:
+                    a, b = b, a
+                a, pe = parent[a]
+                bits ^= 1 << pe
+        reps.append(Gf2Vector(n, bits))
     return reps
 
 

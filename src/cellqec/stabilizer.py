@@ -7,13 +7,14 @@ ker(vertex_edge) \\ rowspace(face_edge); logical_z dually.
 
 Closed-surface and planar codes are finished by the same code,
 ``_code_from_checks``: k is the number of logical class representatives
-(the checks commute, which is why ``build_code`` validates its
-cellulation first), both distances come from the parity-cover search
-``homology._min_weight_logical`` on the check matrices, which needs
-every check column to have weight <= 2, and the logical operators are
-class representatives paired by ``_normalize_pairing``, which solves the
-Gram system with ``gf2.solve`` (valid, not necessarily of minimum
-weight).
+that ``homology._class_representatives`` reads off the check graphs (the
+checks must commute, which is why ``build_code`` validates its
+cellulation first, and every check column must have weight <= 2, even
+when k = 0), both distances come from the parity-cover search
+``homology._min_weight_logical`` on the check matrices, and the logical
+operators are class representatives paired by ``_normalize_pairing``,
+which solves the Gram system with ``gf2.solve`` (valid, not necessarily
+of minimum weight).
 """
 from __future__ import annotations
 
@@ -22,7 +23,7 @@ from dataclasses import dataclass, field
 
 from . import gf2, homology, surface
 from .gf2 import Gf2Matrix, Gf2Vector
-# UnsupportedCheckStructure is re-exported: the distances here raise it
+# UnsupportedCheckStructure is re-exported: building a code raises it
 from .homology import UnsupportedCheckStructure, _min_weight_logical  # noqa: F401
 from .surface import Cellulation
 
@@ -128,7 +129,9 @@ def _code_from_checks(x_stab: Gf2Matrix, z_stab: Gf2Matrix) -> CssCode:
     """k, both distances and paired logical operators of a CSS code.
 
     The checks must commute (as a valid cellulation's do), so that k is
-    the number of logical classes on either side.
+    the number of logical classes on either side, and every check column
+    must have weight <= 2; UnsupportedCheckStructure is raised otherwise,
+    also when k = 0.
     """
     n = x_stab.cols
     # x_side spans ker(x_stab) / rowspace(z_stab), z_side the reverse

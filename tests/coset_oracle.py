@@ -1,11 +1,13 @@
 """Independent oracles for the distance engine and the decoder.
 
 The library computes every systole and code distance with the
-parity-cover search in ``homology``, and decodes by matching in
+parity-cover search in ``homology``, takes its class representatives
+from the check graphs' spanning forests, and decodes by matching in
 ``decoder``.  These oracles answer the same questions with a different
-algorithm -- a Gray-code search of a coset, or a scan of supports by
-weight -- so tests can cross-check both.  They are exponential in the
-subspace dimension or in the distance: keep their inputs small.
+algorithm -- a greedy pass over a GF(2) kernel basis, a Gray-code search
+of a coset, or a scan of supports by weight -- so tests can cross-check
+them.  The last two are exponential in the subspace dimension or in the
+distance: keep their inputs small.
 """
 from __future__ import annotations
 
@@ -15,14 +17,21 @@ from cellqec import gf2, homology
 from cellqec.gf2 import Gf2Matrix, Gf2Vector
 
 
-def coset_min_essential(fe: Gf2Matrix, ve: Gf2Matrix) -> int:
-    """Minimum weight over ker(ve) \\ rowspace(fe), one coset per class."""
+def greedy_representatives(fe: Gf2Matrix, ve: Gf2Matrix) -> list[Gf2Vector]:
+    """The vectors of gf2.kernel_basis(ve), in order, that are independent
+    of rowspace(fe) and of the vectors kept before them."""
     reps = []
     span = fe.row_vectors()
     for v in gf2.kernel_basis(ve):
         if not gf2.in_span(span, v):
             reps.append(v)
             span.append(v)
+    return reps
+
+
+def coset_min_essential(fe: Gf2Matrix, ve: Gf2Matrix) -> int:
+    """Minimum weight over ker(ve) \\ rowspace(fe), one coset per class."""
+    reps = greedy_representatives(fe, ve)
     if not reps:
         raise homology.TrivialHomologyError("surface has trivial first homology")
     boundary_basis = fe.row_vectors()

@@ -13,12 +13,18 @@ from cellqec.search import EnumerationConstraints
 from cellqec.surface import Cellulation
 
 
-def sample_small_cellulations(count: int, seed: int,
-                              max_edges: int = 3) -> list[Cellulation]:
-    """Deterministic sample from the census of all closed surfaces."""
+def small_cellulation_pool(max_edges: int = 3) -> list[Cellulation]:
+    """The census of all closed surfaces with 1..max_edges edges."""
     pool: list[Cellulation] = []
     for e in range(1, max_edges + 1):
         pool.extend(search.enumerate_cellulations(EnumerationConstraints(e)))
+    return pool
+
+
+def sample_small_cellulations(count: int, seed: int,
+                              max_edges: int = 3) -> list[Cellulation]:
+    """Deterministic sample from the census of all closed surfaces."""
+    pool = small_cellulation_pool(max_edges)
     rng = random.Random(seed)
     if count >= len(pool):
         picks = [pool[rng.randrange(len(pool))]

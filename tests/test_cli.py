@@ -299,7 +299,7 @@ class TestPlanar:
 
 class TestLogicalOperators:
     # sha256 of stdout, which carries the paired logical operators; these
-    # bytes are what the GF(2) elimination order decides
+    # bytes are what the order of the check graph's spanning forest decides
     @pytest.mark.parametrize("argv,digest", [
         (["code", "stabilizers", "fig1_hemi_icosahedron"],
          "45c6745bb8a267f6f3baa5349469873100d5e0011daa8c2f290be80eaefc69d8"),
@@ -432,3 +432,22 @@ class TestErrors:
         with pytest.raises(SystemExit) as exc:
             cli.main(["decode", "sweep"])  # missing required flags
         assert exc.value.code == 2
+
+
+class TestParserReuse:
+    def test_calls_share_one_parser_and_no_state(self, capsys):
+        assert cli.build_parser() is cli.build_parser()
+        a = ["code", "stabilizers", "fig4_shor"]
+        first = run(capsys, a)
+        assert first[0] == 0
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["decode", "sweep"])
+        assert exc.value.code == 2
+        assert "usage: cellqec" in capsys.readouterr().err
+        code, out, _ = run(capsys, ["search", "census", "--edges", "3",
+                                    "--vertices", "2"])
+        assert code == 0 and json.loads(out)["classes_examined"] == 9
+        # --vertices must not carry over into the next call
+        code, out, _ = run(capsys, ["search", "census", "--edges", "3"])
+        assert code == 0 and json.loads(out)["classes_examined"] == 19
+        assert run(capsys, a) == first

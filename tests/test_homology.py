@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from coset_oracle import greedy_representatives
+from sampling import small_cellulation_pool
 
 from cellqec import homology, stabilizer, surface
 from cellqec.gf2 import Gf2Matrix, Gf2Vector
@@ -119,6 +121,49 @@ class TestCheckGraph:
         with pytest.raises(homology.UnsupportedCheckStructure,
                            match="column 0 touches 3 generators"):
             homology._check_graph(check)
+
+
+def _representative_cases():
+    """pytest params (fe, ve): both sides of catalog, toric, planar,
+    punctured and sampled checks."""
+    checks = []
+    names = dict.fromkeys(
+        surface.closed_catalog_names()
+        + ["toric(1,1)", "toric(1,5)", "toric(2,7)", "toric(3,5)"]
+        + [f"toric({m},{m})" for m in range(2, 9)])
+    for name in names:
+        checks.append((name, surface.incidence_matrices(surface.catalog(name))))
+    patches = {
+        "two-holes": stabilizer.planar_two_holes_patch(),
+        "3x3-one-hole": stabilizer.PlanarPatch(3, 3, ((1, 1, 1, 1),)),
+        "3x3-no-hole": stabilizer.PlanarPatch(3, 3, ()),
+        "5x5-adjacent-holes": stabilizer.PlanarPatch(
+            5, 5, ((1, 1, 1, 1), (2, 1, 1, 1))),
+    }
+    for label, patch in patches.items():
+        code = stabilizer.build_punctured_disk_code(patch)
+        checks.append((f"planar-{label}",
+                       (code.x_stabilizers, code.z_stabilizers)))
+    for name, face, vertex in [("fig4_shor", 6, 0), ("toric(3,3)", 0, 0)]:
+        code = stabilizer.puncture(surface.catalog(name), face, vertex).code
+        checks.append((f"puncture-{name}-{face}-{vertex}",
+                       (code.x_stabilizers, code.z_stabilizers)))
+    for i, c in enumerate(small_cellulation_pool()):
+        checks.append((f"pool-{i}", surface.incidence_matrices(c)))
+    cases = []
+    for label, (fe, ve) in checks:
+        cases += [pytest.param(fe, ve, id=f"{label}-primal"),
+                  pytest.param(ve, fe, id=f"{label}-dual")]
+    return cases
+
+
+class TestClassRepresentatives:
+    # the forest/cotree rule must keep exactly the kernel vectors, in the
+    # same order, that a greedy pass over the GF(2) kernel basis keeps
+    @pytest.mark.parametrize("fe,ve", _representative_cases())
+    def test_matches_the_greedy_kernel_oracle(self, fe, ve):
+        assert (homology._class_representatives(fe, ve)
+                == greedy_representatives(fe, ve))
 
 
 def _searched_sides(label, x_stab, z_stab):

@@ -140,6 +140,17 @@ class TestDistance:
         with pytest.raises(stabilizer.UnsupportedCheckStructure):
             stabilizer.css_distance(code)
 
+    def test_weight_three_column_is_rejected_when_k_is_zero(self):
+        # columns 0 and 1 are in all three X checks; the Z check commutes
+        # with each, and ker(x_stab) = rowspace(z_stab), so k = 0
+        x_stab = Gf2Matrix(3, 2, (0b11, 0b11, 0b11))
+        z_stab = Gf2Matrix(1, 2, (0b11,))
+        assert stabilizer.commutes(stabilizer.CssCode(2, x_stab, z_stab, 0,
+                                                      None, None))
+        with pytest.raises(stabilizer.UnsupportedCheckStructure,
+                           match="column 0 touches 3 generators"):
+            stabilizer._code_from_checks(x_stab, z_stab)
+
 
 class TestHadamardDuality:
     @pytest.mark.parametrize("name", ["rp2_minimal", "fig1_hemi_icosahedron",
