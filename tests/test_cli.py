@@ -158,6 +158,15 @@ class TestDecode:
                        "0.05,0.05,40,2,0,1\n"
                        "0.1,0.1,40,12,8,1\n")
 
+    def test_sweep_with_both_matchings_matches_pinned_output(self, capsys):
+        # stdout of the blossom-only decoder; 30 of these chains have more
+        # than 14 defects, so both the subset DP and the blossom run
+        code, out, _ = run(capsys, ["decode", "sweep", "toric(8,8)", "--p",
+                                    "0.1", "--trials", "20", "--seed", "1"])
+        assert code == 0
+        assert out == ("p_x,p_z,trials,x_failures,z_failures,seed\n"
+                       "0.1,0.1,20,5,3,1\n")
+
     def test_exhaustive_matches_pinned_output(self, capsys):
         code, out, _ = run(capsys, ["decode", "exhaustive", "fig4_shor",
                                     "--weight", "2"])
@@ -183,6 +192,15 @@ class TestDecode:
         env = dict(os.environ, PYTHONPATH=src)
         probe = ("import sys, cellqec.cli; "
                  "sys.exit('networkx' in sys.modules)")
+        assert subprocess.run([sys.executable, "-c", probe], env=env,
+                              timeout=60).returncode == 0
+
+    def test_cli_import_does_not_load_numpy(self):
+        # numpy is loaded only to sample monte_carlo's errors
+        src = os.path.dirname(os.path.dirname(cellqec.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        probe = ("import sys, cellqec.cli; "
+                 "sys.exit('numpy' in sys.modules)")
         assert subprocess.run([sys.executable, "-c", probe], env=env,
                               timeout=60).returncode == 0
 

@@ -1,5 +1,6 @@
 import functools
 import itertools
+import random
 
 import numpy as np
 import pytest
@@ -205,6 +206,59 @@ class TestCorrect:
                 graph.min_weight_chain(syn)
         else:
             assert graph.min_weight_chain(syn) == expected
+
+    @pytest.mark.parametrize("name", ["toric(8,8)", "planar two holes"])
+    def test_subset_dp_equals_the_blossom(self, name):
+        # networkx's blossom is the oracle at every size, also above the
+        # DP's cutoff and the coset search's reach
+        import networkx as nx
+
+        if name == "toric(8,8)":  # closed: the boundary node is isolated
+            checks = _code(name).z_stabilizers
+        else:  # weight-1 columns: edges to the boundary node
+            checks = stabilizer.build_punctured_disk_code(
+                stabilizer.planar_two_holes_patch()).x_stabilizers
+        graph = decoder.CheckGraph.build(checks)
+        n, boundary = checks.cols, graph.boundary
+        pool = [v for v in range(boundary + 1)
+                if graph.dist[0][v] is not None]
+        assert (boundary in pool) == (name != "toric(8,8)")
+        rng = random.Random(14)
+        for size in range(2, 21, 2):
+            for _ in range(3):
+                nodes = sorted(rng.sample(pool, size))
+                weight, bits = graph._min_matching(nodes)
+                g = nx.Graph()
+                for a, b in itertools.combinations(nodes, 2):
+                    g.add_edge(a, b, weight=graph.dist[a][b])
+                pairs = nx.min_weight_matching(g)
+                assert weight == sum(graph.dist[a][b] for a, b in pairs)
+                blossom = 0
+                for a, b in pairs:
+                    blossom ^= graph.path[a][b]
+                syn = Gf2Vector.from_support(
+                    boundary, [v for v in nodes if v != boundary])
+                chain = graph.min_weight_chain(syn)
+                assert chain.bits == bits == blossom
+                # the matched paths are edge-disjoint
+                assert weight == sum((1 << n) - (1 << (n - 1 - j))
+                                     for j in chain.support())
+
+    def test_even_defects_in_two_components_rejected(self):
+        # check graph 0 - 1 - 2 (columns 0, 1) and 3 - 4 (column 2); no
+        # weight-1 column, so the boundary node is isolated
+        checks = gf2.Gf2Matrix.from_rows([[1, 0, 0], [1, 1, 0], [0, 1, 0],
+                                          [0, 0, 1], [0, 0, 1]])
+        graph = decoder.CheckGraph.build(checks)
+        for support in ([0, 3], [2, 4], [0, 1, 2, 3]):
+            syn = Gf2Vector.from_support(5, support)
+            assert gf2.solve(checks, syn) is None
+            with pytest.raises(decoder.InconsistentSyndrome):
+                graph.min_weight_chain(syn)
+        for support, chain in (([0, 2], [0, 1]), ([3, 4], [2])):
+            assert graph.min_weight_chain(
+                Gf2Vector.from_support(5, support)) == \
+                Gf2Vector.from_support(3, chain)
 
     def test_weight_three_column_is_rejected(self):
         checks = gf2.Gf2Matrix.from_rows([[1], [1], [1]])
