@@ -196,6 +196,14 @@ def _non_negative_int(text: str) -> int:
     return value
 
 
+def _seed(text: str) -> int:
+    value = _non_negative_int(text)
+    if value >> 128:  # the Philox key of decoder.monte_carlo
+        raise argparse.ArgumentTypeError(
+            f"must be less than 2**128, got {value}")
+    return value
+
+
 def _probabilities(text: str) -> list[float]:
     values = []
     for item in text.split(","):
@@ -251,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=_probabilities, required=True,
                    help="comma-separated error probabilities")
     p.add_argument("--trials", type=_non_negative_int, required=True)
-    p.add_argument("--seed", type=_non_negative_int, required=True)
+    p.add_argument("--seed", type=_seed, required=True)
     p.set_defaults(func=_cmd_decode_sweep)
     p = dec_sub.add_parser("exhaustive")
     p.add_argument("cellulation")

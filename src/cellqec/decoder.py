@@ -14,21 +14,23 @@ Up to 14 nodes to match (defects and boundary) the matching is an exact
 DP over subsets; above that it is the ``networkx`` blossom, loaded only
 then.  Every minimum matching's paths XOR to the one minimum T-join
 (``CheckGraph.min_weight_chain``), so the two give the same chain.
-numpy is loaded only to sample the errors of ``monte_carlo``.
+
+Trials are decoded on bit sets (Python ints, bit j = column j):
+``DecodingTables.failures`` takes an error's two sides and returns its
+two failure verdicts, and ``syndrome``, ``correct``, ``is_failure`` and
+``decode_error`` wrap the same tables for ``Gf2Vector`` callers.  numpy
+is loaded only by ``_error_bits``, the sampler of ``monte_carlo``.
 """
 from __future__ import annotations
 
 import heapq
 import io
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import Iterator
 
 from . import gf2, homology
 from .gf2 import Gf2Matrix, Gf2Vector
 from .stabilizer import CssCode
-
-if TYPE_CHECKING:
-    import numpy as np
 
 RNG_ALGORITHM = "numpy-philox4x64(key=seed, counter hi word=trial)"
 
@@ -37,6 +39,10 @@ RNG_ALGORITHM = "numpy-philox4x64(key=seed, counter hi word=trial)"
 # toric(8,8), 14 nodes take 2.6 ms by the DP and 4.2 ms by the blossom,
 # 16 nodes 7.1 and 4.7 ms (2-vCPU VM).
 _DP_MAX_DEFECTS = 14
+
+# Doubles per draws array of _error_bits (512 KiB), so that its memory
+# does not grow with the trial count.
+_CHUNK_DRAWS = 1 << 16
 
 
 class InconsistentSyndrome(ValueError):
@@ -67,30 +73,24 @@ class Syndrome:
     x_checks: Gf2Vector  # face operator eigenvalue flips (from z errors)
 
 
-def syndrome(code: CssCode, err: ErrorPattern) -> Syndrome:
-    if err.x_errors.n != code.n:
-        raise gf2.LengthMismatch(f"{err.x_errors.n} != {code.n}")
-    return Syndrome(
-        z_checks=code.z_stabilizers.mul_vector(err.x_errors),
-        x_checks=code.x_stabilizers.mul_vector(err.z_errors),
-    )
-
-
 @dataclass(frozen=True)
 class CheckGraph:
-    """All-pairs shortest paths in the graph of one check matrix.
+    """The columns and all-pairs shortest paths of one check matrix.
 
     The graph is ``homology._check_graph``: nodes are the check rows plus
     a virtual boundary node (index ``boundary``), a column of weight 2 is
     an edge between its checks and a column of weight 1 an edge to the
-    boundary.  Columns of weight 0 are left out, as no minimum-weight
-    chain contains one.  Column j weighs 2^n - 2^(n-1-j) (see the module
-    docstring); no two edge sets weigh the same, so every shortest path
-    is unique.
+    boundary.  ``columns`` holds, per column, the bit set of the checks
+    it flips, read from the same ends, so a chain's syndrome is the XOR
+    of the columns over its set bits.  Columns of weight 0 are left out
+    of the paths, as no minimum-weight chain contains one.  Column j
+    weighs 2^n - 2^(n-1-j) (see the module docstring); no two edge sets
+    weigh the same, so every shortest path is unique.
     """
 
     cols: int
     boundary: int
+    columns: tuple[int, ...]                  # check bit set per column
     dist: tuple[tuple[int | None, ...], ...]  # None: no path
     path: tuple[tuple[int, ...], ...]         # column bit set of the path
 
@@ -98,10 +98,14 @@ class CheckGraph:
     def build(cls, checks: Gf2Matrix) -> "CheckGraph":
         n, boundary = checks.cols, checks.rows
         adj: list[list[tuple[int, int, int]]] = [[] for _ in range(boundary + 1)]
+        columns = []
         for e, ab in enumerate(homology._check_graph(checks)):
             if ab is None:
+                columns.append(0)
                 continue
             a, b = ab
+            # a column of weight 1 flips its check a only
+            columns.append((1 << a) | ((1 << b) if b != boundary else 0))
             w = (1 << n) - (1 << (n - 1 - e))
             adj[a].append((b, w, 1 << e))
             adj[b].append((a, w, 1 << e))
@@ -122,10 +126,26 @@ class CheckGraph:
                         heapq.heappush(heap, (du + w, v))
             dist.append(tuple(d))
             path.append(tuple(p))
-        return cls(n, boundary, tuple(dist), tuple(path))
+        return cls(n, boundary, tuple(columns), tuple(dist), tuple(path))
+
+    def syndrome(self, chain: int) -> int:
+        """The bit set of the checks that the column bit set chain flips."""
+        syn = 0
+        while chain:
+            low = chain & -chain
+            syn ^= self.columns[low.bit_length() - 1]
+            chain ^= low
+        return syn
 
     def min_weight_chain(self, syn: Gf2Vector) -> Gf2Vector:
-        """The chain with syndrome syn that is smallest by sort_key.
+        """The chain with syndrome syn that is smallest by sort_key."""
+        if syn.n != self.boundary:
+            raise gf2.LengthMismatch(f"{syn.n} != {self.boundary}")
+        return Gf2Vector(self.cols, self.chain(syn.bits))
+
+    def chain(self, syn: int) -> int:
+        """The column bit set of ``min_weight_chain`` for the check bit
+        set syn.
 
         The defects, plus the boundary when their count is odd, are
         matched in pairs at minimum total distance, and the matched
@@ -142,9 +162,13 @@ class CheckGraph:
         paths of every minimum matching are edge-disjoint and XOR to a
         minimum T-join, and the column weights make that one unique.
         """
-        if syn.n != self.boundary:
-            raise gf2.LengthMismatch(f"{syn.n} != {self.boundary}")
-        defects = list(syn.support())
+        if not syn:  # as most trials at low error rates: skip the DP set-up
+            return 0
+        defects = []
+        while syn:
+            low = syn & -syn
+            defects.append(low.bit_length() - 1)
+            syn ^= low
         if len(defects) % 2:
             defects.append(self.boundary)
         if len(defects) <= _DP_MAX_DEFECTS:
@@ -166,7 +190,7 @@ class CheckGraph:
                     bits ^= self.path[a][b]
         if bits is None:
             raise InconsistentSyndrome("syndrome outside the check image")
-        return Gf2Vector(self.cols, bits)
+        return bits
 
     def _min_matching(self, nodes: list[int]) -> tuple[int, int] | None:
         """(total weight, XOR of the paths) of a minimum-weight perfect
@@ -205,16 +229,74 @@ class CheckGraph:
 
 @dataclass(frozen=True)
 class DecodingTables:
-    """The check graphs every decode on one code reuses; build once per
-    code."""
+    """What every decode on one code reuses; build once per code.
+
+    The two check graphs and the bits of the code's logical operators.
+    ``failures`` decodes one error given as bit sets; the module's
+    ``Gf2Vector`` functions go through the same tables.
+    """
 
     z_graph: CheckGraph               # of z_stabilizers: corrects x errors
     x_graph: CheckGraph               # of x_stabilizers: corrects z errors
+    logical_x: tuple[int, ...]
+    logical_z: tuple[int, ...]
 
     @classmethod
     def build(cls, code: CssCode) -> "DecodingTables":
         return cls(z_graph=CheckGraph.build(code.z_stabilizers),
-                   x_graph=CheckGraph.build(code.x_stabilizers))
+                   x_graph=CheckGraph.build(code.x_stabilizers),
+                   logical_x=tuple(v.bits for v in code.logical_x),
+                   logical_z=tuple(v.bits for v in code.logical_z))
+
+    def failures(self, x_bits: int, z_bits: int) -> tuple[bool, bool]:
+        """(x_fail, z_fail) of decoding the error (x_bits, z_bits).
+
+        The syndrome of each side is matched to its minimum-weight chain,
+        and the residual, error plus chain, goes to ``_residual_failures``.
+        The code must carry k logical operators per side
+        (``_require_logicals``).
+        """
+        zg, xg = self.z_graph, self.x_graph
+        return self._residual_failures(x_bits ^ zg.chain(zg.syndrome(x_bits)),
+                                       z_bits ^ xg.chain(xg.syndrome(z_bits)))
+
+    def _residual_failures(self, res_x: int, res_z: int) -> tuple[bool, bool]:
+        """(x_fail, z_fail): does the residual act on the code space?
+
+        The residual must have zero syndrome, which by linearity says that
+        the correction reproduces the error's syndrome (else
+        SyndromeMismatch), so its bit-flip part r lies in
+        ker(z_stabilizers).  As ker(x_stabilizers) is spanned by
+        rowspace(z_stabilizers) and logical_z, r lies in
+        rowspace(x_stabilizers) iff it pairs evenly with every logical_z:
+        x_fail is an odd pairing with some logical_z, and z_fail dually
+        with logical_x.
+        """
+        if self.z_graph.syndrome(res_x) or self.x_graph.syndrome(res_z):
+            raise SyndromeMismatch("correction does not match the error syndrome")
+        return (any((res_x & lz).bit_count() & 1 for lz in self.logical_z),
+                any((res_z & lx).bit_count() & 1 for lx in self.logical_x))
+
+
+def _require_logicals(code: CssCode) -> None:
+    if len(code.logical_x) != code.k or len(code.logical_z) != code.k:
+        raise ValueError("code does not carry k logical operators per side")
+
+
+def syndrome(code: CssCode, err: ErrorPattern) -> Syndrome:
+    """The checks each side of err flips (``CheckGraph.syndrome``).
+
+    Each call builds ``DecodingTables``, shortest paths included; a loop
+    over many errors of one code builds them once.
+    """
+    if err.x_errors.n != code.n:
+        raise gf2.LengthMismatch(f"{err.x_errors.n} != {code.n}")
+    tables = DecodingTables.build(code)
+    zg, xg = tables.z_graph, tables.x_graph
+    return Syndrome(
+        z_checks=Gf2Vector(zg.boundary, zg.syndrome(err.x_errors.bits)),
+        x_checks=Gf2Vector(xg.boundary, xg.syndrome(err.z_errors.bits)),
+    )
 
 
 def correct(code: CssCode, syn: Syndrome,
@@ -235,33 +317,30 @@ def correct(code: CssCode, syn: Syndrome,
 
 def is_failure(code: CssCode, err: ErrorPattern,
                corr: ErrorPattern) -> tuple[bool, bool]:
-    """(x_fail, z_fail): does the residual act on the code space?
+    """(x_fail, z_fail) of the residual err + corr, by
+    ``DecodingTables._residual_failures``.
 
-    The residual err + corr must have zero syndrome, which by linearity
-    says that corr reproduces err's syndrome (else SyndromeMismatch), so
-    its bit-flip part r lies in ker(z_stabilizers).  As ker(x_stabilizers)
-    is spanned by rowspace(z_stabilizers) and logical_z, r lies in
-    rowspace(x_stabilizers) iff it pairs evenly with every logical_z:
-    x_fail is an odd pairing with some logical_z, and z_fail dually with
-    logical_x.  Raises ValueError when the code does not carry k
-    logical operators on each side.
+    Raises SyndromeMismatch when corr does not reproduce err's syndrome,
+    and ValueError when the code does not carry k logical operators on
+    each side.
     """
-    if len(code.logical_x) != code.k or len(code.logical_z) != code.k:
-        raise ValueError("code does not carry k logical operators per side")
-    res = ErrorPattern(err.x_errors ^ corr.x_errors,
-                       err.z_errors ^ corr.z_errors)
-    syn = syndrome(code, res)
-    if syn.z_checks.bits or syn.x_checks.bits:
-        raise SyndromeMismatch("correction does not match the error syndrome")
-    res_x, res_z = res.x_errors.bits, res.z_errors.bits
-    x_fail = any((res_x & lz.bits).bit_count() & 1 for lz in code.logical_z)
-    z_fail = any((res_z & lx.bits).bit_count() & 1 for lx in code.logical_x)
-    return x_fail, z_fail
+    _require_logicals(code)
+    res_x, res_z = err.x_errors ^ corr.x_errors, err.z_errors ^ corr.z_errors
+    if res_x.n != code.n:
+        raise gf2.LengthMismatch(f"{res_x.n} != {code.n}")
+    return DecodingTables.build(code)._residual_failures(res_x.bits,
+                                                         res_z.bits)
 
 
 def decode_error(code: CssCode, err: ErrorPattern,
                  tables: DecodingTables | None = None) -> tuple[bool, bool]:
-    return is_failure(code, err, correct(code, syndrome(code, err), tables))
+    """(x_fail, z_fail) of decoding err (``DecodingTables.failures``)."""
+    if err.x_errors.n != code.n:
+        raise gf2.LengthMismatch(f"{err.x_errors.n} != {code.n}")
+    _require_logicals(code)
+    if tables is None:
+        tables = DecodingTables.build(code)
+    return tables.failures(err.x_errors.bits, err.z_errors.bits)
 
 
 @dataclass(frozen=True)
@@ -283,36 +362,60 @@ class MonteCarloResult:
         return "p_x,p_z,trials,x_failures,z_failures,seed"
 
 
-def _trial_rng(seed: int, trial: int) -> np.random.Generator:
-    # independent stream per trial: results do not depend on how trials
-    # are partitioned across workers.  numpy is imported here and in
-    # _pack, its only users, so commands that never sample skip it.
+def _error_bits(seed: int, trials: range, n: int, p_x: float,
+                p_z: float) -> Iterator[tuple[int, int]]:
+    """(x_bits, z_bits) of each trial t in trials (a range of step 1).
+
+    Bit q of x_bits is draws[0][q] < p_x and of z_bits draws[1][q] < p_z,
+    where draws is ``Generator(Philox(key=seed, counter=t << 64))
+    .random((2, n))``: each trial has its own stream, so results do not
+    depend on how trials are partitioned.
+
+    One Philox runs through the range.  numpy's Philox steps the
+    counter's low word before each block of four outputs, so trial t's
+    2n draws end at counter (m, t), m = ceil(2n / 4); advancing by
+    2^64 - m moves it to (0, t + 1), where trial t + 1's own stream
+    starts, and drops the unused buffered outputs.  The draws of up to
+    ``_CHUNK_DRAWS`` doubles are compared and packed at once.
+    """
     import numpy as np
 
-    return np.random.Generator(np.random.Philox(key=seed, counter=trial << 64))
-
-
-def _pack(mask: np.ndarray) -> int:
-    """Bit q of the result is mask[q]."""
-    import numpy as np
-
-    return int.from_bytes(np.packbits(mask, bitorder="little").tobytes(),
-                          "little")
+    bitgen = np.random.Philox(key=seed, counter=trials.start << 64)
+    random, advance = np.random.Generator(bitgen).random, bitgen.advance
+    skip = (1 << 64) - (2 * n + 3) // 4
+    per_chunk = max(1, _CHUNK_DRAWS // max(2 * n, 1))
+    p = np.array([[p_x], [p_z]])
+    width = (n + 7) // 8  # bytes per side of a trial
+    for first in range(trials.start, trials.stop, per_chunk):
+        draws = np.empty((min(per_chunk, trials.stop - first), 2, n))
+        for row in draws:
+            random(out=row)
+            advance(skip)
+        packed = np.packbits(draws < p, axis=-1, bitorder="little").tobytes()
+        for i in range(len(draws)):
+            at = 2 * i * width
+            yield (int.from_bytes(packed[at:at + width], "little"),
+                   int.from_bytes(packed[at + width:at + 2 * width], "little"))
 
 
 def monte_carlo(code: CssCode, p_x: float, p_z: float, trials: int,
                 seed: int) -> MonteCarloResult:
-    """iid X/Z errors per qubit; minimum-weight decode; deterministic in seed."""
+    """iid X/Z errors per qubit; minimum-weight decode; deterministic in seed.
+
+    seed is the Philox key, so it lies in [0, 2^128).  Every argument
+    and the code's logical operators are checked before any trial runs.
+    """
     if not (0.0 <= p_x <= 1.0 and 0.0 <= p_z <= 1.0):
         raise ValueError("probabilities must lie in [0, 1]")
+    if trials < 0:
+        raise ValueError(f"trials must be non-negative, got {trials}")
+    if not 0 <= seed < 1 << 128:
+        raise ValueError(f"seed must lie in [0, 2**128), got {seed}")
+    _require_logicals(code)
+    failures = DecodingTables.build(code).failures
     xf = zf = 0
-    n = code.n
-    tables = DecodingTables.build(code)
-    for t in range(trials):
-        draws = _trial_rng(seed, t).random((2, n))
-        err = ErrorPattern(Gf2Vector(n, _pack(draws[0] < p_x)),
-                           Gf2Vector(n, _pack(draws[1] < p_z)))
-        fx, fz = decode_error(code, err, tables)
+    for x_bits, z_bits in _error_bits(seed, range(trials), code.n, p_x, p_z):
+        fx, fz = failures(x_bits, z_bits)
         xf += fx
         zf += fz
     return MonteCarloResult(p_x, p_z, trials, xf, zf, seed)
@@ -331,21 +434,17 @@ def exhaustive_weight_sweep(code: CssCode, max_weight: int) -> list[ExhaustiveSw
     """Decode every X-only and Z-only error of weight <= max_weight."""
     from itertools import combinations
 
+    _require_logicals(code)
     rows = []
-    n = code.n
-    tables = DecodingTables.build(code)
+    failures = DecodingTables.build(code).failures
     for w in range(max_weight + 1):
         xp = xf = zp = zf = 0
-        for support in combinations(range(n), w):
-            v = Gf2Vector.from_support(n, support)
-            fx, _ = decode_error(code, ErrorPattern(v, Gf2Vector.zero(n)),
-                                 tables)
+        for support in combinations(range(code.n), w):
+            bits = sum(1 << q for q in support)
             xp += 1
-            xf += fx
-            _, fz = decode_error(code, ErrorPattern(Gf2Vector.zero(n), v),
-                                 tables)
+            xf += failures(bits, 0)[0]
             zp += 1
-            zf += fz
+            zf += failures(0, bits)[1]
         rows.append(ExhaustiveSweepRow(w, xp, xf, zp, zf))
     return rows
 

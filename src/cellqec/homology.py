@@ -84,11 +84,16 @@ def _forest(ends: Sequence[tuple[int, int] | None], n_nodes: int,
     return joined
 
 
-def _class_representatives(fe: Gf2Matrix, ve: Gf2Matrix) -> list[Gf2Vector]:
+def _class_representatives(fe: Gf2Matrix,
+                            fe_ends: Sequence[tuple[int, int] | None],
+                            ve: Gf2Matrix,
+                            ve_ends: Sequence[tuple[int, int] | None]
+                            ) -> list[Gf2Vector]:
     """A basis of ker(ve) / rowspace(fe), from the two check graphs.
 
     The rows of fe must lie in ker(ve), as commuting checks' do, and both
-    checks must have column weights <= 2 (``_check_graph``).  Let F be
+    checks must have column weights <= 2; fe_ends and ve_ends are their
+    ``_check_graph``, which the caller builds once per matrix.  Let F be
     the spanning forest of ve's check graph that Kruskal's rule builds
     from the columns in ascending order, and N the columns F leaves out.
     Let F* be the forest of fe's check graph built the same way from the
@@ -112,7 +117,6 @@ def _class_representatives(fe: Gf2Matrix, ve: Gf2Matrix) -> list[Gf2Vector]:
       above them: the descending greedy basis of fe|N's column matroid,
       which is F*.
     """
-    ve_ends, fe_ends = _check_graph(ve), _check_graph(fe)
     n = ve.cols
     tree = _forest(ve_ends, ve.rows + 1, range(n))
     in_tree = set(tree)
@@ -175,16 +179,18 @@ def _check_graph(check: Gf2Matrix) -> list[tuple[int, int] | None]:
 
 
 def _min_weight_logical(check: Gf2Matrix,
+                        ends: Sequence[tuple[int, int] | None],
                         functionals: Sequence[Gf2Vector]) -> tuple[int, Gf2Vector]:
     """Minimum weight over ker(check) minus the vectors all functionals kill.
 
-    check must have column weights <= 2, so its kernel is the cycle space
-    of a graph (columns of weight 1 attach to a single virtual boundary
-    node; columns of weight 0 are free single-edge cycles).  A vector is
-    nontrivial iff it pairs oddly with some functional, so the minimum is
-    taken over breadth-first searches in the two-fold parity cover, per
-    functional f one from the lower end node of each column in f's
-    support (each such node once, in ascending order).  This is exact: a
+    check must have column weights <= 2, and ends is its ``_check_graph``,
+    so its kernel is the cycle space of that graph (columns of weight 1
+    attach to a single virtual boundary node; columns of weight 0 are
+    free single-edge cycles).  A vector is nontrivial iff it pairs oddly
+    with some functional, so the minimum is taken over breadth-first
+    searches in the two-fold parity cover, per functional f one from the
+    lower end node of each column in f's support (each such node once,
+    in ascending order).  This is exact: a
     lightest vector pairing oddly with f contains a connected cycle that
     does too and weighs no more.  That cycle crosses an odd number of
     f's columns, so it passes through the lower end of one of them, and
@@ -198,15 +204,15 @@ def _min_weight_logical(check: Gf2Matrix,
         raise ValueError("no functionals: code has k = 0")
     n_nodes = check.rows + 1
     adj: list[list[tuple[int, int]]] = [[] for _ in range(n_nodes)]
-    ends: list[int] = [0] * n  # XOR of an edge's two end nodes
+    end_xor: list[int] = [0] * n  # XOR of an edge's two end nodes
     lower: list[int] = [-1] * n  # an edge's first end node, -1 if free
-    for e, ab in enumerate(_check_graph(check)):
+    for e, ab in enumerate(ends):
         if ab is None:
             continue
         a, b = ab
         adj[a].append((b, e))
         adj[b].append((a, e))
-        ends[e] = a ^ b
+        end_xor[e] = a ^ b
         lower[e] = a
     best: tuple[int, int] | None = None  # (weight, bits)
     for f in functionals:
@@ -246,7 +252,7 @@ def _min_weight_logical(check: Gf2Matrix,
             while cur != s0:
                 e = via[cur]
                 bits ^= 1 << e
-                cur = 2 * (ends[e] ^ (cur >> 1)) + ((cur & 1) ^ tau[e])
+                cur = 2 * (end_xor[e] ^ (cur >> 1)) + ((cur & 1) ^ tau[e])
             cand = (bits.bit_count(), bits)
             if best is None or cand < best:
                 best = cand
@@ -261,10 +267,11 @@ def _min_essential(fe: Gf2Matrix, ve: Gf2Matrix) -> tuple[int, Gf2Vector]:
     A cycle is essential iff it pairs oddly with some class of
     ker(fe) / rowspace(ve), so those classes are the functionals.
     """
-    functionals = _class_representatives(ve, fe)
+    fe_ends, ve_ends = _check_graph(fe), _check_graph(ve)
+    functionals = _class_representatives(ve, ve_ends, fe, fe_ends)
     if not functionals:
         raise TrivialHomologyError("surface has trivial first homology")
-    return _min_weight_logical(ve, functionals)
+    return _min_weight_logical(ve, ve_ends, functionals)
 
 
 def systole(c: Cellulation) -> tuple[int, Gf2Vector]:

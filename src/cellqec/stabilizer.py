@@ -134,14 +134,16 @@ def _code_from_checks(x_stab: Gf2Matrix, z_stab: Gf2Matrix) -> CssCode:
     also when k = 0.
     """
     n = x_stab.cols
+    x_ends = homology._check_graph(x_stab)
+    z_ends = homology._check_graph(z_stab)
     # x_side spans ker(x_stab) / rowspace(z_stab), z_side the reverse
-    x_side = homology._class_representatives(z_stab, x_stab)
-    z_side = homology._class_representatives(x_stab, z_stab)
+    x_side = homology._class_representatives(z_stab, z_ends, x_stab, x_ends)
+    z_side = homology._class_representatives(x_stab, x_ends, z_stab, z_ends)
     k = len(x_side)
     if k == 0:
         return CssCode(n, x_stab, z_stab, 0, None, None)
-    d_z, _ = _min_weight_logical(z_stab, x_side)
-    d_x, _ = _min_weight_logical(x_stab, z_side)
+    d_z, _ = _min_weight_logical(z_stab, z_ends, x_side)
+    d_x, _ = _min_weight_logical(x_stab, x_ends, z_side)
     # z_side lives in ker(z_stab), so those supports carry X-type logicals
     logical_x = _normalize_pairing(z_side, x_side)
     return CssCode(n, x_stab, z_stab, k, d_x, d_z,

@@ -158,6 +158,34 @@ class TestDecode:
                        "0.05,0.05,40,2,0,1\n"
                        "0.1,0.1,40,12,8,1\n")
 
+    @pytest.mark.parametrize("name,rows", [
+        ("fig4_shor", ["0.02,0.02,300,3,2,1", "0.05,0.05,300,14,9,1",
+                       "0.1,0.1,300,46,30,1"]),
+        ("fig1_hemi_icosahedron", ["0.02,0.02,300,2,0,1",
+                                   "0.05,0.05,300,23,3,1",
+                                   "0.1,0.1,300,60,17,1"]),
+        ("toric(3,3)", ["0.02,0.02,300,4,3,1", "0.05,0.05,300,16,12,1",
+                        "0.1,0.1,300,67,65,1"]),
+    ])
+    def test_decode_small_sweeps_match_pinned_output(self, capsys, name,
+                                                      rows):
+        # the benchmark's decode_small ops; stdout of the decoder that
+        # built a Philox generator per trial
+        code, out, _ = run(capsys, ["decode", "sweep", name, "--p",
+                                    "0.02,0.05,0.1", "--trials", "300",
+                                    "--seed", "1"])
+        assert code == 0
+        assert out == "\n".join(
+            ["p_x,p_z,trials,x_failures,z_failures,seed"] + rows) + "\n"
+
+    @pytest.mark.parametrize("seed", [str(2**128), str(2**130)])
+    def test_seed_beyond_the_philox_key_is_a_usage_error(self, capsys, seed):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["decode", "sweep", "fig4_shor", "--p", "0.1",
+                      "--trials", "2", "--seed", seed])
+        assert exc.value.code == 2
+        assert "--seed: must be less than 2**128" in capsys.readouterr().err
+
     def test_sweep_with_both_matchings_matches_pinned_output(self, capsys):
         # stdout of the blossom-only decoder; 30 of these chains have more
         # than 14 defects, so both the subset DP and the blossom run

@@ -38,6 +38,19 @@ def _oracle_codes() -> dict:
     return codes
 
 
+def _oracle_bits(seed, trial, n, p_x, p_z):
+    """(x_bits, z_bits) of one trial by the RNG contract, qubit by qubit."""
+    draws = np.random.Generator(
+        np.random.Philox(key=seed, counter=trial << 64)).random((2, n))
+    x = z = 0
+    for q in range(n):
+        if draws[0][q] < p_x:
+            x |= 1 << q
+        if draws[1][q] < p_z:
+            z |= 1 << q
+    return x, z
+
+
 def _random_bits(data, n):
     return Gf2Vector(n, data.draw(st.integers(0, (1 << n) - 1)))
 
@@ -60,6 +73,18 @@ class TestSyndrome:
     def test_length_check(self):
         with pytest.raises(Exception):
             decoder.syndrome(_code("fig4_shor"), ErrorPattern.zero(5))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_syndrome_is_the_matrix_product(self, data):
+        # the XOR of check-graph columns against the row-by-row product
+        codes = _oracle_codes()
+        code = codes[data.draw(st.sampled_from(sorted(codes)))]
+        err = ErrorPattern(_random_bits(data, code.n),
+                           _random_bits(data, code.n))
+        assert decoder.syndrome(code, err) == Syndrome(
+            code.z_stabilizers.mul_vector(err.x_errors),
+            code.x_stabilizers.mul_vector(err.z_errors))
 
 
 class TestCorrect:
@@ -189,6 +214,9 @@ class TestCorrect:
             not gf2.in_span(code.z_stabilizers.row_vectors(),
                             err.z_errors ^ corr.z_errors))
         assert decoder.is_failure(code, err, corr) == expected
+        tables = decoder.DecodingTables.build(code)
+        assert tables.failures(err.x_errors.bits,
+                               err.z_errors.bits) == expected
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
@@ -298,21 +326,70 @@ class TestMonteCarlo:
     def test_trial_streams_are_position_independent(self):
         # trial t draws from its own keyed stream, so any partition of
         # the trial range reproduces the same per-trial randomness
-        r1 = decoder._trial_rng(5, 17).random(4)
-        r2 = decoder._trial_rng(5, 17).random(4)
-        r3 = decoder._trial_rng(5, 18).random(4)
-        assert (r1 == r2).all()
-        assert (r1 != r3).any()
+        r1 = list(decoder._error_bits(5, range(17, 18), 64, 0.5, 0.5))
+        r2 = list(decoder._error_bits(5, range(17, 18), 64, 0.5, 0.5))
+        r3 = list(decoder._error_bits(5, range(18, 19), 64, 0.5, 0.5))
+        assert r1 == r2
+        assert r1 != r3
 
     def test_packed_draws_equal_the_per_qubit_loop(self):
-        rng = np.random.default_rng(8)
         for n in (0, 1, 7, 8, 9, 64, 130):
-            draws = rng.random(n)
-            expected = 0
-            for q in range(n):
-                if draws[q] < 0.3:
-                    expected |= 1 << q
-            assert decoder._pack(draws < 0.3) == expected
+            expected = [_oracle_bits(8, t, n, 0.3, 0.3) for t in range(3)]
+            assert list(decoder._error_bits(8, range(3), n, 0.3, 0.3)) \
+                == expected
+
+    @pytest.mark.parametrize("seed", [0, 5, 2**64 + 3])
+    @pytest.mark.parametrize("n", [1, 9, 15, 18, 128])
+    def test_sampler_follows_the_per_trial_streams(self, seed, n,
+                                                   monkeypatch):
+        # the RNG contract: trial t's bits come from
+        # Generator(Philox(key=seed, counter=t << 64)).random((2, n)),
+        # whatever the chunk size and wherever the range starts
+        # 2, 5 and (for these n) all 13 trials per draws array
+        chunks = (2 * n * 3 - 1, 2 * n * 5, decoder._CHUNK_DRAWS)
+        for p_x, p_z in ((0.0, 0.3), (0.3, 1.0), (1.0, 0.0)):
+            expected = [_oracle_bits(seed, t, n, p_x, p_z) for t in range(13)]
+            for chunk in chunks:
+                monkeypatch.setattr(decoder, "_CHUNK_DRAWS", chunk)
+                assert list(decoder._error_bits(
+                    seed, range(13), n, p_x, p_z)) == expected
+                for a, b in ((0, 0), (4, 13), (5, 9), (12, 13)):
+                    assert list(decoder._error_bits(
+                        seed, range(a, b), n, p_x, p_z)) == expected[a:b]
+
+    def test_sampler_crosses_the_real_chunk_size(self):
+        # 128 qubits: 256 trials per draws array
+        n = 128
+        per_chunk = decoder._CHUNK_DRAWS // (2 * n)
+        trials = range(per_chunk - 3, 2 * per_chunk + 2)
+        expected = [_oracle_bits(2**64 + 3, t, n, 0.3, 0.3) for t in trials]
+        got = list(decoder._error_bits(2**64 + 3, range(trials.stop), n,
+                                       0.3, 0.3))
+        assert got[trials.start:] == expected
+        assert list(decoder._error_bits(2**64 + 3, trials, n, 0.3, 0.3)) \
+            == expected
+
+    @pytest.mark.parametrize("trials,seed", [(-3, 1), (5, -1), (5, 2**128),
+                                             (5, 2**130)])
+    def test_trials_and_seed_validation(self, trials, seed, monkeypatch):
+        def no_sampling(*args):
+            raise AssertionError("sampled before validating")
+
+        monkeypatch.setattr(decoder, "_error_bits", no_sampling)
+        with pytest.raises(ValueError):
+            decoder.monte_carlo(_code("fig4_shor"), 0.1, 0.1, trials, seed)
+
+    def test_largest_seed_is_accepted(self):
+        res = decoder.monte_carlo(_code("fig4_shor"), 0.1, 0.1, 3,
+                                  2**128 - 1)
+        assert res.seed == 2**128 - 1 and res.trials == 3
+
+    def test_code_without_logical_operators_rejected_before_trials(self):
+        full = _code("fig4_shor")
+        bare = stabilizer.CssCode(full.n, full.x_stabilizers,
+                                  full.z_stabilizers, 1, 3, 3)
+        with pytest.raises(ValueError, match="logical operators"):
+            decoder.monte_carlo(bare, 0.1, 0.1, trials=0, seed=1)
 
     def test_probability_validation(self):
         with pytest.raises(ValueError):

@@ -162,14 +162,17 @@ class TestClassRepresentatives:
     # same order, that a greedy pass over the GF(2) kernel basis keeps
     @pytest.mark.parametrize("fe,ve", _representative_cases())
     def test_matches_the_greedy_kernel_oracle(self, fe, ve):
-        assert (homology._class_representatives(fe, ve)
+        fe_ends, ve_ends = homology._check_graph(fe), homology._check_graph(ve)
+        assert (homology._class_representatives(fe, fe_ends, ve, ve_ends)
                 == greedy_representatives(fe, ve))
 
 
 def _searched_sides(label, x_stab, z_stab):
     """pytest params (check, functionals) of both distance searches."""
-    x_side = homology._class_representatives(z_stab, x_stab)
-    z_side = homology._class_representatives(x_stab, z_stab)
+    x_ends = homology._check_graph(x_stab)
+    z_ends = homology._check_graph(z_stab)
+    x_side = homology._class_representatives(z_stab, z_ends, x_stab, x_ends)
+    z_side = homology._class_representatives(x_stab, x_ends, z_stab, z_ends)
     if not x_side:
         return []
     return [pytest.param(z_stab, x_side, id=f"{label}-d_z"),
@@ -199,7 +202,8 @@ class TestStartRule:
     @pytest.mark.parametrize("check,functionals", _start_rule_cases())
     def test_shifted_functionals_keep_the_distance(self, check,
                                                     functionals):
-        d, witness = homology._min_weight_logical(check, functionals)
+        ends = homology._check_graph(check)
+        d, witness = homology._min_weight_logical(check, ends, functionals)
         assert witness.weight == d
         assert check.mul_vector(witness).is_zero()
         rng = random.Random(12)
@@ -211,18 +215,20 @@ class TestStartRule:
                     if rng.random() < 0.5:
                         bits ^= row
                 shifted.append(Gf2Vector(f.n, bits))
-            assert homology._min_weight_logical(check, shifted)[0] == d
+            assert homology._min_weight_logical(check, ends, shifted)[0] == d
 
     def test_zero_column_in_the_support_gives_distance_one(self):
         # columns: rows 0 and 1, row 1 alone, no row
         check = Gf2Matrix(2, 3, (0b001, 0b011))
         d, witness = homology._min_weight_logical(
-            check, [Gf2Vector.from_support(3, [0, 2])])
+            check, homology._check_graph(check),
+            [Gf2Vector.from_support(3, [0, 2])])
         assert (d, witness) == (1, Gf2Vector.from_support(3, [2]))
 
     def test_zero_column_outside_the_support_is_skipped(self):
         # columns 0 and 1 both join row 0 to the boundary, column 2 is zero
         check = Gf2Matrix(1, 3, (0b011,))
         d, witness = homology._min_weight_logical(
-            check, [Gf2Vector.from_support(3, [0])])
+            check, homology._check_graph(check),
+            [Gf2Vector.from_support(3, [0])])
         assert (d, witness) == (2, Gf2Vector.from_support(3, [0, 1]))
