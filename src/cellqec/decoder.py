@@ -2,8 +2,9 @@
 
 Every check column touches at most two checks, so the minimum-weight
 chain with a given syndrome is a minimum T-join (Edmonds--Johnson) in
-the check graph ``homology._check_graph`` (the checks plus one virtual
-boundary node; the distance search walks the same graph):
+the check graph ``homology.CheckGraph`` (the checks plus one virtual
+boundary node; the distance search walks the same graph, and
+``MatchingGraph`` adds its all-pairs shortest paths):
 minimum-weight perfect matching of the syndrome defects under
 shortest-path distances (Dennis--Kitaev--Landahl--Preskill).  Column j
 of an n-qubit code weighs 2^n - 2^(n-1-j), so the minimum is unique and
@@ -13,13 +14,14 @@ The tests keep an exhaustive coset search as the oracle for this rule.
 Up to 14 nodes to match (defects and boundary) the matching is an exact
 DP over subsets; above that it is the ``networkx`` blossom, loaded only
 then.  Every minimum matching's paths XOR to the one minimum T-join
-(``CheckGraph.min_weight_chain``), so the two give the same chain.
+(``MatchingGraph.min_weight_chain``), so the two give the same chain.
 
 Trials are decoded on bit sets (Python ints, bit j = column j):
 ``DecodingTables.failures`` takes an error's two sides and returns its
-two failure verdicts, and ``syndrome``, ``correct``, ``is_failure`` and
-``decode_error`` wrap the same tables for ``Gf2Vector`` callers.  numpy
-is loaded only by ``_error_bits``, the sampler of ``monte_carlo``.
+two failure verdicts; ``correct`` and ``decode_error`` wrap the same
+tables for ``Gf2Vector`` callers, and ``syndrome`` and ``is_failure``
+read the check graphs alone.  numpy is loaded only by ``_error_bits``,
+the sampler of ``monte_carlo``.
 """
 from __future__ import annotations
 
@@ -29,13 +31,13 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from . import gf2, homology
-from .gf2 import Gf2Matrix, Gf2Vector
+from .gf2 import Gf2Vector
 from .stabilizer import CssCode
 
 RNG_ALGORITHM = "numpy-philox4x64(key=seed, counter hi word=trial)"
 
 # Above this many nodes to match (defects and boundary) the networkx
-# blossom is faster than the subset DP of CheckGraph._min_matching: on
+# blossom is faster than the subset DP of MatchingGraph._min_matching: on
 # toric(8,8), 14 nodes take 2.6 ms by the DP and 4.2 ms by the blossom,
 # 16 nodes 7.1 and 4.7 ms (2-vCPU VM).
 _DP_MAX_DEFECTS = 14
@@ -74,74 +76,50 @@ class Syndrome:
 
 
 @dataclass(frozen=True)
-class CheckGraph:
-    """The columns and all-pairs shortest paths of one check matrix.
+class MatchingGraph:
+    """All-pairs shortest paths in the check graph of one check matrix.
 
-    The graph is ``homology._check_graph``: nodes are the check rows plus
-    a virtual boundary node (index ``boundary``), a column of weight 2 is
-    an edge between its checks and a column of weight 1 an edge to the
-    boundary.  ``columns`` holds, per column, the bit set of the checks
-    it flips, read from the same ends, so a chain's syndrome is the XOR
-    of the columns over its set bits.  Columns of weight 0 are left out
-    of the paths, as no minimum-weight chain contains one.  Column j
-    weighs 2^n - 2^(n-1-j) (see the module docstring); no two edge sets
-    weigh the same, so every shortest path is unique.
+    ``graph`` is the ``homology.CheckGraph`` (the check rows plus a
+    boundary node); it gives the boundary, the syndromes and, through
+    its adjacency, the edges the Dijkstra runs of ``build`` walk.
+    Column j weighs 2^n - 2^(n-1-j) (see the module docstring); no two
+    edge sets weigh the same, so every shortest path is unique.  Columns
+    of weight 0 join nothing, and no minimum-weight chain contains one.
     """
 
-    cols: int
-    boundary: int
-    columns: tuple[int, ...]                  # check bit set per column
+    graph: homology.CheckGraph
     dist: tuple[tuple[int | None, ...], ...]  # None: no path
     path: tuple[tuple[int, ...], ...]         # column bit set of the path
 
     @classmethod
-    def build(cls, checks: Gf2Matrix) -> "CheckGraph":
-        n, boundary = checks.cols, checks.rows
-        adj: list[list[tuple[int, int, int]]] = [[] for _ in range(boundary + 1)]
-        columns = []
-        for e, ab in enumerate(homology._check_graph(checks)):
-            if ab is None:
-                columns.append(0)
-                continue
-            a, b = ab
-            # a column of weight 1 flips its check a only
-            columns.append((1 << a) | ((1 << b) if b != boundary else 0))
-            w = (1 << n) - (1 << (n - 1 - e))
-            adj[a].append((b, w, 1 << e))
-            adj[b].append((a, w, 1 << e))
+    def build(cls, graph: homology.CheckGraph) -> "MatchingGraph":
+        n, n_nodes = len(graph.columns), graph.boundary + 1
+        weight = [(1 << n) - (1 << (n - 1 - e)) for e in range(n)]
         dist, path = [], []
-        for source in range(boundary + 1):  # Dijkstra from every node
-            d: list[int | None] = [None] * (boundary + 1)
-            p = [0] * (boundary + 1)
+        for source in range(n_nodes):  # Dijkstra from every node
+            d: list[int | None] = [None] * n_nodes
+            p = [0] * n_nodes
             d[source] = 0
             heap = [(0, source)]
             while heap:
                 du, u = heapq.heappop(heap)
                 if du > d[u]:
                     continue  # stale entry
-                for v, w, bit in adj[u]:
-                    if d[v] is None or du + w < d[v]:
-                        d[v] = du + w
-                        p[v] = p[u] | bit
-                        heapq.heappush(heap, (du + w, v))
+                for v, e in graph.adj[u]:
+                    dv = du + weight[e]
+                    if d[v] is None or dv < d[v]:
+                        d[v] = dv
+                        p[v] = p[u] | (1 << e)
+                        heapq.heappush(heap, (dv, v))
             dist.append(tuple(d))
             path.append(tuple(p))
-        return cls(n, boundary, tuple(columns), tuple(dist), tuple(path))
-
-    def syndrome(self, chain: int) -> int:
-        """The bit set of the checks that the column bit set chain flips."""
-        syn = 0
-        while chain:
-            low = chain & -chain
-            syn ^= self.columns[low.bit_length() - 1]
-            chain ^= low
-        return syn
+        return cls(graph, tuple(dist), tuple(path))
 
     def min_weight_chain(self, syn: Gf2Vector) -> Gf2Vector:
         """The chain with syndrome syn that is smallest by sort_key."""
-        if syn.n != self.boundary:
-            raise gf2.LengthMismatch(f"{syn.n} != {self.boundary}")
-        return Gf2Vector(self.cols, self.chain(syn.bits))
+        if syn.n != self.graph.boundary:
+            raise gf2.LengthMismatch(f"{syn.n} != {self.graph.boundary}")
+        return Gf2Vector(len(self.graph.columns), self.chain(syn.bits))
 
     def chain(self, syn: int) -> int:
         """The column bit set of ``min_weight_chain`` for the check bit
@@ -170,7 +148,7 @@ class CheckGraph:
             defects.append(low.bit_length() - 1)
             syn ^= low
         if len(defects) % 2:
-            defects.append(self.boundary)
+            defects.append(self.graph.boundary)
         if len(defects) <= _DP_MAX_DEFECTS:
             matching = self._min_matching(defects)
             bits = None if matching is None else matching[1]
@@ -231,22 +209,22 @@ class CheckGraph:
 class DecodingTables:
     """What every decode on one code reuses; build once per code.
 
-    The two check graphs and the bits of the code's logical operators.
-    ``failures`` decodes one error given as bit sets; the module's
-    ``Gf2Vector`` functions go through the same tables.
+    The matching graphs of the two checks and the bits of the code's
+    logical operators.  ``failures`` decodes one error given as bit
+    sets; ``correct`` and ``decode_error`` go through the same tables.
     """
 
-    z_graph: CheckGraph               # of z_stabilizers: corrects x errors
-    x_graph: CheckGraph               # of x_stabilizers: corrects z errors
+    z_graph: MatchingGraph            # of z_stabilizers: corrects x errors
+    x_graph: MatchingGraph            # of x_stabilizers: corrects z errors
     logical_x: tuple[int, ...]
     logical_z: tuple[int, ...]
 
     @classmethod
     def build(cls, code: CssCode) -> "DecodingTables":
-        return cls(z_graph=CheckGraph.build(code.z_stabilizers),
-                   x_graph=CheckGraph.build(code.x_stabilizers),
-                   logical_x=tuple(v.bits for v in code.logical_x),
-                   logical_z=tuple(v.bits for v in code.logical_z))
+        z_graph, x_graph = (MatchingGraph.build(homology.CheckGraph.of(m))
+                            for m in (code.z_stabilizers, code.x_stabilizers))
+        return cls(z_graph, x_graph, tuple(v.bits for v in code.logical_x),
+                   tuple(v.bits for v in code.logical_z))
 
     def failures(self, x_bits: int, z_bits: int) -> tuple[bool, bool]:
         """(x_fail, z_fail) of decoding the error (x_bits, z_bits).
@@ -257,25 +235,33 @@ class DecodingTables:
         (``_require_logicals``).
         """
         zg, xg = self.z_graph, self.x_graph
-        return self._residual_failures(x_bits ^ zg.chain(zg.syndrome(x_bits)),
-                                       z_bits ^ xg.chain(xg.syndrome(z_bits)))
+        z_checks, x_checks = zg.graph, xg.graph
+        return _residual_failures(
+            z_checks, x_checks, self.logical_x, self.logical_z,
+            x_bits ^ zg.chain(z_checks.syndrome(x_bits)),
+            z_bits ^ xg.chain(x_checks.syndrome(z_bits)))
 
-    def _residual_failures(self, res_x: int, res_z: int) -> tuple[bool, bool]:
-        """(x_fail, z_fail): does the residual act on the code space?
 
-        The residual must have zero syndrome, which by linearity says that
-        the correction reproduces the error's syndrome (else
-        SyndromeMismatch), so its bit-flip part r lies in
-        ker(z_stabilizers).  As ker(x_stabilizers) is spanned by
-        rowspace(z_stabilizers) and logical_z, r lies in
-        rowspace(x_stabilizers) iff it pairs evenly with every logical_z:
-        x_fail is an odd pairing with some logical_z, and z_fail dually
-        with logical_x.
-        """
-        if self.z_graph.syndrome(res_x) or self.x_graph.syndrome(res_z):
-            raise SyndromeMismatch("correction does not match the error syndrome")
-        return (any((res_x & lz).bit_count() & 1 for lz in self.logical_z),
-                any((res_z & lx).bit_count() & 1 for lx in self.logical_x))
+def _residual_failures(z_checks: homology.CheckGraph,
+                       x_checks: homology.CheckGraph,
+                       logical_x: tuple[int, ...], logical_z: tuple[int, ...],
+                       res_x: int, res_z: int) -> tuple[bool, bool]:
+    """(x_fail, z_fail): does the residual act on the code space?
+
+    z_checks and x_checks are the check graphs of z_stabilizers and
+    x_stabilizers.  The residual must have zero syndrome, which by
+    linearity says that the correction reproduces the error's syndrome
+    (else SyndromeMismatch), so its bit-flip part r lies in
+    ker(z_stabilizers).  As ker(x_stabilizers) is spanned by
+    rowspace(z_stabilizers) and logical_z, r lies in
+    rowspace(x_stabilizers) iff it pairs evenly with every logical_z:
+    x_fail is an odd pairing with some logical_z, and z_fail dually
+    with logical_x.
+    """
+    if z_checks.syndrome(res_x) or x_checks.syndrome(res_z):
+        raise SyndromeMismatch("correction does not match the error syndrome")
+    return (any((res_x & lz).bit_count() & 1 for lz in logical_z),
+            any((res_z & lx).bit_count() & 1 for lx in logical_x))
 
 
 def _require_logicals(code: CssCode) -> None:
@@ -284,18 +270,16 @@ def _require_logicals(code: CssCode) -> None:
 
 
 def syndrome(code: CssCode, err: ErrorPattern) -> Syndrome:
-    """The checks each side of err flips (``CheckGraph.syndrome``).
-
-    Each call builds ``DecodingTables``, shortest paths included; a loop
-    over many errors of one code builds them once.
-    """
+    """The checks each side of err flips (``homology.CheckGraph.syndrome``)."""
     if err.x_errors.n != code.n:
         raise gf2.LengthMismatch(f"{err.x_errors.n} != {code.n}")
-    tables = DecodingTables.build(code)
-    zg, xg = tables.z_graph, tables.x_graph
+    z_checks = homology.CheckGraph.of(code.z_stabilizers)
+    x_checks = homology.CheckGraph.of(code.x_stabilizers)
     return Syndrome(
-        z_checks=Gf2Vector(zg.boundary, zg.syndrome(err.x_errors.bits)),
-        x_checks=Gf2Vector(xg.boundary, xg.syndrome(err.z_errors.bits)),
+        z_checks=Gf2Vector(z_checks.boundary,
+                           z_checks.syndrome(err.x_errors.bits)),
+        x_checks=Gf2Vector(x_checks.boundary,
+                           x_checks.syndrome(err.z_errors.bits)),
     )
 
 
@@ -318,7 +302,7 @@ def correct(code: CssCode, syn: Syndrome,
 def is_failure(code: CssCode, err: ErrorPattern,
                corr: ErrorPattern) -> tuple[bool, bool]:
     """(x_fail, z_fail) of the residual err + corr, by
-    ``DecodingTables._residual_failures``.
+    ``_residual_failures``.
 
     Raises SyndromeMismatch when corr does not reproduce err's syndrome,
     and ValueError when the code does not carry k logical operators on
@@ -328,8 +312,11 @@ def is_failure(code: CssCode, err: ErrorPattern,
     res_x, res_z = err.x_errors ^ corr.x_errors, err.z_errors ^ corr.z_errors
     if res_x.n != code.n:
         raise gf2.LengthMismatch(f"{res_x.n} != {code.n}")
-    return DecodingTables.build(code)._residual_failures(res_x.bits,
-                                                         res_z.bits)
+    return _residual_failures(homology.CheckGraph.of(code.z_stabilizers),
+                              homology.CheckGraph.of(code.x_stabilizers),
+                              tuple(v.bits for v in code.logical_x),
+                              tuple(v.bits for v in code.logical_z),
+                              res_x.bits, res_z.bits)
 
 
 def decode_error(code: CssCode, err: ErrorPattern,
@@ -351,7 +338,6 @@ class MonteCarloResult:
     x_failures: int
     z_failures: int
     seed: int
-    rng_algorithm: str = RNG_ALGORITHM
 
     def to_csv_row(self) -> str:
         return (f"{self.p_x},{self.p_z},{self.trials},"

@@ -1,5 +1,12 @@
 """Z2 homology of a cellulation: H1, essential cycles, systoles.
 
+Every check matrix here has columns of weight <= 2 (true of every
+cellulation incidence matrix and planar check matrix), so it is a
+graph: ``CheckGraph.of`` builds it once per matrix, with the rows plus
+one boundary node as nodes and each column as an edge, and raises
+``UnsupportedCheckStructure`` otherwise.  The class representatives,
+the distance search and the decoder all read that one graph.
+
 Class representatives of ker(ve) / rowspace(fe) -- the logical classes
 of every code and the functionals of every systole -- come from the two
 check graphs, ``_class_representatives``: a spanning forest of ve's
@@ -12,18 +19,14 @@ primal and dual systoles here, and the code distances in ``stabilizer``
 -- is answered by one exact engine, ``_min_weight_logical``: a
 breadth-first search in the two-fold parity cover of the check graph,
 started only at one end of each column a class representative hits.
-``_check_graph`` builds that graph, for this search and for the decoder:
-its nodes are the rows of a check matrix plus one boundary node, and
-each column is an edge.  It requires every check column to have weight
-<= 2 (true of every cellulation incidence matrix and planar check
-matrix) and raises ``UnsupportedCheckStructure`` otherwise.  The
-exhaustive coset search ``gf2.min_weight_in_coset`` and the greedy pass
-over ``gf2.kernel_basis`` are not used here; the tests keep them as
-independent oracles.
+The exhaustive coset search ``gf2.min_weight_in_coset`` and the greedy
+pass over ``gf2.kernel_basis`` are not used here; the tests keep them
+as independent oracles.
 """
 from __future__ import annotations
 
 from collections import deque
+from dataclasses import dataclass
 from typing import Sequence
 
 from . import gf2, surface
@@ -57,14 +60,63 @@ def is_essential(c: Cellulation, chain: Gf2Vector) -> bool:
     return not gf2.in_span(fe.row_vectors(), chain)
 
 
-def _forest(ends: Sequence[tuple[int, int] | None], n_nodes: int,
-            columns: Sequence[int]) -> list[int]:
+@dataclass(frozen=True)
+class CheckGraph:
+    """The graph of one check matrix; build it once per matrix by ``of``.
+
+    Its nodes are the rows plus one boundary node, ``boundary`` (the row
+    count), and each column is an edge: a column of weight 2 joins its
+    two rows, a column of weight 1 joins its row to the boundary, and a
+    column of weight 0 joins nothing.  Column e with ends (a, b) leads
+    from either end u to a ^ b ^ u.
+    """
+
+    boundary: int
+    columns: tuple[int, ...]  # the check bit set each column flips
+    ends: tuple[tuple[int, int] | None, ...]  # None: a column of weight 0
+    # per node, (other node, column) for each column at it, in column order
+    adj: tuple[tuple[tuple[int, int], ...], ...]
+
+    @classmethod
+    def of(cls, check: Gf2Matrix) -> "CheckGraph":
+        """The graph of check; UnsupportedCheckStructure unless every
+        column has weight <= 2."""
+        boundary = check.rows
+        columns = check.transpose().row_bits
+        ends: list[tuple[int, int] | None] = []
+        adj: list[list[tuple[int, int]]] = [[] for _ in range(boundary + 1)]
+        for e, col in enumerate(columns):
+            weight = col.bit_count()
+            if weight > 2:
+                raise UnsupportedCheckStructure(
+                    f"column {e} touches {weight} generators")
+            if weight == 0:
+                ends.append(None)
+                continue
+            a = (col & -col).bit_length() - 1
+            b = col.bit_length() - 1 if weight == 2 else boundary
+            ends.append((a, b))
+            adj[a].append((b, e))
+            adj[b].append((a, e))
+        return cls(boundary, columns, tuple(ends), tuple(map(tuple, adj)))
+
+    def syndrome(self, chain: int) -> int:
+        """The bit set of the checks that the column bit set chain flips."""
+        syn = 0
+        while chain:
+            low = chain & -chain
+            syn ^= self.columns[low.bit_length() - 1]
+            chain ^= low
+        return syn
+
+
+def _forest(graph: CheckGraph, columns: Sequence[int]) -> list[int]:
     """The columns, in the given order, that join two trees so far.
 
-    A union-find over the n_nodes nodes of a check graph; ends is what
-    ``_check_graph`` gives.  A column of weight 0 never joins.
+    A union-find over the nodes of graph.  A column of weight 0 never
+    joins.
     """
-    root = list(range(n_nodes))
+    root = list(range(graph.boundary + 1))
 
     def find(a: int) -> int:
         while root[a] != a:
@@ -74,7 +126,7 @@ def _forest(ends: Sequence[tuple[int, int] | None], n_nodes: int,
 
     joined = []
     for e in columns:
-        ab = ends[e]
+        ab = graph.ends[e]
         if ab is None:
             continue
         a, b = find(ab[0]), find(ab[1])
@@ -84,19 +136,13 @@ def _forest(ends: Sequence[tuple[int, int] | None], n_nodes: int,
     return joined
 
 
-def _class_representatives(fe: Gf2Matrix,
-                            fe_ends: Sequence[tuple[int, int] | None],
-                            ve: Gf2Matrix,
-                            ve_ends: Sequence[tuple[int, int] | None]
-                            ) -> list[Gf2Vector]:
+def _class_representatives(fe: CheckGraph, ve: CheckGraph) -> list[Gf2Vector]:
     """A basis of ker(ve) / rowspace(fe), from the two check graphs.
 
-    The rows of fe must lie in ker(ve), as commuting checks' do, and both
-    checks must have column weights <= 2; fe_ends and ve_ends are their
-    ``_check_graph``, which the caller builds once per matrix.  Let F be
-    the spanning forest of ve's check graph that Kruskal's rule builds
+    The rows of fe must lie in ker(ve), as commuting checks' do.  Let F
+    be the spanning forest of ve's graph that Kruskal's rule builds
     from the columns in ascending order, and N the columns F leaves out.
-    Let F* be the forest of fe's check graph built the same way from the
+    Let F* be the forest of fe's graph built the same way from the
     columns of N only, in descending order.  For each column e of N not
     in F*, in ascending order, the representative is e plus the path in
     F between e's two ends (e alone for a column of weight 0).
@@ -117,37 +163,32 @@ def _class_representatives(fe: Gf2Matrix,
       above them: the descending greedy basis of fe|N's column matroid,
       which is F*.
     """
-    n = ve.cols
-    tree = _forest(ve_ends, ve.rows + 1, range(n))
-    in_tree = set(tree)
+    n = len(ve.columns)
+    in_tree = set(_forest(ve, range(n)))
     cotree = [e for e in range(n) if e not in in_tree]
-    in_fstar = set(_forest(fe_ends, fe.rows + 1, cotree[::-1]))
-    kept = [e for e in cotree if e not in in_fstar]
+    in_fstar = set(_forest(fe, cotree[::-1]))
     # parent edges and depths of F, from one DFS per tree
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(ve.rows + 1)]
-    for e in tree:
-        a, b = ve_ends[e]
-        adj[a].append((b, e))
-        adj[b].append((a, e))
-    parent: list[tuple[int, int] | None] = [None] * (ve.rows + 1)
-    depth = [-1] * (ve.rows + 1)
-    for r in range(ve.rows + 1):
+    parent: list[tuple[int, int] | None] = [None] * (ve.boundary + 1)
+    depth = [-1] * (ve.boundary + 1)
+    for r in range(ve.boundary + 1):
         if depth[r] >= 0:
             continue
         depth[r] = 0
         stack = [r]
         while stack:
             a = stack.pop()
-            for b, e in adj[a]:
-                if depth[b] < 0:
+            for b, e in ve.adj[a]:
+                if depth[b] < 0 and e in in_tree:
                     depth[b] = depth[a] + 1
                     parent[b] = (a, e)
                     stack.append(b)
     reps = []
-    for e in kept:
+    for e in cotree:
+        if e in in_fstar:
+            continue
         bits = 1 << e
-        if ve_ends[e] is not None:
-            a, b = ve_ends[e]
+        if ve.ends[e] is not None:
+            a, b = ve.ends[e]
             while a != b:
                 if depth[a] < depth[b]:
                     a, b = b, a
@@ -157,40 +198,17 @@ def _class_representatives(fe: Gf2Matrix,
     return reps
 
 
-def _check_graph(check: Gf2Matrix) -> list[tuple[int, int] | None]:
-    """Per column of check, the two nodes it joins in the check graph.
-
-    The nodes are the rows of check plus one boundary node, check.rows.
-    A column of weight 2 joins its two rows, a column of weight 1 joins
-    its row to the boundary, and a column of weight 0 gives None.
-    """
-    ends: list[tuple[int, int] | None] = []
-    for e, col in enumerate(check.transpose().row_bits):
-        weight = col.bit_count()
-        if weight > 2:
-            raise UnsupportedCheckStructure(
-                f"column {e} touches {weight} generators")
-        if weight == 0:
-            ends.append(None)
-        else:
-            b = col.bit_length() - 1 if weight == 2 else check.rows
-            ends.append(((col & -col).bit_length() - 1, b))
-    return ends
-
-
-def _min_weight_logical(check: Gf2Matrix,
-                        ends: Sequence[tuple[int, int] | None],
+def _min_weight_logical(graph: CheckGraph,
                         functionals: Sequence[Gf2Vector]) -> tuple[int, Gf2Vector]:
     """Minimum weight over ker(check) minus the vectors all functionals kill.
 
-    check must have column weights <= 2, and ends is its ``_check_graph``,
-    so its kernel is the cycle space of that graph (columns of weight 1
-    attach to a single virtual boundary node; columns of weight 0 are
-    free single-edge cycles).  A vector is nontrivial iff it pairs oddly
-    with some functional, so the minimum is taken over breadth-first
-    searches in the two-fold parity cover, per functional f one from the
-    lower end node of each column in f's support (each such node once,
-    in ascending order).  This is exact: a
+    graph is the check matrix's ``CheckGraph``, so the kernel is its
+    cycle space (columns of weight 1 attach to the boundary node;
+    columns of weight 0 are free single-edge cycles).  A vector is
+    nontrivial iff it pairs oddly with some functional, so the minimum
+    is taken over breadth-first searches in the two-fold parity cover,
+    per functional f one from the lower end node of each column in f's
+    support (each such node once, in ascending order).  This is exact: a
     lightest vector pairing oddly with f contains a connected cycle that
     does too and weighs no more.  That cycle crosses an odd number of
     f's columns, so it passes through the lower end of one of them, and
@@ -199,21 +217,10 @@ def _min_weight_logical(check: Gf2Matrix,
     1 by itself.  Among several lightest vectors, the one returned
     depends on the functionals' supports, not only on their classes.
     """
-    n = check.cols
+    n, n_nodes = len(graph.columns), graph.boundary + 1
+    ends, adj = graph.ends, graph.adj
     if not functionals:
         raise ValueError("no functionals: code has k = 0")
-    n_nodes = check.rows + 1
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(n_nodes)]
-    end_xor: list[int] = [0] * n  # XOR of an edge's two end nodes
-    lower: list[int] = [-1] * n  # an edge's first end node, -1 if free
-    for e, ab in enumerate(ends):
-        if ab is None:
-            continue
-        a, b = ab
-        adj[a].append((b, e))
-        adj[b].append((a, e))
-        end_xor[e] = a ^ b
-        lower[e] = a
     best: tuple[int, int] | None = None  # (weight, bits)
     for f in functionals:
         tau = [(f.bits >> e) & 1 for e in range(n)]
@@ -221,8 +228,8 @@ def _min_weight_logical(check: Gf2Matrix,
         for e in range(n):
             if not tau[e]:
                 continue
-            if lower[e] >= 0:
-                starts.add(lower[e])
+            if ends[e] is not None:
+                starts.add(ends[e][0])
             elif best is None or (1, 1 << e) < best:
                 best = (1, 1 << e)  # a free column pairing oddly
         for start in sorted(starts):
@@ -252,7 +259,8 @@ def _min_weight_logical(check: Gf2Matrix,
             while cur != s0:
                 e = via[cur]
                 bits ^= 1 << e
-                cur = 2 * (end_xor[e] ^ (cur >> 1)) + ((cur & 1) ^ tau[e])
+                a, b = ends[e]
+                cur = 2 * (a ^ b ^ (cur >> 1)) + ((cur & 1) ^ tau[e])
             cand = (bits.bit_count(), bits)
             if best is None or cand < best:
                 best = cand
@@ -267,11 +275,11 @@ def _min_essential(fe: Gf2Matrix, ve: Gf2Matrix) -> tuple[int, Gf2Vector]:
     A cycle is essential iff it pairs oddly with some class of
     ker(fe) / rowspace(ve), so those classes are the functionals.
     """
-    fe_ends, ve_ends = _check_graph(fe), _check_graph(ve)
-    functionals = _class_representatives(ve, ve_ends, fe, fe_ends)
+    fe_graph, ve_graph = CheckGraph.of(fe), CheckGraph.of(ve)
+    functionals = _class_representatives(ve_graph, fe_graph)
     if not functionals:
         raise TrivialHomologyError("surface has trivial first homology")
-    return _min_weight_logical(ve, ve_ends, functionals)
+    return _min_weight_logical(ve_graph, functionals)
 
 
 def systole(c: Cellulation) -> tuple[int, Gf2Vector]:

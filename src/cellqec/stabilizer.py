@@ -6,15 +6,15 @@ d_x (phase distance) the dual systole.  logical_x vectors live in
 ker(vertex_edge) \\ rowspace(face_edge); logical_z dually.
 
 Closed-surface and planar codes are finished by the same code,
-``_code_from_checks``: k is the number of logical class representatives
-that ``homology._class_representatives`` reads off the check graphs (the
-checks must commute, which is why ``build_code`` validates its
-cellulation first, and every check column must have weight <= 2, even
-when k = 0), both distances come from the parity-cover search
-``homology._min_weight_logical`` on the check matrices, and the logical
-operators are class representatives paired by ``_normalize_pairing``,
-which solves the Gram system with ``gf2.solve`` (valid, not necessarily
-of minimum weight).
+``_code_from_checks``.  It builds each side's ``homology.CheckGraph``
+once (every check column must have weight <= 2, even when k = 0), and
+all that follows reads those two graphs: k is the number of logical
+class representatives that ``homology._class_representatives`` finds
+(the checks must commute, which is why ``build_code`` validates its
+cellulation first), both distances come from the parity-cover search
+``homology._min_weight_logical``, and the logical operators are class
+representatives paired by ``_normalize_pairing``, which solves the Gram
+system with ``gf2.solve`` (valid, not necessarily of minimum weight).
 """
 from __future__ import annotations
 
@@ -23,7 +23,8 @@ from dataclasses import dataclass, field
 
 from . import gf2, homology, surface
 from .gf2 import Gf2Matrix, Gf2Vector
-# UnsupportedCheckStructure is re-exported: building a code raises it
+# UnsupportedCheckStructure is re-exported: building a code raises it;
+# _min_weight_logical is called by this name, which perfbench traces
 from .homology import UnsupportedCheckStructure, _min_weight_logical  # noqa: F401
 from .surface import Cellulation
 
@@ -134,16 +135,16 @@ def _code_from_checks(x_stab: Gf2Matrix, z_stab: Gf2Matrix) -> CssCode:
     also when k = 0.
     """
     n = x_stab.cols
-    x_ends = homology._check_graph(x_stab)
-    z_ends = homology._check_graph(z_stab)
+    x_graph = homology.CheckGraph.of(x_stab)
+    z_graph = homology.CheckGraph.of(z_stab)
     # x_side spans ker(x_stab) / rowspace(z_stab), z_side the reverse
-    x_side = homology._class_representatives(z_stab, z_ends, x_stab, x_ends)
-    z_side = homology._class_representatives(x_stab, x_ends, z_stab, z_ends)
+    x_side = homology._class_representatives(z_graph, x_graph)
+    z_side = homology._class_representatives(x_graph, z_graph)
     k = len(x_side)
     if k == 0:
         return CssCode(n, x_stab, z_stab, 0, None, None)
-    d_z, _ = _min_weight_logical(z_stab, z_ends, x_side)
-    d_x, _ = _min_weight_logical(x_stab, x_ends, z_side)
+    d_z, _ = _min_weight_logical(z_graph, x_side)
+    d_x, _ = _min_weight_logical(x_graph, z_side)
     # z_side lives in ker(z_stab), so those supports carry X-type logicals
     logical_x = _normalize_pairing(z_side, x_side)
     return CssCode(n, x_stab, z_stab, k, d_x, d_z,

@@ -31,6 +31,9 @@ class Cellulation:
     faces: tuple[tuple[tuple[int, int], ...], ...]
 
     def __post_init__(self):
+        if self.vertex_count < 0:
+            raise CellulationError(
+                f"vertex count {self.vertex_count} is negative")
         for a, b in self.edges:
             if not (0 <= a < self.vertex_count and 0 <= b < self.vertex_count):
                 raise CellulationError("edge endpoint out of range")

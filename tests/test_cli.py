@@ -436,16 +436,19 @@ class TestErrors:
          "malformed cellulation: True is not an integer"),
         ({"vertices": 1, "edges": [[0]], "faces": [[[0, 1], [0, 1]]]},
          "malformed cellulation: not enough values to unpack"),
+        ({"vertices": -1, "edges": [], "faces": []},
+         "vertex count -1 is negative"),
     ], ids=["single-cover", "missing-key", "wrong-type", "float", "string",
-            "boolean", "short-edge"])
+            "boolean", "short-edge", "negative-vertices"])
     def test_bad_cellulation_json(self, capsys, tmp_path, doc, message):
         p = tmp_path / "c.json"
         p.write_text(json.dumps(doc))
         for spec in (str(p), json.dumps(doc)):
-            code, out, err = run(capsys, ["code", "params", spec])
-            assert code == 1
-            assert out == ""
-            assert err.startswith(f"error: {message}")
+            for argv in (["code", "params", spec], ["catalog", "show", spec]):
+                code, out, err = run(capsys, argv)
+                assert code == 1
+                assert out == ""
+                assert err.startswith(f"error: {message}")
 
     @pytest.mark.parametrize("argv", [
         ["decode", "sweep", "fig4_shor", "--p", "0.1", "--trials", "-3",

@@ -51,6 +51,10 @@ def _oracle_bits(seed, trial, n, p_x, p_z):
     return x, z
 
 
+def _matching_graph(checks):
+    return decoder.MatchingGraph.build(homology.CheckGraph.of(checks))
+
+
 def _random_bits(data, n):
     return Gf2Vector(n, data.draw(st.integers(0, (1 << n) - 1)))
 
@@ -73,6 +77,38 @@ class TestSyndrome:
     def test_length_check(self):
         with pytest.raises(Exception):
             decoder.syndrome(_code("fig4_shor"), ErrorPattern.zero(5))
+
+    def test_syndrome_and_failure_build_no_shortest_paths(self,
+                                                           monkeypatch):
+        # both read the check graphs alone, never the all-pairs tables
+        c = surface.fig4_shor()
+        code = stabilizer.build_code(c)
+        zero = Gf2Vector.zero(9)
+        errors = [ErrorPattern(Gf2Vector.from_support(9, [1]), zero),
+                  ErrorPattern(Gf2Vector.from_support(9, [0, 4]),
+                               Gf2Vector.from_support(9, [2, 7])),
+                  ErrorPattern(homology.systole(c)[1], zero)]
+        expected = []
+        for err in errors:
+            syn = decoder.syndrome(code, err)
+            corr = decoder.correct(code, syn)
+            expected.append((err, corr, syn,
+                             decoder.is_failure(code, err, corr)))
+        assert {verdict for *_, verdict in expected} == {(False, False),
+                                                         (True, False)}
+
+        def refuse(cls, graph):
+            raise AssertionError("shortest paths were built")
+
+        monkeypatch.setattr(decoder.MatchingGraph, "build",
+                            classmethod(refuse))
+        for err, corr, syn, verdict in expected:
+            assert decoder.syndrome(code, err) == syn
+            assert decoder.is_failure(code, err, corr) == verdict
+        with pytest.raises(decoder.SyndromeMismatch):
+            decoder.is_failure(code, errors[1], ErrorPattern.zero(9))
+        with pytest.raises(AssertionError, match="shortest paths"):
+            decoder.correct(code, expected[1][2])
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
@@ -181,7 +217,7 @@ class TestCorrect:
         # chain has an even number of defects
         code = _code(name)
         for checks in (code.z_stabilizers, code.x_stabilizers):
-            graph = decoder.CheckGraph.build(checks)
+            matching = _matching_graph(checks)
             supports = [[i] for i in range(checks.rows)]
             if checks.rows >= 3:
                 supports.append([0, 1, 2])
@@ -189,7 +225,7 @@ class TestCorrect:
                 syn = Gf2Vector.from_support(checks.rows, support)
                 assert gf2.solve(checks, syn) is None
                 with pytest.raises(decoder.InconsistentSyndrome):
-                    graph.min_weight_chain(syn)
+                    matching.min_weight_chain(syn)
 
     @settings(max_examples=150, deadline=None)
     @given(st.data())
@@ -228,12 +264,12 @@ class TestCorrect:
                                             code.x_stabilizers]))
         syn = _random_bits(data, checks.rows)
         expected = coset_min_weight_chain(checks, syn)
-        graph = decoder.CheckGraph.build(checks)
+        matching = _matching_graph(checks)
         if expected is None:
             with pytest.raises(decoder.InconsistentSyndrome):
-                graph.min_weight_chain(syn)
+                matching.min_weight_chain(syn)
         else:
-            assert graph.min_weight_chain(syn) == expected
+            assert matching.min_weight_chain(syn) == expected
 
     @pytest.mark.parametrize("name", ["toric(8,8)", "planar two holes"])
     def test_subset_dp_equals_the_blossom(self, name):
@@ -246,27 +282,27 @@ class TestCorrect:
         else:  # weight-1 columns: edges to the boundary node
             checks = stabilizer.build_punctured_disk_code(
                 stabilizer.planar_two_holes_patch()).x_stabilizers
-        graph = decoder.CheckGraph.build(checks)
-        n, boundary = checks.cols, graph.boundary
+        matching = _matching_graph(checks)
+        n, boundary = checks.cols, matching.graph.boundary
         pool = [v for v in range(boundary + 1)
-                if graph.dist[0][v] is not None]
+                if matching.dist[0][v] is not None]
         assert (boundary in pool) == (name != "toric(8,8)")
         rng = random.Random(14)
         for size in range(2, 21, 2):
             for _ in range(3):
                 nodes = sorted(rng.sample(pool, size))
-                weight, bits = graph._min_matching(nodes)
+                weight, bits = matching._min_matching(nodes)
                 g = nx.Graph()
                 for a, b in itertools.combinations(nodes, 2):
-                    g.add_edge(a, b, weight=graph.dist[a][b])
+                    g.add_edge(a, b, weight=matching.dist[a][b])
                 pairs = nx.min_weight_matching(g)
-                assert weight == sum(graph.dist[a][b] for a, b in pairs)
+                assert weight == sum(matching.dist[a][b] for a, b in pairs)
                 blossom = 0
                 for a, b in pairs:
-                    blossom ^= graph.path[a][b]
+                    blossom ^= matching.path[a][b]
                 syn = Gf2Vector.from_support(
                     boundary, [v for v in nodes if v != boundary])
-                chain = graph.min_weight_chain(syn)
+                chain = matching.min_weight_chain(syn)
                 assert chain.bits == bits == blossom
                 # the matched paths are edge-disjoint
                 assert weight == sum((1 << n) - (1 << (n - 1 - j))
@@ -277,21 +313,21 @@ class TestCorrect:
         # weight-1 column, so the boundary node is isolated
         checks = gf2.Gf2Matrix.from_rows([[1, 0, 0], [1, 1, 0], [0, 1, 0],
                                           [0, 0, 1], [0, 0, 1]])
-        graph = decoder.CheckGraph.build(checks)
+        matching = _matching_graph(checks)
         for support in ([0, 3], [2, 4], [0, 1, 2, 3]):
             syn = Gf2Vector.from_support(5, support)
             assert gf2.solve(checks, syn) is None
             with pytest.raises(decoder.InconsistentSyndrome):
-                graph.min_weight_chain(syn)
+                matching.min_weight_chain(syn)
         for support, chain in (([0, 2], [0, 1]), ([3, 4], [2])):
-            assert graph.min_weight_chain(
+            assert matching.min_weight_chain(
                 Gf2Vector.from_support(5, support)) == \
                 Gf2Vector.from_support(3, chain)
 
     def test_weight_three_column_is_rejected(self):
         checks = gf2.Gf2Matrix.from_rows([[1], [1], [1]])
         with pytest.raises(homology.UnsupportedCheckStructure):
-            decoder.CheckGraph.build(checks)
+            _matching_graph(checks)
 
 
 class TestExhaustiveSweep:

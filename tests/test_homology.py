@@ -108,19 +108,25 @@ class TestCheckGraph:
     def test_column_ends(self):
         # columns: rows 0 and 2, row 1 alone, no row, rows 1 and 2
         check = Gf2Matrix(3, 4, (0b0001, 0b1010, 0b1001))
-        assert homology._check_graph(check) == [(0, 2), (1, 3), None, (1, 2)]
+        graph = homology.CheckGraph.of(check)
+        assert graph.ends == ((0, 2), (1, 3), None, (1, 2))
+        assert graph.boundary == 3
+        assert graph.columns == (0b101, 0b010, 0b000, 0b110)
+        # each node lists its columns in column order
+        assert graph.adj == (((2, 0),), ((3, 1), (2, 3)), ((0, 0), (1, 3)),
+                             ((1, 1),))
 
     def test_incidence_columns_are_edges(self):
         c = surface.catalog("toric(3,3)")
         _, ve = surface.incidence_matrices(c)
-        assert homology._check_graph(ve) == [tuple(sorted(e))
-                                             for e in c.edges]
+        assert homology.CheckGraph.of(ve).ends == tuple(tuple(sorted(e))
+                                                        for e in c.edges)
 
     def test_weight_three_column_is_rejected(self):
         check = Gf2Matrix(3, 2, (0b01, 0b01, 0b11))
         with pytest.raises(homology.UnsupportedCheckStructure,
                            match="column 0 touches 3 generators"):
-            homology._check_graph(check)
+            homology.CheckGraph.of(check)
 
 
 def _representative_cases():
@@ -162,17 +168,17 @@ class TestClassRepresentatives:
     # same order, that a greedy pass over the GF(2) kernel basis keeps
     @pytest.mark.parametrize("fe,ve", _representative_cases())
     def test_matches_the_greedy_kernel_oracle(self, fe, ve):
-        fe_ends, ve_ends = homology._check_graph(fe), homology._check_graph(ve)
-        assert (homology._class_representatives(fe, fe_ends, ve, ve_ends)
+        assert (homology._class_representatives(homology.CheckGraph.of(fe),
+                                                homology.CheckGraph.of(ve))
                 == greedy_representatives(fe, ve))
 
 
 def _searched_sides(label, x_stab, z_stab):
     """pytest params (check, functionals) of both distance searches."""
-    x_ends = homology._check_graph(x_stab)
-    z_ends = homology._check_graph(z_stab)
-    x_side = homology._class_representatives(z_stab, z_ends, x_stab, x_ends)
-    z_side = homology._class_representatives(x_stab, x_ends, z_stab, z_ends)
+    x_graph = homology.CheckGraph.of(x_stab)
+    z_graph = homology.CheckGraph.of(z_stab)
+    x_side = homology._class_representatives(z_graph, x_graph)
+    z_side = homology._class_representatives(x_graph, z_graph)
     if not x_side:
         return []
     return [pytest.param(z_stab, x_side, id=f"{label}-d_z"),
@@ -202,8 +208,8 @@ class TestStartRule:
     @pytest.mark.parametrize("check,functionals", _start_rule_cases())
     def test_shifted_functionals_keep_the_distance(self, check,
                                                     functionals):
-        ends = homology._check_graph(check)
-        d, witness = homology._min_weight_logical(check, ends, functionals)
+        graph = homology.CheckGraph.of(check)
+        d, witness = homology._min_weight_logical(graph, functionals)
         assert witness.weight == d
         assert check.mul_vector(witness).is_zero()
         rng = random.Random(12)
@@ -215,13 +221,13 @@ class TestStartRule:
                     if rng.random() < 0.5:
                         bits ^= row
                 shifted.append(Gf2Vector(f.n, bits))
-            assert homology._min_weight_logical(check, ends, shifted)[0] == d
+            assert homology._min_weight_logical(graph, shifted)[0] == d
 
     def test_zero_column_in_the_support_gives_distance_one(self):
         # columns: rows 0 and 1, row 1 alone, no row
         check = Gf2Matrix(2, 3, (0b001, 0b011))
         d, witness = homology._min_weight_logical(
-            check, homology._check_graph(check),
+            homology.CheckGraph.of(check),
             [Gf2Vector.from_support(3, [0, 2])])
         assert (d, witness) == (1, Gf2Vector.from_support(3, [2]))
 
@@ -229,6 +235,6 @@ class TestStartRule:
         # columns 0 and 1 both join row 0 to the boundary, column 2 is zero
         check = Gf2Matrix(1, 3, (0b011,))
         d, witness = homology._min_weight_logical(
-            check, homology._check_graph(check),
+            homology.CheckGraph.of(check),
             [Gf2Vector.from_support(3, [0])])
         assert (d, witness) == (2, Gf2Vector.from_support(3, [0, 1]))
