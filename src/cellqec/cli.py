@@ -12,8 +12,8 @@ import json
 import os
 import sys
 
-from . import decoder, homology, invariants, search, stabilizer, surface
-from .surface import Cellulation, CellulationError
+from . import decoder, invariants, search, stabilizer, surface
+from .surface import Cellulation
 
 
 def _load_cellulation(spec: str) -> Cellulation:
@@ -110,11 +110,10 @@ def _cmd_code_compare(args) -> int:
 
 def _cmd_decode_sweep(args) -> int:
     c = _load_cellulation(args.cellulation)
-    code = stabilizer.build_code(c)
-    results = [decoder.monte_carlo(code, p, p, args.trials, args.seed)
+    tables = decoder.DecodingTables.build(stabilizer.build_code(c))
+    results = [decoder.monte_carlo(tables, p, p, args.trials, args.seed)
                for p in args.p]
-    csv = decoder.sweep_csv(results)
-    sys.stdout.write(csv)
+    sys.stdout.write(decoder.sweep_csv(results))
     print(f"{len(results)} sweep points, {args.trials} trials each,"
           f" rng {decoder.RNG_ALGORITHM}", file=sys.stderr)
     return 0
@@ -295,9 +294,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (CellulationError, KeyError, ValueError, OSError,
-            search.EnumerationBudgetError,
-            homology.TrivialHomologyError) as exc:
+    except (KeyError, ValueError, OSError,
+            search.EnumerationBudgetError) as exc:
         # str() of a KeyError quotes its message; print the message itself
         message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
         print(f"error: {message}", file=sys.stderr)

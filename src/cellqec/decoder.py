@@ -16,18 +16,19 @@ DP over subsets; above that it is the ``networkx`` blossom, loaded only
 then.  Every minimum matching's paths XOR to the one minimum T-join
 (``MatchingGraph.min_weight_chain``), so the two give the same chain.
 
-Trials are decoded on bit sets (Python ints, bit j = column j):
-``DecodingTables.failures`` takes an error's two sides and returns its
-two failure verdicts; ``correct`` and ``decode_error`` wrap the same
-tables for ``Gf2Vector`` callers, and ``syndrome`` and ``is_failure``
-read the check graphs alone.  numpy is loaded only by ``_error_bits``,
-the sampler of ``monte_carlo``.
+Trials are decoded on bit sets (Python ints, bit j = column j) by
+``DecodingTables``, checked and built once per code: ``failures`` takes
+an error's two sides and returns its two failure verdicts.
+``monte_carlo`` takes the tables, so a sweep builds them once for all
+its points; ``correct``, ``decode_error`` and ``exhaustive_weight_sweep``
+build them per call, and ``syndrome`` and ``is_failure`` read the check
+graphs alone.  numpy is loaded only by ``_error_bits``, the sampler of
+``monte_carlo``.
 """
 from __future__ import annotations
 
 import heapq
-import io
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from typing import Iterator
 
 from . import gf2, homology
@@ -209,11 +210,13 @@ class MatchingGraph:
 class DecodingTables:
     """What every decode on one code reuses; build once per code.
 
-    The matching graphs of the two checks and the bits of the code's
-    logical operators.  ``failures`` decodes one error given as bit
-    sets; ``correct`` and ``decode_error`` go through the same tables.
+    The code's length, the matching graphs of its two checks and the
+    bits of its logical operators.  ``build`` is the one check of a code
+    for decoding (``_require_logicals``); ``failures`` decodes one error
+    given as bit sets.
     """
 
+    n: int
     z_graph: MatchingGraph            # of z_stabilizers: corrects x errors
     x_graph: MatchingGraph            # of x_stabilizers: corrects z errors
     logical_x: tuple[int, ...]
@@ -221,9 +224,11 @@ class DecodingTables:
 
     @classmethod
     def build(cls, code: CssCode) -> "DecodingTables":
+        _require_logicals(code)
         z_graph, x_graph = (MatchingGraph.build(homology.CheckGraph.of(m))
                             for m in (code.z_stabilizers, code.x_stabilizers))
-        return cls(z_graph, x_graph, tuple(v.bits for v in code.logical_x),
+        return cls(code.n, z_graph, x_graph,
+                   tuple(v.bits for v in code.logical_x),
                    tuple(v.bits for v in code.logical_z))
 
     def failures(self, x_bits: int, z_bits: int) -> tuple[bool, bool]:
@@ -231,8 +236,6 @@ class DecodingTables:
 
         The syndrome of each side is matched to its minimum-weight chain,
         and the residual, error plus chain, goes to ``_residual_failures``.
-        The code must carry k logical operators per side
-        (``_require_logicals``).
         """
         zg, xg = self.z_graph, self.x_graph
         z_checks, x_checks = zg.graph, xg.graph
@@ -283,16 +286,12 @@ def syndrome(code: CssCode, err: ErrorPattern) -> Syndrome:
     )
 
 
-def correct(code: CssCode, syn: Syndrome,
-            tables: DecodingTables | None = None) -> ErrorPattern:
+def correct(code: CssCode, syn: Syndrome) -> ErrorPattern:
     """Minimum-weight error pattern reproducing the syndrome.
 
-    Ties are broken by ``Gf2Vector.sort_key``.  ``tables`` is
-    ``DecodingTables.build(code)``; callers decoding many syndromes of
-    one code build it once and pass it.
+    Ties are broken by ``Gf2Vector.sort_key``.
     """
-    if tables is None:
-        tables = DecodingTables.build(code)
+    tables = DecodingTables.build(code)
     return ErrorPattern(
         x_errors=tables.z_graph.min_weight_chain(syn.z_checks),
         z_errors=tables.x_graph.min_weight_chain(syn.x_checks),
@@ -319,15 +318,12 @@ def is_failure(code: CssCode, err: ErrorPattern,
                               res_x.bits, res_z.bits)
 
 
-def decode_error(code: CssCode, err: ErrorPattern,
-                 tables: DecodingTables | None = None) -> tuple[bool, bool]:
+def decode_error(code: CssCode, err: ErrorPattern) -> tuple[bool, bool]:
     """(x_fail, z_fail) of decoding err (``DecodingTables.failures``)."""
     if err.x_errors.n != code.n:
         raise gf2.LengthMismatch(f"{err.x_errors.n} != {code.n}")
-    _require_logicals(code)
-    if tables is None:
-        tables = DecodingTables.build(code)
-    return tables.failures(err.x_errors.bits, err.z_errors.bits)
+    return DecodingTables.build(code).failures(err.x_errors.bits,
+                                               err.z_errors.bits)
 
 
 @dataclass(frozen=True)
@@ -338,14 +334,6 @@ class MonteCarloResult:
     x_failures: int
     z_failures: int
     seed: int
-
-    def to_csv_row(self) -> str:
-        return (f"{self.p_x},{self.p_z},{self.trials},"
-                f"{self.x_failures},{self.z_failures},{self.seed}")
-
-    @staticmethod
-    def csv_header() -> str:
-        return "p_x,p_z,trials,x_failures,z_failures,seed"
 
 
 def _error_bits(seed: int, trials: range, n: int, p_x: float,
@@ -384,12 +372,14 @@ def _error_bits(seed: int, trials: range, n: int, p_x: float,
                    int.from_bytes(packed[at + width:at + 2 * width], "little"))
 
 
-def monte_carlo(code: CssCode, p_x: float, p_z: float, trials: int,
-                seed: int) -> MonteCarloResult:
+def monte_carlo(tables: DecodingTables, p_x: float, p_z: float,
+                trials: int, seed: int) -> MonteCarloResult:
     """iid X/Z errors per qubit; minimum-weight decode; deterministic in seed.
 
-    seed is the Philox key, so it lies in [0, 2^128).  Every argument
-    and the code's logical operators are checked before any trial runs.
+    tables is ``DecodingTables.build(code)``, which checked the code;
+    a sweep builds it once and passes it to every point.  seed is the
+    Philox key, so it lies in [0, 2^128).  Every argument is checked
+    before any trial runs.
     """
     if not (0.0 <= p_x <= 1.0 and 0.0 <= p_z <= 1.0):
         raise ValueError("probabilities must lie in [0, 1]")
@@ -397,11 +387,9 @@ def monte_carlo(code: CssCode, p_x: float, p_z: float, trials: int,
         raise ValueError(f"trials must be non-negative, got {trials}")
     if not 0 <= seed < 1 << 128:
         raise ValueError(f"seed must lie in [0, 2**128), got {seed}")
-    _require_logicals(code)
-    failures = DecodingTables.build(code).failures
     xf = zf = 0
-    for x_bits, z_bits in _error_bits(seed, range(trials), code.n, p_x, p_z):
-        fx, fz = failures(x_bits, z_bits)
+    for bits in _error_bits(seed, range(trials), tables.n, p_x, p_z):
+        fx, fz = tables.failures(*bits)
         xf += fx
         zf += fz
     return MonteCarloResult(p_x, p_z, trials, xf, zf, seed)
@@ -417,27 +405,28 @@ class ExhaustiveSweepRow:
 
 
 def exhaustive_weight_sweep(code: CssCode, max_weight: int) -> list[ExhaustiveSweepRow]:
-    """Decode every X-only and Z-only error of weight <= max_weight."""
-    from itertools import combinations
+    """Decode every X-only and Z-only error of weight <= max_weight.
 
-    _require_logicals(code)
+    One row per weight up to min(max_weight, n): no error is heavier.
+    """
+    from itertools import combinations
+    from math import comb
+
     rows = []
     failures = DecodingTables.build(code).failures
-    for w in range(max_weight + 1):
-        xp = xf = zp = zf = 0
+    for w in range(min(max_weight, code.n) + 1):
+        xf = zf = 0
         for support in combinations(range(code.n), w):
             bits = sum(1 << q for q in support)
-            xp += 1
             xf += failures(bits, 0)[0]
-            zp += 1
             zf += failures(0, bits)[1]
-        rows.append(ExhaustiveSweepRow(w, xp, xf, zp, zf))
+        count = comb(code.n, w)
+        rows.append(ExhaustiveSweepRow(w, count, xf, count, zf))
     return rows
 
 
 def sweep_csv(results: list[MonteCarloResult]) -> str:
-    buf = io.StringIO()
-    buf.write(MonteCarloResult.csv_header() + "\n")
-    for r in results:
-        buf.write(r.to_csv_row() + "\n")
-    return buf.getvalue()
+    """A header line of the field names, then one line per result."""
+    lines = [[f.name for f in fields(MonteCarloResult)]]
+    lines += [astuple(r) for r in results]
+    return "".join(",".join(map(str, line)) + "\n" for line in lines)

@@ -316,7 +316,11 @@ class PlanarPatch:
 
     @classmethod
     def from_json(cls, text: str) -> "PlanarPatch":
-        return cls.from_json_dict(json.loads(text))
+        try:
+            doc = json.loads(text)
+        except RecursionError:
+            raise ValueError("malformed patch: JSON nested too deeply") from None
+        return cls.from_json_dict(doc)
 
 
 def _patch_in_hole(patch: PlanarPatch, fx: int, fy: int) -> bool:

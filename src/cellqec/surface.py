@@ -97,7 +97,12 @@ class Cellulation:
 
     @classmethod
     def from_json(cls, text: str) -> "Cellulation":
-        return cls.from_json_dict(json.loads(text))
+        try:
+            doc = json.loads(text)
+        except RecursionError:
+            raise CellulationError(
+                "malformed cellulation: JSON nested too deeply") from None
+        return cls.from_json_dict(doc)
 
 
 @dataclass(frozen=True)
@@ -598,21 +603,24 @@ FIG3_CERTIFICATE: dict = {
 
 _TORIC_RE = re.compile(r"^toric\((\d+),(\d+)\)$")
 
+# Name -> builder, in catalog order; catalog() also parses any toric(m,n).
+_CATALOG = {
+    "rp2_minimal": rp2_minimal,
+    "fig1_hemi_icosahedron": hemi_icosahedron,
+    "fig2_nine_edge": lambda: Cellulation.from_json_dict(
+        FIG2_CERTIFICATE["cellulation"]),
+    "fig3_nine_edge": lambda: Cellulation.from_json_dict(
+        FIG3_CERTIFICATE["cellulation"]),
+    "fig4_shor": fig4_shor,
+    "cube_sphere": cube_sphere,
+    "toric(3,3)": lambda: toric(3, 3),
+}
+
 
 def catalog(name: str) -> Cellulation:
     """Named cellulations used throughout the package and its tests."""
-    if name == "rp2_minimal":
-        return rp2_minimal()
-    if name == "fig1_hemi_icosahedron":
-        return hemi_icosahedron()
-    if name == "fig4_shor":
-        return fig4_shor()
-    if name == "cube_sphere":
-        return cube_sphere()
-    if name == "fig2_nine_edge":
-        return Cellulation.from_json_dict(FIG2_CERTIFICATE["cellulation"])
-    if name == "fig3_nine_edge":
-        return Cellulation.from_json_dict(FIG3_CERTIFICATE["cellulation"])
+    if name in _CATALOG:
+        return _CATALOG[name]()
     m = _TORIC_RE.match(name.replace(" ", ""))
     if m:
         return toric(int(m.group(1)), int(m.group(2)))
@@ -621,5 +629,4 @@ def catalog(name: str) -> Cellulation:
 
 def closed_catalog_names() -> list[str]:
     """Concrete closed-surface catalog entries (toric pinned at 3,3)."""
-    return ["rp2_minimal", "fig1_hemi_icosahedron", "fig2_nine_edge",
-            "fig3_nine_edge", "fig4_shor", "cube_sphere", "toric(3,3)"]
+    return list(_CATALOG)

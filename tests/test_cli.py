@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cellqec
-from cellqec import cli, stabilizer, surface
+from cellqec import cli, decoder, stabilizer, surface
 
 
 @st.composite
@@ -38,8 +38,9 @@ class TestCatalog:
     def test_list(self, capsys):
         code, out, _ = run(capsys, ["catalog", "list"])
         assert code == 0
-        names = json.loads(out)["catalog"]
-        assert "fig4_shor" in names and "fig1_hemi_icosahedron" in names
+        assert out == ('{"catalog":["rp2_minimal","fig1_hemi_icosahedron",'
+                       '"fig2_nine_edge","fig3_nine_edge","fig4_shor",'
+                       '"cube_sphere","toric(3,3)"]}\n')
 
     def test_show(self, capsys):
         code, out, err = run(capsys, ["catalog", "show", "fig4_shor"])
@@ -207,6 +208,36 @@ class TestDecode:
             '"z_patterns":9},'
             '{"weight":2,"x_failures":27,"x_patterns":36,"z_failures":9,'
             '"z_patterns":36}]}\n')
+
+    @pytest.mark.parametrize("weight", ["12", "1000000000"])
+    def test_exhaustive_stops_at_the_code_length(self, capsys, weight):
+        # no error on 9 qubits weighs more than 9: rows 0..9, whatever
+        # the weight asked for, and the first three are the pinned ones
+        code, out, _ = run(capsys, ["decode", "exhaustive", "fig4_shor",
+                                    "--weight", weight])
+        assert code == 0
+        rows = json.loads(out)["rows"]
+        assert [r["weight"] for r in rows] == list(range(10))
+        _, pinned, _ = run(capsys, ["decode", "exhaustive", "fig4_shor",
+                                    "--weight", "2"])
+        assert rows[:3] == json.loads(pinned)["rows"]
+
+    def test_sweep_builds_the_tables_once(self, capsys, monkeypatch):
+        # one DecodingTables per command, shared by every --p point
+        calls = []
+        build = decoder.DecodingTables.build
+
+        def counted(code):
+            calls.append(code)
+            return build(code)
+
+        monkeypatch.setattr(decoder.DecodingTables, "build", counted)
+        code, out, _ = run(capsys, ["decode", "sweep", "fig4_shor", "--p",
+                                    "0.02,0.05,0.1", "--trials", "5",
+                                    "--seed", "1"])
+        assert code == 0
+        assert len(out.strip().split("\n")) == 4
+        assert len(calls) == 1
 
     def test_sweep_large_toric(self, capsys):
         # 2^37 coset combinations per trial for an exhaustive decoder
@@ -449,6 +480,23 @@ class TestErrors:
                 assert code == 1
                 assert out == ""
                 assert err.startswith(f"error: {message}")
+
+    def test_deeply_nested_json(self, capsys, tmp_path):
+        # deeper than json.loads recurses; written by hand, as json.dumps
+        # cannot build it either
+        depth = 200_000
+        text = '{"vertices":' + "[" * depth + "]" * depth + "}"
+        p = tmp_path / "deep.json"
+        p.write_text(text)
+        cases = [(argv, "cellulation") for spec in (str(p), text)
+                 for argv in (["code", "params", spec],
+                              ["catalog", "show", spec])]
+        cases.append((["planar", "holes", "--spec", str(p)], "patch"))
+        for argv, what in cases:
+            code, out, err = run(capsys, argv)
+            assert code == 1
+            assert out == ""
+            assert err == f"error: malformed {what}: JSON nested too deeply\n"
 
     @pytest.mark.parametrize("argv", [
         ["decode", "sweep", "fig4_shor", "--p", "0.1", "--trials", "-3",

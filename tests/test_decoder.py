@@ -38,6 +38,10 @@ def _oracle_codes() -> dict:
     return codes
 
 
+def _tables(name):
+    return decoder.DecodingTables.build(_code(name))
+
+
 def _oracle_bits(seed, trial, n, p_x, p_z):
     """(x_bits, z_bits) of one trial by the RNG contract, qubit by qubit."""
     draws = np.random.Generator(
@@ -202,6 +206,10 @@ class TestCorrect:
         err = ErrorPattern.zero(full.n)
         with pytest.raises(ValueError, match="logical operators"):
             decoder.is_failure(bare, err, err)
+        with pytest.raises(ValueError, match="logical operators"):
+            decoder.correct(bare, decoder.syndrome(bare, err))
+        with pytest.raises(ValueError, match="logical operators"):
+            decoder.decode_error(bare, err)
 
     def test_toric_weight_one(self):
         code = _code("toric(3,3)")
@@ -346,16 +354,16 @@ class TestExhaustiveSweep:
 
 class TestMonteCarlo:
     def test_deterministic_in_seed(self):
-        code = _code("fig4_shor")
-        a = decoder.monte_carlo(code, 0.1, 0.1, trials=40, seed=11)
-        b = decoder.monte_carlo(code, 0.1, 0.1, trials=40, seed=11)
+        tables = _tables("fig4_shor")
+        a = decoder.monte_carlo(tables, 0.1, 0.1, trials=40, seed=11)
+        b = decoder.monte_carlo(tables, 0.1, 0.1, trials=40, seed=11)
         assert a == b
-        c = decoder.monte_carlo(code, 0.1, 0.1, trials=40, seed=12)
+        c = decoder.monte_carlo(tables, 0.1, 0.1, trials=40, seed=12)
         assert (a.x_failures, a.z_failures) != (c.x_failures, c.z_failures) \
             or a.seed != c.seed
 
     def test_zero_rate_never_fails(self):
-        res = decoder.monte_carlo(_code("fig4_shor"), 0.0, 0.0,
+        res = decoder.monte_carlo(_tables("fig4_shor"), 0.0, 0.0,
                                   trials=25, seed=3)
         assert res.x_failures == res.z_failures == 0
 
@@ -413,10 +421,10 @@ class TestMonteCarlo:
 
         monkeypatch.setattr(decoder, "_error_bits", no_sampling)
         with pytest.raises(ValueError):
-            decoder.monte_carlo(_code("fig4_shor"), 0.1, 0.1, trials, seed)
+            decoder.monte_carlo(_tables("fig4_shor"), 0.1, 0.1, trials, seed)
 
     def test_largest_seed_is_accepted(self):
-        res = decoder.monte_carlo(_code("fig4_shor"), 0.1, 0.1, 3,
+        res = decoder.monte_carlo(_tables("fig4_shor"), 0.1, 0.1, 3,
                                   2**128 - 1)
         assert res.seed == 2**128 - 1 and res.trials == 3
 
@@ -425,14 +433,14 @@ class TestMonteCarlo:
         bare = stabilizer.CssCode(full.n, full.x_stabilizers,
                                   full.z_stabilizers, 1, 3, 3)
         with pytest.raises(ValueError, match="logical operators"):
-            decoder.monte_carlo(bare, 0.1, 0.1, trials=0, seed=1)
+            decoder.DecodingTables.build(bare)
 
     def test_probability_validation(self):
         with pytest.raises(ValueError):
-            decoder.monte_carlo(_code("fig4_shor"), 1.5, 0.0, 1, 0)
+            decoder.monte_carlo(_tables("fig4_shor"), 1.5, 0.0, 1, 0)
 
     def test_csv_format(self):
-        res = decoder.monte_carlo(_code("fig4_shor"), 0.05, 0.0,
+        res = decoder.monte_carlo(_tables("fig4_shor"), 0.05, 0.0,
                                   trials=10, seed=2)
         text = decoder.sweep_csv([res])
         lines = text.strip().split("\n")
