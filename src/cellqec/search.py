@@ -4,7 +4,8 @@ A cellulation of a closed surface is the same data as a signed rotation
 system: a cyclic order of edge-ends around each vertex plus a twist bit
 per edge.  The enumerator fixes a vertex degree sequence, lays the edge
 ends out as slots and depth-first searches over perfect matchings of the
-slots with twist bits, tracing faces and orientability incrementally.
+slots with twist bits, tracing faces and orientability incrementally;
+a face is checked for being a bigon from the matches when it closes.
 All search state lives in flat lists, and every write first pushes
 (list, index, old value) onto one trail; backtracking pops the trail
 back to a mark.  A complete scheme whose face count or orientability
@@ -21,7 +22,9 @@ Symmetry reductions used by the matching search:
 R1  Vertices of equal degree are interchangeable and each vertex's
     rotation may be cyclically shifted, so a previously untouched vertex
     is entered only through the lowest-indexed untouched vertex of its
-    degree class, at its slot 0.  Pure relabelling, always sound.
+    degree class, at its slot 0.  Pure relabelling, always sound.  The
+    touched vertices of a class thus form a prefix of it: an untouched
+    vertex is offered iff it leads its class or follows a touched one.
 R2  The edge that first reaches an untouched vertex is generated
     untwisted (loops and cycle-closing edges get both twist values).
     Justified by local orientation flips.
@@ -167,19 +170,16 @@ def _scheme_search(degrees: tuple[int, ...],
             s1[2 * a + 1] = 2 * b
             s1[2 * b] = 2 * a + 1
 
-    class_of = [0] * v
-    for i in range(1, v):
-        class_of[i] = class_of[i - 1] + (degrees[i] != degrees[i - 1])
+    # lead[i]: vertex i heads its degree class (R1's prefix rule)
+    lead = [i == 0 or degrees[i] != degrees[i - 1] for i in range(v)]
 
     # match[a] = 2 * b + t for the ribbon on slots a, b with twist t, -1
     # while a is free; a full match is s0 with s0[2a] = match[a] ^ 1 and
     # s0[2a + 1] = match[a]
     match = [-1] * nslots
     # face tracing: paths alternating fixed s1 edges and matched s0
-    # edges; end[] maps a path endpoint to the opposite endpoint and
-    # plen[] holds the path's s0-edge count (= face size on closure + 1)
+    # edges; end[] maps a path endpoint to the opposite endpoint
     end = list(s1)
-    plen = [0] * nflags
     # union-find: link[x] = 2 * parent + orientation parity relative to
     # the parent; a root x has link[x] == 2 * x
     link = [2 * x for x in range(v)]
@@ -251,18 +251,17 @@ def _scheme_search(degrees: tuple[int, ...],
             if end[p] == q:
                 push((count, 1, count[1]))
                 count[1] += 1
-                if plen[p] == 1:
+                # the face p, q, s1[q], x = s1[p] is a bigon iff x's s0
+                # partner is s1[q]; x == q is a face of size 1
+                x = s1[p]
+                if x != q and match[x >> 1] ^ (x & 1) ^ 1 == s1[q]:
                     push((count, 3, count[3]))
                     count[3] += 1
             else:
                 ep, eq = end[p], end[q]
-                merged = plen[p] + plen[q] + 1
-                extend(((end, ep, end[ep]), (end, eq, end[eq]),
-                        (plen, ep, plen[ep]), (plen, eq, plen[eq])))
+                extend(((end, ep, end[ep]), (end, eq, end[eq])))
                 end[ep] = eq
                 end[eq] = ep
-                plen[ep] = merged
-                plen[eq] = merged
         if f_target is not None:
             if count[1] > f_target or (count[1] == f_target and count[0] > 0):
                 return False
@@ -276,10 +275,9 @@ def _scheme_search(degrees: tuple[int, ...],
         del trail[mark:]
 
     def emit() -> None:
+        # apply's face bounds leave exactly f_target faces at a leaf
         nonlocal leaves
         leaves += 1
-        if f_target is not None and count[1] != f_target:
-            return
         if orientable is not None and (count[2] == 0) != orientable:
             return
         visit([f for m in match for f in (m ^ 1, m)], s1)
@@ -293,21 +291,20 @@ def _scheme_search(degrees: tuple[int, ...],
             a += 1
         va = slot_vertex[a]
         base = len(trail)
+        # a seed va is the lowest untouched vertex (every slot below a
+        # is matched); it is marked before the loop, as vb - 1 can be va
         seed = not touched[va]
         if seed:
             push((touched, va, False))
             touched[va] = True
-        offered: set[int] = set()
         for b in range(a + 1, nslots):
             if match[b] >= 0:
                 continue
             vb = slot_vertex[b]
             fresh = not touched[vb]
-            if fresh:
-                cls = class_of[vb]
-                if b != starts[vb] or cls in offered:
-                    continue
-                offered.add(cls)
+            if fresh and (b != starts[vb]
+                          or not (lead[vb] or touched[vb - 1])):
+                continue
             twists = (0,) if fresh and reduce_symmetry else (0, 1)
             for t in twists:
                 mark = len(trail)

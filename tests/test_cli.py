@@ -28,6 +28,45 @@ def _small_patch_docs(draw):
             "holes": [list(h) for h in holes]}
 
 
+# a value of the wrong JSON type, for any field of a document
+_JUNK = st.one_of(st.none(), st.booleans(), st.floats(), st.text(max_size=2),
+                  st.dictionaries(st.text(max_size=1), st.integers(),
+                                  max_size=1))
+
+
+@st.composite
+def _small_cellulation_docs(draw):
+    """A cellulation document of up to 4 edges and 3 faces with small,
+    possibly out-of-range ids; half of them also hold wrongly typed or
+    shaped values and may miss a key."""
+    junk = draw(st.booleans())
+
+    def maybe(strategy):
+        return st.one_of(strategy, strategy, strategy, _JUNK) if junk \
+            else strategy
+
+    def pair(first, second):
+        typed = st.tuples(first, second).map(list)
+        return st.one_of(typed, st.lists(first, max_size=3)) if junk \
+            else typed
+
+    vertex = maybe(st.integers(-1, 3))
+    step = pair(maybe(st.integers(-1, 4)), maybe(st.sampled_from([1, -1, 0])))
+    doc = {
+        "vertices": draw(vertex),
+        "edges": draw(maybe(st.lists(maybe(pair(vertex, vertex)),
+                                     max_size=4))),
+        "faces": draw(maybe(st.lists(maybe(st.lists(maybe(step),
+                                                    max_size=4)),
+                                     max_size=3))),
+    }
+    if junk:
+        missing = draw(st.sampled_from([None] * 5 + sorted(doc)))
+        if missing is not None:
+            del doc[missing]
+    return doc
+
+
 def run(capsys, argv):
     code = cli.main(argv)
     out, err = capsys.readouterr()
@@ -432,6 +471,26 @@ class TestErrors:
         assert code == 1
         assert out == ""
         assert err == f"error: {message}\n"
+
+    @settings(max_examples=150, deadline=None)
+    @given(doc=_small_cellulation_docs())
+    @example(doc=surface.rp2_minimal().to_json_dict())
+    @example(doc=surface.fig4_shor().to_json_dict())
+    def test_cellulation_json_never_escapes_main(self, doc):
+        # the exit-code contract on arbitrary small documents: 0 or 1,
+        # nothing on stdout after an error, and the same stdout twice
+        spec = json.dumps(doc)
+        for argv in (["catalog", "show", spec], ["code", "params", spec]):
+            outs = []
+            for _ in range(2):
+                out = io.StringIO()
+                with contextlib.redirect_stdout(out), \
+                        contextlib.redirect_stderr(io.StringIO()):
+                    code = cli.main(argv)
+                assert code in (0, 1)
+                assert code == 0 or out.getvalue() == ""
+                outs.append(out.getvalue())
+            assert outs[0] == outs[1]
 
     def test_workers_flag_is_gone(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -23,6 +23,74 @@ class TestPartitions:
         assert list(search._partitions(3, 0, 5)) == []
 
 
+def _search_inputs(max_edges=4):
+    """(degrees, f_target) for every degree sequence with at most
+    max_edges edges: unconstrained, and at the projective plane's face
+    count e - v + 1 where it is positive."""
+    for e in range(1, max_edges + 1):
+        for v in range(1, 2 * e + 1):
+            for degs in search._partitions(2 * e, v, 2 * e):
+                yield degs, None
+                if e - v + 1 > 0:
+                    yield degs, e - v + 1
+
+
+def _leaves(degs, f_target, reduce_symmetry, max_bigons=None, visit=None):
+    """(returned count, every accepted leaf's s0 as bytes, in order)."""
+    leaves = []
+
+    def collect(s0, s1):
+        leaves.append(bytes(s0))
+        if visit is not None:
+            visit(s0, s1)
+
+    n = search._scheme_search(degs, collect, f_target, reduce_symmetry,
+                              max_bigons)
+    return n, leaves
+
+
+class TestSchemeSearch:
+    def test_leaf_stream_is_pinned(self):
+        # every leaf, in order, of every small search; the digest was
+        # taken before the search dropped its class table, its per-node
+        # offered set and its path lengths
+        digest = hashlib.sha256()
+        total = 0
+        for degs, f_target in _search_inputs():
+            for max_bigons in (None, 0, 1):
+                for reduced in (False, True):
+                    n, leaves = _leaves(degs, f_target, reduced, max_bigons)
+                    digest.update(n.to_bytes(4, "little"))
+                    for leaf in leaves:
+                        digest.update(leaf)
+                    total += len(leaves)
+        assert total == 34987
+        assert digest.hexdigest() == (
+            "dac905e1b50abe3a985f1fb55b64c05a3c94504cc28b9e883e671228cedbde3b")
+
+    def test_bigon_bound_keeps_exactly_the_leaves_within_it(self):
+        # oracle: count the faces of size 2 (face cycles of 4 flags) of
+        # every unrestricted leaf on its flag map
+        for degs, f_target in _search_inputs():
+            for reduced in (False, True):
+                bigons = []
+
+                def count_bigons(s0, s1):
+                    fm = surface.FlagMap(s0, s1, [f ^ 1 for f in
+                                                  range(len(s0))])
+                    cell, _, faces = fm._cells(s0, s1)
+                    bigons.append([cell.count(i)
+                                   for i in range(faces)].count(4))
+
+                _, every = _leaves(degs, f_target, reduced,
+                                   visit=count_bigons)
+                for b in (0, 1, 2):
+                    n, got = _leaves(degs, f_target, reduced, b)
+                    assert got == [leaf for leaf, k in zip(every, bigons)
+                                   if k <= b], (degs, f_target, reduced, b)
+                    assert n == len(got)
+
+
 class TestEnumerate:
     @pytest.mark.parametrize("edges,classes", [(1, 3), (2, 11), (3, 63)])
     def test_unfiltered_class_counts(self, edges, classes):
