@@ -150,10 +150,6 @@ def _cmd_search_verify(args) -> int:
 
 def _cmd_planar_puncture(args) -> int:
     c = _load_cellulation(args.cellulation)
-    for what, index, count in (("face", args.face, c.face_count),
-                               ("vertex", args.vertex, c.vertex_count)):
-        if not 0 <= index < count:
-            raise ValueError(f"{what} {index} is out of range 0..{count - 1}")
     result = stabilizer.puncture(c, args.face, args.vertex)
     code = result.code
     payload = {

@@ -4,15 +4,17 @@ Every check matrix here has columns of weight <= 2 (true of every
 cellulation incidence matrix and planar check matrix), so it is a
 graph: ``CheckGraph.of`` builds it once per matrix, with the rows plus
 one boundary node as nodes and each column as an edge, and raises
-``UnsupportedCheckStructure`` otherwise.  The class representatives,
-the distance search and the decoder all read that one graph.
+``UnsupportedCheckStructure`` otherwise.  The tree-cotree split, the
+distance search and the decoder all read that one graph.
 
-Class representatives of ker(ve) / rowspace(fe) -- the logical classes
-of every code and the functionals of every systole -- come from the two
-check graphs, ``_class_representatives``: a spanning forest of ve's
-graph, a forest of fe's graph over the columns the first one leaves
-out, and the cycles that the remaining columns close in the first
-forest.  No GF(2) elimination is involved.
+Logical classes of a pair of commuting checks (x, z) -- both sides of
+every code, and the functionals of every systole -- come from one
+tree-cotree split of their two graphs, ``_tree_cotree``: a spanning
+forest F of x's graph, a forest F* of z's graph over the columns F
+leaves out, and, for each column in neither, the cycle it closes in F
+(a basis of ker(x) / rowspace(z)) and the one it closes in F* (a basis
+of ker(z) / rowspace(x)).  The two bases pair as the identity by
+construction, and no GF(2) elimination is involved.
 
 Every minimum-weight-nontrivial-vector question in the library -- the
 primal and dual systoles here, and the code distances in ``stabilizer``
@@ -136,66 +138,80 @@ def _forest(graph: CheckGraph, columns: Sequence[int]) -> list[int]:
     return joined
 
 
-def _class_representatives(fe: CheckGraph, ve: CheckGraph) -> list[Gf2Vector]:
-    """A basis of ker(ve) / rowspace(fe), from the two check graphs.
+def _tree_paths(graph: CheckGraph, tree: set[int],
+                columns: Sequence[int]) -> list[Gf2Vector]:
+    """Each column e plus the path in the forest tree between e's ends.
 
-    The rows of fe must lie in ker(ve), as commuting checks' do.  Let F
-    be the spanning forest of ve's graph that Kruskal's rule builds
-    from the columns in ascending order, and N the columns F leaves out.
-    Let F* be the forest of fe's graph built the same way from the
-    columns of N only, in descending order.  For each column e of N not
-    in F*, in ascending order, the representative is e plus the path in
-    F between e's two ends (e alone for a column of weight 0).
-
-    These are exactly the vectors that a greedy pass over
-    ``gf2.kernel_basis(ve)`` keeps, each one kept iff it is independent
-    of rowspace(fe) and of the vectors kept before it, in that order:
-
-    - ``kernel_basis`` eliminates the columns of ve in ascending order,
-      and a column is a pivot iff it joins two trees of the earlier
-      pivots, so the pivots are F and the kernel basis is the list of
-      F's fundamental cycles, one per column of N, in ascending order.
-    - Restricting to the coordinates of N is injective on ker(ve) (F has
-      no cycle) and sends the cycle of column j to the unit vector e_j.
-      The greedy pass then keeps j iff no vector of rowspace(fe),
-      restricted to N, has j as its highest column.  Those highest
-      columns are the columns of fe|N independent of all the columns
-      above them: the descending greedy basis of fe|N's column matroid,
-      which is F*.
+    A column of weight 0 stands alone.  The ends of every column must
+    lie in one tree of the forest.
     """
-    n = len(ve.columns)
-    in_tree = set(_forest(ve, range(n)))
-    cotree = [e for e in range(n) if e not in in_tree]
-    in_fstar = set(_forest(fe, cotree[::-1]))
-    # parent edges and depths of F, from one DFS per tree
-    parent: list[tuple[int, int] | None] = [None] * (ve.boundary + 1)
-    depth = [-1] * (ve.boundary + 1)
-    for r in range(ve.boundary + 1):
+    # parent edges and depths of the forest, from one DFS per tree
+    parent: list[tuple[int, int] | None] = [None] * (graph.boundary + 1)
+    depth = [-1] * (graph.boundary + 1)
+    for r in range(graph.boundary + 1):
         if depth[r] >= 0:
             continue
         depth[r] = 0
         stack = [r]
         while stack:
             a = stack.pop()
-            for b, e in ve.adj[a]:
-                if depth[b] < 0 and e in in_tree:
+            for b, e in graph.adj[a]:
+                if depth[b] < 0 and e in tree:
                     depth[b] = depth[a] + 1
                     parent[b] = (a, e)
                     stack.append(b)
-    reps = []
-    for e in cotree:
-        if e in in_fstar:
-            continue
+    cycles = []
+    for e in columns:
         bits = 1 << e
-        if ve.ends[e] is not None:
-            a, b = ve.ends[e]
+        if graph.ends[e] is not None:
+            a, b = graph.ends[e]
             while a != b:
                 if depth[a] < depth[b]:
                     a, b = b, a
                 a, pe = parent[a]
                 bits ^= 1 << pe
-        reps.append(Gf2Vector(n, bits))
-    return reps
+        cycles.append(Gf2Vector(len(graph.columns), bits))
+    return cycles
+
+
+def _tree_cotree(x: CheckGraph, z: CheckGraph
+                 ) -> tuple[list[Gf2Vector], list[Gf2Vector]]:
+    """Paired bases of ker(x) / rowspace(z) and ker(z) / rowspace(x).
+
+    The checks must commute: rowspace(z) lies in ker(x).  F is the
+    spanning forest of x's graph that Kruskal's rule builds from the
+    columns in ascending order, N the columns outside F, F* the forest
+    of z's graph built the same way from N in descending order, and L
+    the columns of N outside F*, in ascending order.  For each e of L
+    the first basis holds e plus the path in F between e's ends, and
+    the second e plus the path in F* between them.  F, F* and L are
+    disjoint, so the two bases pair as the identity (a tree-cotree
+    decomposition: Eppstein, "Dynamic generators of topologically
+    embedded graphs", SODA 2003).
+
+    The first basis is what a greedy pass over ``gf2.kernel_basis(x)``
+    keeps, each vector kept iff it is independent of rowspace(z) and of
+    those kept before it.  Eliminating x's columns in ascending order
+    makes a column a pivot iff it joins two trees of the earlier ones,
+    so the kernel basis is F's fundamental cycles, one per column of N
+    in ascending order.  Restricted to N (injective on ker(x), as F has
+    no cycle) the cycle of column j is the unit vector e_j, so j is kept
+    iff no vector of rowspace(z) restricted to N has j as its highest
+    column, that is iff j is outside the descending greedy basis of
+    z|N's column matroid, which is F*.
+
+    Kruskal's rule left each column of L out of F* because its ends
+    were joined already, so the second basis lies in ker(z); pairing as
+    the identity with the first, which lies in ker(x), it is independent
+    modulo rowspace(x).  Commuting checks give both quotients the
+    dimension n - rank(x) - rank(z), so it is a basis.
+    """
+    n = len(x.columns)
+    tree = set(_forest(x, range(n)))
+    cotree = [e for e in range(n) if e not in tree]
+    dual_tree = set(_forest(z, cotree[::-1]))
+    loops = [e for e in cotree if e not in dual_tree]
+    return _tree_paths(x, tree, loops), _tree_paths(z, dual_tree, loops)
 
 
 def _min_weight_logical(graph: CheckGraph,
@@ -275,8 +291,8 @@ def _min_essential(fe: Gf2Matrix, ve: Gf2Matrix) -> tuple[int, Gf2Vector]:
     A cycle is essential iff it pairs oddly with some class of
     ker(fe) / rowspace(ve), so those classes are the functionals.
     """
-    fe_graph, ve_graph = CheckGraph.of(fe), CheckGraph.of(ve)
-    functionals = _class_representatives(ve_graph, fe_graph)
+    ve_graph = CheckGraph.of(ve)
+    functionals, _ = _tree_cotree(CheckGraph.of(fe), ve_graph)
     if not functionals:
         raise TrivialHomologyError("surface has trivial first homology")
     return _min_weight_logical(ve_graph, functionals)

@@ -509,19 +509,23 @@ def identify_vertices(c: Cellulation, face_index: int,
     pinch splits the face into two closed walks through the merged
     vertex: V drops by 1, F grows by 1, edges and the Euler
     characteristic are unchanged.  Raises CellulationError when the face
-    index is out of range or the two corners sit at the same vertex.
+    index or a corner is out of range or the two corners sit at the same
+    vertex.
     """
     if not 0 <= face_index < c.face_count:
         raise CellulationError(
             f"face {face_index} is out of range 0..{c.face_count - 1}")
     walk = c.faces[face_index]
-    t1, t2 = corner_a % len(walk), corner_b % len(walk)
-    if c.step_tail(*walk[t1]) == c.step_tail(*walk[t2]):
+    for t in (corner_a, corner_b):
+        if not 0 <= t < len(walk):
+            raise CellulationError(
+                f"corner {t} is out of range 0..{len(walk) - 1}")
+    if c.step_tail(*walk[corner_a]) == c.step_tail(*walk[corner_b]):
         raise CellulationError("corners lie at the same vertex")
     flags, labels = surface.build_flags_labeled(c)
     base = sum(len(w) for w in c.faces[:face_index])
-    return _pinch(flags, 2 * (base + t1), 2 * (base + t2)).to_cellulation(
-        labels)
+    return _pinch(flags, 2 * (base + corner_a),
+                  2 * (base + corner_b)).to_cellulation(labels)
 
 
 def _pinches(c: Cellulation, flags: FlagMap) -> list[FlagMap]:

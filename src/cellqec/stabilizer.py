@@ -8,13 +8,14 @@ ker(vertex_edge) \\ rowspace(face_edge); logical_z dually.
 Closed-surface and planar codes are finished by the same code,
 ``_code_from_checks``.  It builds each side's ``homology.CheckGraph``
 once (every check column must have weight <= 2, even when k = 0), and
-all that follows reads those two graphs: k is the number of logical
-class representatives that ``homology._class_representatives`` finds
-(the checks must commute, which is why ``build_code`` validates its
-cellulation first), both distances come from the parity-cover search
-``homology._min_weight_logical``, and the logical operators are class
-representatives paired by ``_normalize_pairing``, which solves the Gram
-system with ``gf2.solve`` (valid, not necessarily of minimum weight).
+all that follows reads those two graphs: one tree-cotree split,
+``homology._tree_cotree``, gives logical_z and logical_x already paired
+as the identity (the checks must commute, which is why ``build_code``
+validates its cellulation first), k is their number, and both
+distances come from the parity-cover search
+``homology._min_weight_logical``.  The logical operators are valid, not
+necessarily of minimum weight, and building a code does no GF(2)
+elimination.
 """
 from __future__ import annotations
 
@@ -92,30 +93,6 @@ class CssCode:
         }
 
 
-def _normalize_pairing(logical_x: list[Gf2Vector],
-                       logical_z: list[Gf2Vector]) -> list[Gf2Vector]:
-    """Recombine logical_x so that logical_x[i] . logical_z[j] = delta_ij.
-
-    Output i combines the logical_x[a] for the bits a of the solution x of
-    sum_a x_a (logical_x[a] . logical_z[j]) = delta_ij, one row of the
-    inverse Gram matrix.
-    """
-    k = len(logical_z)
-    gram = Gf2Matrix(k, len(logical_x), tuple(
-        sum(lx.dot(lz) << a for a, lx in enumerate(logical_x))
-        for lz in logical_z))
-    out = []
-    for i in range(k):
-        combo = gf2.solve(gram, Gf2Vector(k, 1 << i))
-        if combo is None:
-            raise ValueError("matrix is singular over GF(2)")
-        acc = Gf2Vector.zero(logical_x[0].n)
-        for a in combo.support():
-            acc ^= logical_x[a]
-        out.append(acc)
-    return out
-
-
 def build_code(c: Cellulation) -> CssCode:
     """The CSS code of a cellulation: X on faces, Z on vertices.
 
@@ -137,18 +114,15 @@ def _code_from_checks(x_stab: Gf2Matrix, z_stab: Gf2Matrix) -> CssCode:
     n = x_stab.cols
     x_graph = homology.CheckGraph.of(x_stab)
     z_graph = homology.CheckGraph.of(z_stab)
-    # x_side spans ker(x_stab) / rowspace(z_stab), z_side the reverse
-    x_side = homology._class_representatives(z_graph, x_graph)
-    z_side = homology._class_representatives(x_graph, z_graph)
-    k = len(x_side)
+    # Z-type logicals commute with the X checks: ker(x_stab) / rowspace(z_stab)
+    logical_z, logical_x = homology._tree_cotree(x_graph, z_graph)
+    k = len(logical_z)
     if k == 0:
         return CssCode(n, x_stab, z_stab, 0, None, None)
-    d_z, _ = _min_weight_logical(z_graph, x_side)
-    d_x, _ = _min_weight_logical(x_graph, z_side)
-    # z_side lives in ker(z_stab), so those supports carry X-type logicals
-    logical_x = _normalize_pairing(z_side, x_side)
+    d_z, _ = _min_weight_logical(z_graph, logical_z)
+    d_x, _ = _min_weight_logical(x_graph, logical_x)
     return CssCode(n, x_stab, z_stab, k, d_x, d_z,
-                   tuple(logical_x), tuple(x_side))
+                   tuple(logical_x), tuple(logical_z))
 
 
 def check_relations(code: CssCode) -> bool:
@@ -213,8 +187,6 @@ class PunctureResult:
 
 
 def _drop_row(m: Gf2Matrix, i: int) -> Gf2Matrix:
-    if not 0 <= i < m.rows:
-        raise IndexError(i)
     rows = m.row_bits[:i] + m.row_bits[i + 1:]
     return Gf2Matrix(m.rows - 1, m.cols, rows)
 
@@ -244,8 +216,13 @@ def puncture(c: Cellulation, face_id: int, vertex_id: int) -> PunctureResult:
     The product relations make any single face and vertex generator
     redundant, so the stabilizer row spaces -- and hence all code
     parameters -- are preserved.  The planarity flag reports whether the
-    remaining generators admit a planar Tanner-graph layout.
+    remaining generators admit a planar Tanner-graph layout.  Raises
+    ValueError when face_id or vertex_id is out of range.
     """
+    for what, index, count in (("face", face_id, c.face_count),
+                               ("vertex", vertex_id, c.vertex_count)):
+        if not 0 <= index < count:
+            raise ValueError(f"{what} {index} is out of range 0..{count - 1}")
     full = build_code(c)
     x2 = _drop_row(full.x_stabilizers, face_id)
     z2 = _drop_row(full.z_stabilizers, vertex_id)

@@ -12,7 +12,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cellqec
-from cellqec import cli, decoder, stabilizer, surface
+from cellqec import cli, decoder, gf2, search, stabilizer, surface
+from cellqec.gf2 import Gf2Matrix, Gf2Vector
 
 
 @st.composite
@@ -65,6 +66,69 @@ def _small_cellulation_docs(draw):
         if missing is not None:
             del doc[missing]
     return doc
+
+
+# command-line tokens: catalog names, small tori, inline documents and
+# junk; numbers with negatives, nan and 2**128, bounded where an option
+# sets the cost (--edges, --trials, --weight)
+_BIG = str(2 ** 128)
+_JUNK_TOKENS = st.sampled_from(["", "-", "--", "-h", "--workers", "x", "nan",
+                                "toric(", "toric(1)", "{", "{}", "[1]", "."])
+_CELLULATIONS = st.one_of(
+    st.sampled_from(surface.closed_catalog_names()),
+    st.builds("toric({},{})".format, st.integers(0, 4), st.integers(0, 4)),
+    _small_cellulation_docs().map(json.dumps),
+    _JUNK_TOKENS)
+
+
+def _numbers(bound=None):
+    words = ["nan", "-0", "1.5", "x", "", str(-2 ** 128)]
+    if bound is None:
+        return st.one_of(st.integers(-3, 12).map(str),
+                         st.sampled_from(words + [_BIG]))
+    return st.one_of(st.integers(-3, bound).map(str), st.sampled_from(words))
+
+
+_PROBABILITIES = st.lists(st.sampled_from(["0", "0.05", "0.1", "1", "-0.1",
+                                          "2", "nan", "x", _BIG]),
+                          min_size=1, max_size=3).map(",".join)
+# per subcommand: the words, then the required and the optional
+# arguments, each a list of tokens or strategies
+_GRAMMAR = [
+    (["catalog", "list"], [], []),
+    (["catalog", "show"], [_CELLULATIONS], []),
+    (["code", "params"], [_CELLULATIONS], []),
+    (["code", "stabilizers"], [_CELLULATIONS], []),
+    (["code", "invariants"], [_CELLULATIONS], []),
+    (["code", "compare"], [_CELLULATIONS, _CELLULATIONS], []),
+    (["decode", "sweep"], [_CELLULATIONS, "--p", _PROBABILITIES,
+                           "--trials", _numbers(20), "--seed", _numbers()], []),
+    (["decode", "exhaustive"], [_CELLULATIONS, "--weight", _numbers(2)], []),
+    (["search", "census"], ["--edges", _numbers(5)],
+     [["--min-systole", _numbers()], ["--vertices", _numbers()],
+      ["--bigons", _numbers()]]),
+    (["search", "verify-paper"], [], []),
+    (["planar", "puncture"], [_CELLULATIONS, "--face", _numbers(),
+                              "--vertex", _numbers()], []),
+    (["planar", "holes"], [], [["--spec", _JUNK_TOKENS]]),
+]
+
+
+@st.composite
+def _argvs(draw):
+    """An argv from _GRAMMAR; one in four drops a token, and one in four
+    gets a junk token.  No edit moves a value to another option."""
+    words, required, optional = draw(st.sampled_from(_GRAMMAR))
+    parts = list(required)
+    for group in optional:
+        if draw(st.booleans()):
+            parts += group
+    argv = words + [p if isinstance(p, str) else draw(p) for p in parts]
+    if draw(st.integers(0, 3)) == 0:
+        del argv[draw(st.integers(0, len(argv) - 1))]
+    if draw(st.integers(0, 3)) == 0:
+        argv.insert(draw(st.integers(0, len(argv))), draw(_JUNK_TOKENS))
+    return argv
 
 
 def run(capsys, argv):
@@ -415,18 +479,18 @@ class TestPlanar:
 
 class TestLogicalOperators:
     # sha256 of stdout, which carries the paired logical operators; these
-    # bytes are what the order of the check graph's spanning forest decides
+    # bytes are what the order of the tree-cotree split's forests decides
     @pytest.mark.parametrize("argv,digest", [
         (["code", "stabilizers", "fig1_hemi_icosahedron"],
-         "45c6745bb8a267f6f3baa5349469873100d5e0011daa8c2f290be80eaefc69d8"),
+         "bfa7d793247767ed92777820307e6a5f43b7001cbdffac8ee9b14248a7418678"),
         (["code", "stabilizers", "fig2_nine_edge"],
-         "9f6d070e14f432f1285f7e3bb214ac9499ee005ef1223a2d9dcfae5975188b40"),
+         "5bcd903f948926ad1a727364028f9b29e43cf056e61bcd0e69685541b4f98aa1"),
         (["code", "stabilizers", "toric(3,3)"],
-         "fb03dd3ae344d4ad884f77bba0e185a655147293b2e9ef7c255a6113e8c9d6aa"),
+         "cfe70773239a579f6b41f3f6fb11087b944349c980466083b9575001a8f7937a"),
         (["planar", "puncture", "toric(3,3)", "--face", "0", "--vertex", "0"],
-         "01d591e74497a01fe76e533882ec0a23393c39e261b881a2ac9a9508647f0478"),
+         "175b6c47f8763e120a491d5532848d4a779e3e01eff4e45465c79c2e32aa8594"),
         (["code", "stabilizers", "toric(8,8)"],
-         "e6b40766bf017a382b94bb428755803bccaa071d435e3431cde17490eefa0c3e"),
+         "074a6d46182b429f1793423b4fff0591ec763993e79e4532e51836db543c6c21"),
         (["planar", "holes"],
          "fc751b7ebc91ffe36d5244508bc5f519ca2cb46c47113e318377f305474d9143"),
     ], ids=["fig1", "fig2", "toric33", "puncture-toric33", "toric88",
@@ -435,6 +499,29 @@ class TestLogicalOperators:
         code, out, _ = run(capsys, argv)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    # the logical_x supports these commands printed while the X side was
+    # paired to the Z side by a Gram solve; the tree-cotree split prints
+    # other vectors, but each is the same logical operator up to X
+    # stabilizers
+    @pytest.mark.parametrize("argv,supports", [
+        (["code", "stabilizers", "fig1_hemi_icosahedron"], [[0, 5, 10]]),
+        (["code", "stabilizers", "fig2_nine_edge"], [[0, 2, 4]]),
+        (["code", "stabilizers", "toric(3,3)"], [[0, 3, 6], [9, 10, 11]]),
+        (["planar", "puncture", "toric(3,3)", "--face", "0", "--vertex", "0"],
+         [[0, 3, 6], [9, 10, 11]]),
+        (["code", "stabilizers", "toric(8,8)"],
+         [list(range(0, 64, 8)), list(range(64, 72))]),
+    ], ids=["fig1", "fig2", "toric33", "puncture-toric33", "toric88"])
+    def test_logical_x_keeps_its_class(self, capsys, argv, supports):
+        code, out, _ = run(capsys, argv)
+        assert code == 0
+        doc = json.loads(out)["code"]
+        rows = Gf2Matrix.from_rows(doc["x_stabilizers"]).row_vectors()
+        logical_x = [Gf2Vector.from_list(v) for v in doc["logical_x"]]
+        assert len(logical_x) == len(supports)
+        for v, support in zip(logical_x, supports):
+            assert gf2.in_span(rows, v ^ Gf2Vector.from_support(v.n, support))
 
 
 class TestErrors:
@@ -491,6 +578,37 @@ class TestErrors:
                 assert code == 0 or out.getvalue() == ""
                 outs.append(out.getvalue())
             assert outs[0] == outs[1]
+
+    @settings(max_examples=150, deadline=None)
+    @given(argv=_argvs())
+    @example(argv=["search", "verify-paper"])
+    @example(argv=["decode", "sweep", "toric(4,4)", "--p", "0.1,0.05",
+                   "--trials", "20", "--seed", _BIG])
+    def test_argv_never_escapes_main(self, argv):
+        # the exit-code contract over the whole command line: 0, 1 or 2
+        # (argparse's SystemExit), no traceback, nothing on stdout after
+        # an error, and the same stdout twice.  verify-paper's census at
+        # 5 and 7 edges takes seconds, and the verify_paper_run fixture
+        # checks it, so here it runs the census at 3 and 4 edges.
+        def small_census():
+            return {"reports": [search.census_report(e) for e in (3, 4)]}
+
+        outs = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(search, "verify_no_small_codes", small_census)
+            for _ in range(2):
+                out, err = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(out), \
+                        contextlib.redirect_stderr(err):
+                    try:
+                        code = cli.main(argv)
+                    except SystemExit as exc:
+                        code = exc.code
+                assert code in (0, 1, 2)
+                assert "Traceback" not in err.getvalue()
+                assert code == 0 or out.getvalue() == ""
+                outs.append(out.getvalue())
+        assert outs[0] == outs[1]
 
     def test_workers_flag_is_gone(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -2,7 +2,7 @@ import random
 
 import pytest
 from coset_oracle import greedy_representatives
-from sampling import small_cellulation_pool
+from sampling import planar_and_punctured_codes, small_cellulation_pool
 
 from cellqec import homology, stabilizer, surface
 from cellqec.gf2 import Gf2Matrix, Gf2Vector
@@ -139,21 +139,8 @@ def _representative_cases():
         + [f"toric({m},{m})" for m in range(2, 9)])
     for name in names:
         checks.append((name, surface.incidence_matrices(surface.catalog(name))))
-    patches = {
-        "two-holes": stabilizer.planar_two_holes_patch(),
-        "3x3-one-hole": stabilizer.PlanarPatch(3, 3, ((1, 1, 1, 1),)),
-        "3x3-no-hole": stabilizer.PlanarPatch(3, 3, ()),
-        "5x5-adjacent-holes": stabilizer.PlanarPatch(
-            5, 5, ((1, 1, 1, 1), (2, 1, 1, 1))),
-    }
-    for label, patch in patches.items():
-        code = stabilizer.build_punctured_disk_code(patch)
-        checks.append((f"planar-{label}",
-                       (code.x_stabilizers, code.z_stabilizers)))
-    for name, face, vertex in [("fig4_shor", 6, 0), ("toric(3,3)", 0, 0)]:
-        code = stabilizer.puncture(surface.catalog(name), face, vertex).code
-        checks.append((f"puncture-{name}-{face}-{vertex}",
-                       (code.x_stabilizers, code.z_stabilizers)))
+    for label, code in planar_and_punctured_codes():
+        checks.append((label, (code.x_stabilizers, code.z_stabilizers)))
     for i, c in enumerate(small_cellulation_pool()):
         checks.append((f"pool-{i}", surface.incidence_matrices(c)))
     cases = []
@@ -168,17 +155,29 @@ class TestClassRepresentatives:
     # same order, that a greedy pass over the GF(2) kernel basis keeps
     @pytest.mark.parametrize("fe,ve", _representative_cases())
     def test_matches_the_greedy_kernel_oracle(self, fe, ve):
-        assert (homology._class_representatives(homology.CheckGraph.of(fe),
-                                                homology.CheckGraph.of(ve))
-                == greedy_representatives(fe, ve))
+        first, _ = homology._tree_cotree(homology.CheckGraph.of(ve),
+                                         homology.CheckGraph.of(fe))
+        assert first == greedy_representatives(fe, ve)
+
+    # the second basis, the cycles the same columns close in the second
+    # forest, lies in ker(fe) and pairs with the first as the identity
+    @pytest.mark.parametrize("fe,ve", _representative_cases())
+    def test_second_basis_is_dual_to_the_first(self, fe, ve):
+        first, second = homology._tree_cotree(homology.CheckGraph.of(ve),
+                                              homology.CheckGraph.of(fe))
+        assert len(second) == len(first)
+        for v in second:
+            assert fe.mul_vector(v).is_zero()
+        assert [[a.dot(b) for b in second] for a in first] == [
+            [int(i == j) for j in range(len(first))]
+            for i in range(len(first))]
 
 
 def _searched_sides(label, x_stab, z_stab):
     """pytest params (check, functionals) of both distance searches."""
     x_graph = homology.CheckGraph.of(x_stab)
     z_graph = homology.CheckGraph.of(z_stab)
-    x_side = homology._class_representatives(z_graph, x_graph)
-    z_side = homology._class_representatives(x_graph, z_graph)
+    x_side, z_side = homology._tree_cotree(x_graph, z_graph)
     if not x_side:
         return []
     return [pytest.param(z_stab, x_side, id=f"{label}-d_z"),

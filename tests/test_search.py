@@ -267,6 +267,16 @@ class TestIdentifyVertices:
         with pytest.raises(CellulationError, match="out of range"):
             search.identify_vertices(c, face, 0, 1)
 
+    # corners are range-checked like the face index; taken modulo the
+    # walk length, corner 100 would pinch corner 4 of the hexagon
+    @pytest.mark.parametrize("corner_a,corner_b", [(0, 100), (0, 6),
+                                                   (-1, 1), (1, -2)])
+    def test_corner_out_of_range_rejected(self, corner_a, corner_b):
+        c = surface.fig4_shor()  # face 6 is the hexagon, corners 0..5
+        assert len(c.faces[6]) == 6
+        with pytest.raises(CellulationError, match="out of range 0..5"):
+            search.identify_vertices(c, 6, corner_a, corner_b)
+
     def test_identification_classes_are_pinned(self):
         # the digest was taken from an independent construction, which
         # split the face walk and relabelled the vertices by hand

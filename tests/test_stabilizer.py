@@ -1,5 +1,8 @@
+import re
+
 import pytest
 from coset_oracle import coset_min_essential
+from sampling import planar_and_punctured_codes
 
 from cellqec import gf2, homology, stabilizer, surface
 from cellqec.gf2 import Gf2Matrix
@@ -73,20 +76,53 @@ class TestBuildCode:
             code.z_stabilizers, code.k, code.d_x, code.d_z)
         assert not stabilizer.commutes(bad)
 
+    # the logical-operator contract, on every code the suites build
     def test_logicals_anticommute_pairwise(self):
-        code = stabilizer.build_code(surface.catalog("toric(3,3)"))
-        for i, lx in enumerate(code.logical_x):
-            for j, lz in enumerate(code.logical_z):
-                assert lx.dot(lz) == (1 if i == j else 0)
+        for code in _contract_codes():
+            assert len(code.logical_x) == len(code.logical_z) == code.k
+            for i, lx in enumerate(code.logical_x):
+                for j, lz in enumerate(code.logical_z):
+                    assert lx.dot(lz) == (1 if i == j else 0)
 
     def test_logicals_commute_with_stabilizers(self):
-        code = stabilizer.build_code(surface.catalog("toric(3,3)"))
-        for lx in code.logical_x:
-            for row in code.z_stabilizers.row_vectors():
-                assert lx.dot(row) == 0
-        for lz in code.logical_z:
-            for row in code.x_stabilizers.row_vectors():
-                assert lz.dot(row) == 0
+        for code in _contract_codes():
+            for lx in code.logical_x:
+                for row in code.z_stabilizers.row_vectors():
+                    assert lx.dot(row) == 0
+            for lz in code.logical_z:
+                for row in code.x_stabilizers.row_vectors():
+                    assert lz.dot(row) == 0
+
+    def test_building_a_code_does_no_elimination(self, monkeypatch):
+        # checks, cellulations and a patch are made before the patching,
+        # since puncture compares row spaces by elimination
+        cellulations = [surface.catalog(name) for name in _closed_names()]
+        checks = [(code.x_stabilizers, code.z_stabilizers)
+                  for _, code in planar_and_punctured_codes()]
+        patch = stabilizer.planar_two_holes_patch()
+
+        def no_elimination(rows):
+            raise AssertionError("GF(2) elimination while building a code")
+
+        monkeypatch.setattr(gf2, "_forward", no_elimination)
+        for c in cellulations:
+            stabilizer.build_code(c)
+        for x_stab, z_stab in checks:
+            stabilizer._code_from_checks(x_stab, z_stab)
+        assert stabilizer.build_punctured_disk_code(patch).k == 2
+
+
+def _closed_names():
+    return list(dict.fromkeys(surface.closed_catalog_names()
+                              + [f"toric({m},{m})" for m in range(1, 9)]))
+
+
+def _contract_codes():
+    """Every closed catalog code, toric(1,1)..toric(8,8), and the planar
+    and punctured codes."""
+    return ([stabilizer.build_code(surface.catalog(name))
+             for name in _closed_names()]
+            + [code for _, code in planar_and_punctured_codes()])
 
 
 class TestShorIdentification:
@@ -191,9 +227,20 @@ class TestPuncture:
         assert res.code.x_stabilizers.rows == 0
         assert res.code.z_stabilizers.rows == 0
 
-    def test_bad_ids(self):
-        with pytest.raises(IndexError):
-            stabilizer.puncture(surface.fig4_shor(), 99, 0)
+    def test_bad_ids(self, monkeypatch):
+        # the range is checked before the code is built, with the CLI's text
+        def no_build(c):
+            raise AssertionError("code built before the range check")
+
+        monkeypatch.setattr(stabilizer, "build_code", no_build)
+        for face, vertex, message in [
+                (99, 0, "face 99 is out of range 0..6"),
+                (7, 0, "face 7 is out of range 0..6"),
+                (-1, 0, "face -1 is out of range 0..6"),
+                (6, 3, "vertex 3 is out of range 0..2"),
+                (6, -1, "vertex -1 is out of range 0..2")]:
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                stabilizer.puncture(surface.fig4_shor(), face, vertex)
 
 
 class TestPlanarPatch:
