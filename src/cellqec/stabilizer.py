@@ -5,7 +5,11 @@ operators are Z-type.  d_z (bit-flip distance) is the primal systole,
 d_x (phase distance) the dual systole.  logical_x vectors live in
 ker(vertex_edge) \\ rowspace(face_edge); logical_z dually.
 
-Closed-surface and planar codes are finished by the same code,
+Every code's checks are read from a cellulation's incidences by
+``surface.incidence_matrices``.  A closed surface gives all its face and
+vertex rows; a planar patch is cellulated by its unit squares and one
+face per hole (``surface.from_vertex_faces``), and the hole rows are
+dropped.  Closed-surface and planar codes are finished by the same code,
 ``_code_from_checks``.  It builds each side's ``homology.CheckGraph``
 once (every check column must have weight <= 2, even when k = 0), and
 all that follows reads those two graphs: one tree-cotree split,
@@ -167,10 +171,14 @@ def css_distance(code: CssCode) -> tuple[int, int]:
     d_z = min weight in ker(z_stabilizers) \\ rowspace(x_stabilizers);
     d_x with the roles swapped.  These are the distances that
     ``_code_from_checks`` finds with the parity-cover graph search, so
-    it scales to the large planar instances.
+    it scales to the large planar instances.  Raises ValueError when
+    k < 1 or when the X and Z checks do not commute, since k, both
+    distances and the pairing all assume they do.
     """
     if code.k < 1:
         raise ValueError("distance undefined for k = 0")
+    if not commutes(code):
+        raise ValueError("X and Z checks do not commute")
     fresh = _code_from_checks(code.x_stabilizers, code.z_stabilizers)
     return fresh.d_x, fresh.d_z
 
@@ -241,11 +249,15 @@ def puncture(c: Cellulation, face_id: int, vertex_id: int) -> PunctureResult:
 class PlanarPatch:
     """A width x height block of unit squares with rectangular holes.
 
-    Holes are (x, y, w, h) rectangles in face coordinates.  Qubits live
-    on the edges of the punctured region; X generators are the kept unit
-    squares, Z generators all vertices.  The discarded outer face and the
-    closed-surface completion vertex are exactly the redundant
-    generators, so k equals the number of holes.
+    Holes are (x, y, w, h) rectangles in face coordinates; they neither
+    overlap nor touch the outer boundary.  Qubits live on the edges of
+    the punctured region; X generators are the kept unit squares, Z
+    generators all vertices not strictly inside a hole.  Closing the
+    patch with its h hole faces and one outer face gives a sphere, whose
+    face rows span its cycle space with a single relation, the sum of
+    all faces.  Dropping the hole faces and the outer face removes h + 1
+    rows and that relation, so the squares span h dimensions fewer than
+    the cycle space: k = h.
     """
 
     width: int
@@ -300,61 +312,40 @@ class PlanarPatch:
         return cls.from_json_dict(doc)
 
 
-def _patch_in_hole(patch: PlanarPatch, fx: int, fy: int) -> bool:
-    for x, y, w, h in patch.holes:
-        if x <= fx < x + w and y <= fy < y + h:
-            return True
-    return False
+def _ring(x: int, y: int, w: int, h: int) -> list[tuple[int, int]]:
+    """The lattice points around a w x h rectangle, counterclockwise."""
+    return ([(x + a, y) for a in range(w)] + [(x + w, y + b) for b in range(h)]
+            + [(x + w - a, y + h) for a in range(w)]
+            + [(x, y + h - b) for b in range(h)])
 
 
 def build_punctured_disk_code(patch: PlanarPatch) -> CssCode:
-    """CSS code of a punctured disk; k = number of holes."""
-    W, H = patch.width, patch.height
-    # vertices strictly inside a hole are absent
+    """CSS code of a punctured disk; k = number of holes.
+
+    The kept unit squares and one face per hole boundary form a
+    cellulation of the patch; its incidences give the checks, X on the
+    squares only and Z on every vertex.  The hole faces supply the
+    edges between two adjacent holes, which border no square.
+    """
+    holes = patch.holes
     vid: dict[tuple[int, int], int] = {}
-    for i in range(W + 1):
-        for j in range(H + 1):
-            interior = any(x < i < x + w and y < j < y + h
-                           for x, y, w, h in patch.holes)
-            if not interior:
+    for i in range(patch.width + 1):
+        for j in range(patch.height + 1):
+            if not any(x < i < x + w and y < j < y + h
+                       for x, y, w, h in holes):
                 vid[(i, j)] = len(vid)
-    edges: list[tuple[int, int]] = []
-    eid: dict[tuple, int] = {}
-    # horizontal edge ('h', i, j): (i,j)-(i+1,j); interior to a hole iff
-    # its open segment lies inside one
-    for i in range(W):
-        for j in range(H + 1):
-            inside = any(x <= i < x + w and y < j < y + h
-                         for x, y, w, h in patch.holes)
-            if not inside:
-                eid[("h", i, j)] = len(edges)
-                edges.append((vid[(i, j)], vid[(i + 1, j)]))
-    for i in range(W + 1):
-        for j in range(H):
-            inside = any(x < i < x + w and y <= j < y + h
-                         for x, y, w, h in patch.holes)
-            if not inside:
-                eid[("v", i, j)] = len(edges)
-                edges.append((vid[(i, j)], vid[(i, j + 1)]))
-    n = len(edges)
-    x_rows = []
-    for i in range(W):
-        for j in range(H):
-            if _patch_in_hole(patch, i, j):
-                continue
-            bits = (1 << eid[("h", i, j)]) | (1 << eid[("h", i, j + 1)])
-            bits |= (1 << eid[("v", i, j)]) | (1 << eid[("v", i + 1, j)])
-            x_rows.append(bits)
-    z_rows = [0] * len(vid)
-    for e, (a, b) in enumerate(edges):
-        z_rows[a] ^= 1 << e
-        z_rows[b] ^= 1 << e
-    x_stab = Gf2Matrix(len(x_rows), n, tuple(x_rows))
-    z_stab = Gf2Matrix(len(z_rows), n, tuple(z_rows))
-    code = _code_from_checks(x_stab, z_stab)
-    if code.k != len(patch.holes):
+    squares = [(i, j, 1, 1) for i in range(patch.width)
+               for j in range(patch.height)
+               if not any(x <= i < x + w and y <= j < y + h
+                          for x, y, w, h in holes)]
+    cells = surface.from_vertex_faces(
+        len(vid), [[vid[p] for p in _ring(*r)] for r in squares + list(holes)])
+    fe, ve = surface.incidence_matrices(cells)
+    x_stab = Gf2Matrix(len(squares), fe.cols, fe.row_bits[:len(squares)])
+    code = _code_from_checks(x_stab, ve)
+    if code.k != len(holes):
         raise AssertionError(
-            f"expected k = {len(patch.holes)} holes, computed {code.k}")
+            f"expected k = {len(holes)} holes, computed {code.k}")
     return code
 
 

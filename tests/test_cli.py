@@ -81,6 +81,16 @@ _CELLULATIONS = st.one_of(
     _JUNK_TOKENS)
 
 
+@st.composite
+def _spec_files(draw):
+    """A _small_patch_docs document, half of them with one field of the
+    wrong JSON type; in an argv it stands for a file holding it."""
+    doc = draw(_small_patch_docs())
+    if draw(st.booleans()):
+        doc[draw(st.sampled_from(sorted(doc)))] = draw(_JUNK)
+    return doc
+
+
 def _numbers(bound=None):
     words = ["nan", "-0", "1.5", "x", "", str(-2 ** 128)]
     if bound is None:
@@ -110,7 +120,8 @@ _GRAMMAR = [
     (["search", "verify-paper"], [], []),
     (["planar", "puncture"], [_CELLULATIONS, "--face", _numbers(),
                               "--vertex", _numbers()], []),
-    (["planar", "holes"], [], [["--spec", _JUNK_TOKENS]]),
+    (["planar", "holes"], [], [["--spec",
+                                st.one_of(_spec_files(), _JUNK_TOKENS)]]),
 ]
 
 
@@ -584,12 +595,18 @@ class TestErrors:
     @example(argv=["search", "verify-paper"])
     @example(argv=["decode", "sweep", "toric(4,4)", "--p", "0.1,0.05",
                    "--trials", "20", "--seed", _BIG])
-    def test_argv_never_escapes_main(self, argv):
+    def test_argv_never_escapes_main(self, tmp_path_factory, argv):
         # the exit-code contract over the whole command line: 0, 1 or 2
         # (argparse's SystemExit), no traceback, nothing on stdout after
         # an error, and the same stdout twice.  verify-paper's census at
         # 5 and 7 edges takes seconds, and the verify_paper_run fixture
         # checks it, so here it runs the census at 3 and 4 edges.
+        for i, token in enumerate(argv):
+            if isinstance(token, dict):  # a patch spec: pass a file
+                spec = tmp_path_factory.mktemp("spec") / "patch.json"
+                spec.write_text(json.dumps(token))
+                argv[i] = str(spec)
+
         def small_census():
             return {"reports": [search.census_report(e) for e in (3, 4)]}
 

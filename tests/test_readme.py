@@ -24,7 +24,7 @@ def _run_tour():
 
 def test_library_tour_gives_what_its_comments_say():
     namespace, values = _run_tour()
-    systole, rank2_pairs, punctured, sweep = values
+    systole, rank2_pairs, punctured, planar, sweep = values
     info, code = namespace["info"], namespace["code"]
     assert info.surface_name == "projective plane"
     assert info.euler_characteristic == 1
@@ -33,4 +33,5 @@ def test_library_tour_gives_what_its_comments_say():
     assert len(rank2_pairs) == 9
     assert punctured.planar and punctured.row_spaces_preserved
     assert punctured.code.parameters() == code.parameters()
+    assert planar.parameters() == (553, 2, 7, 4)
     assert (sweep.x_failures, sweep.z_failures) == (14, 9)

@@ -1,10 +1,12 @@
+import hashlib
+import itertools
 import re
 
 import pytest
 from coset_oracle import coset_min_essential
 from sampling import planar_and_punctured_codes
 
-from cellqec import gf2, homology, stabilizer, surface
+from cellqec import gf2, homology, invariants, stabilizer, surface
 from cellqec.gf2 import Gf2Matrix
 from cellqec.stabilizer import PauliOperator, PlanarPatch
 
@@ -187,6 +189,15 @@ class TestDistance:
                            match="column 0 touches 3 generators"):
             stabilizer._code_from_checks(x_stab, z_stab)
 
+    def test_non_commuting_checks_are_rejected(self):
+        # qubit 1 is the only overlap of the X and the Z check
+        code = stabilizer.CssCode(3, Gf2Matrix.from_rows([[1, 1, 0]]),
+                                  Gf2Matrix.from_rows([[0, 1, 1]]), 1,
+                                  None, None)
+        with pytest.raises(ValueError,
+                           match="^X and Z checks do not commute$"):
+            stabilizer.css_distance(code)
+
 
 class TestHadamardDuality:
     @pytest.mark.parametrize("name", ["rp2_minimal", "fig1_hemi_icosahedron",
@@ -284,3 +295,44 @@ class TestPlanarPatch:
         assert code.k == 2
         assert code.d_x >= 7
         assert code.d_z >= 3
+
+
+def _small_patches():
+    """Every patch up to 5 x 5 with at most two holes of side <= 2."""
+    for width, height in itertools.product(range(1, 6), repeat=2):
+        holes = [(x, y, w, h) for w in (1, 2) for h in (1, 2)
+                 for x in range(1, width - w) for y in range(1, height - h)]
+        for count in range(3):
+            for chosen in itertools.combinations(holes, count):
+                try:
+                    yield PlanarPatch(width, height, chosen)
+                except ValueError:  # overlapping holes
+                    pass
+
+
+def _weights(m):
+    """Sorted row weights and sorted column weights of a check matrix."""
+    return (sorted(r.bit_count() for r in m.row_bits),
+            sorted(c.bit_count() for c in m.transpose().row_bits))
+
+
+class TestPlanarBuilderPin:
+    def test_column_order_free_values_are_pinned(self):
+        # parameters, check weights and the rank-profile histogram do
+        # not depend on how the edges are numbered, so any planar builder
+        # must reproduce them; the histogram is taken on the 228 patches
+        # of at most 20 squares, which keeps the test near a second
+        small = list(_small_patches())
+        assert len(small) == 454
+        values = []
+        for patch in small + [stabilizer.planar_two_holes_patch()]:
+            code = stabilizer.build_punctured_disk_code(patch)
+            item = [patch.to_json(), code.parameters(),
+                    _weights(code.x_stabilizers),
+                    _weights(code.z_stabilizers)]
+            if patch.width * patch.height <= 20:
+                item.append(sorted(
+                    invariants.rank_profile(code).histogram.items()))
+            values.append(item)
+        assert hashlib.sha256(repr(values).encode()).hexdigest() == (
+            "5e3986eacffd6de793848139fda31ffb96cc4da17f897f503ae4fb8c7e631042")
