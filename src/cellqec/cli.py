@@ -81,7 +81,7 @@ def _cmd_code_stabilizers(args) -> int:
     code = stabilizer.build_code(c)
     payload = {"n": code.n, "pauli_strings": code.pauli_strings(),
                "code": code.to_json_dict()}
-    return _emit(payload, "\n".join(code.pauli_strings()))
+    return _emit(payload, "\n".join(payload["pauli_strings"]))
 
 
 def _cmd_code_invariants(args) -> int:

@@ -5,6 +5,9 @@ operators are Z-type.  d_z (bit-flip distance) is the primal systole,
 d_x (phase distance) the dual systole.  logical_x vectors live in
 ker(vertex_edge) \\ rowspace(face_edge); logical_z dually.
 
+A ``CssCode`` stores its two check matrices, and n is read from them:
+X and Z checks of different lengths are rejected when it is built.
+
 Every code's checks are read from a cellulation's incidences by
 ``surface.incidence_matrices``.  A closed surface gives all its face and
 vertex rows; a planar patch is cellulated by its unit squares and one
@@ -24,7 +27,7 @@ elimination.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 from . import gf2, homology, surface
 from .gf2 import Gf2Matrix, Gf2Vector
@@ -35,54 +38,36 @@ from .surface import Cellulation
 
 
 @dataclass(frozen=True)
-class PauliOperator:
-    """Symplectic representation of a tensor product of Pauli matrices."""
-
-    n: int
-    x_bits: int
-    z_bits: int
-
-    @classmethod
-    def x_type(cls, support: Gf2Vector) -> "PauliOperator":
-        return cls(support.n, support.bits, 0)
-
-    @classmethod
-    def z_type(cls, support: Gf2Vector) -> "PauliOperator":
-        return cls(support.n, 0, support.bits)
-
-    def commutes_with(self, other: "PauliOperator") -> bool:
-        s = (self.x_bits & other.z_bits).bit_count()
-        s += (self.z_bits & other.x_bits).bit_count()
-        return s % 2 == 0
-
-    def to_string(self) -> str:
-        out = []
-        for i in range(self.n):
-            x = (self.x_bits >> i) & 1
-            z = (self.z_bits >> i) & 1
-            out.append("IXZY"[x + 2 * z])
-        return "".join(out)
-
-
-@dataclass(frozen=True)
 class CssCode:
-    n: int
+    """A CSS code given by its X and Z checks; n is their column count."""
+
     x_stabilizers: Gf2Matrix
     z_stabilizers: Gf2Matrix
     k: int
     d_x: int | None
     d_z: int | None
-    logical_x: tuple[Gf2Vector, ...] = field(default=())
-    logical_z: tuple[Gf2Vector, ...] = field(default=())
+    logical_x: tuple[Gf2Vector, ...] = ()
+    logical_z: tuple[Gf2Vector, ...] = ()
+
+    def __post_init__(self):
+        if self.x_stabilizers.cols != self.z_stabilizers.cols:
+            raise gf2.LengthMismatch(
+                f"X checks have {self.x_stabilizers.cols} columns,"
+                f" Z checks {self.z_stabilizers.cols}")
+
+    @property
+    def n(self) -> int:
+        return self.x_stabilizers.cols
 
     def parameters(self) -> tuple:
         return (self.n, self.k, self.d_x, self.d_z)
 
     def pauli_strings(self) -> list[str]:
-        return ([PauliOperator.x_type(r).to_string()
-                 for r in self.x_stabilizers.row_vectors()]
-                + [PauliOperator.z_type(r).to_string()
-                   for r in self.z_stabilizers.row_vectors()])
+        """Each X check as I/X letters, then each Z check as I/Z."""
+        return ["".join(letters[(r >> q) & 1] for q in range(self.n))
+                for letters, m in (("IX", self.x_stabilizers),
+                                   ("IZ", self.z_stabilizers))
+                for r in m.row_bits]
 
     def to_json_dict(self) -> dict:
         return {
@@ -115,17 +100,16 @@ def _code_from_checks(x_stab: Gf2Matrix, z_stab: Gf2Matrix) -> CssCode:
     must have weight <= 2; UnsupportedCheckStructure is raised otherwise,
     also when k = 0.
     """
-    n = x_stab.cols
     x_graph = homology.CheckGraph.of(x_stab)
     z_graph = homology.CheckGraph.of(z_stab)
     # Z-type logicals commute with the X checks: ker(x_stab) / rowspace(z_stab)
     logical_z, logical_x = homology._tree_cotree(x_graph, z_graph)
     k = len(logical_z)
     if k == 0:
-        return CssCode(n, x_stab, z_stab, 0, None, None)
+        return CssCode(x_stab, z_stab, 0, None, None)
     d_z, _ = _min_weight_logical(z_graph, logical_z)
     d_x, _ = _min_weight_logical(x_graph, logical_x)
-    return CssCode(n, x_stab, z_stab, k, d_x, d_z,
+    return CssCode(x_stab, z_stab, k, d_x, d_z,
                    tuple(logical_x), tuple(logical_z))
 
 
@@ -236,8 +220,7 @@ def puncture(c: Cellulation, face_id: int, vertex_id: int) -> PunctureResult:
     z2 = _drop_row(full.z_stabilizers, vertex_id)
     preserved = (gf2.rowspace_equal(full.x_stabilizers, x2)
                  and gf2.rowspace_equal(full.z_stabilizers, z2))
-    code = CssCode(full.n, x2, z2, full.k, full.d_x, full.d_z,
-                   full.logical_x, full.logical_z)
+    code = replace(full, x_stabilizers=x2, z_stabilizers=z2)
     return PunctureResult(code, preserved, _tanner_planar(x2, z2))
 
 

@@ -297,16 +297,17 @@ class FlagMap:
         those of the other and the minimum stays a complete invariant:
         two connected maps are isomorphic iff their forms are equal.
 
-        Labels take one byte each up to 256 flags and two big-endian
-        bytes each above that.  The empty map, with no start flag, has
-        the empty form b"".
+        Labels take one byte each up to 256 flags and, above that, the
+        fewest big-endian bytes that hold n - 1 (two up to 65,536 flags).
+        The empty map, with no start flag, has the empty form b"".
         """
         if not self.n:
             return b""
         best = min(self._bfs_code(f) for f in self._start_flags())
         if self.n <= 256:
             return bytes(best)
-        return b"".join(lab.to_bytes(2, "big") for lab in best)
+        width = ((self.n - 1).bit_length() + 7) // 8
+        return b"".join(lab.to_bytes(width, "big") for lab in best)
 
     # -- conversion to a cellulation --------------------------------------
     def to_cellulation(self, edge_labels: Sequence[int] | None = None) -> Cellulation:
@@ -447,7 +448,17 @@ def dual(c: Cellulation) -> Cellulation:
 
 
 def canonical_form(c: Cellulation) -> bytes:
-    return build_flags(c).canonical_form()
+    """The flag map's canonical form (b"" for the empty map).
+
+    A BFS code covers only its start flag's component, so
+    CellulationError is raised unless c is connected.
+    """
+    flags = build_flags(c)
+    count = flags.components()[0]
+    if count > 1:
+        raise CellulationError(f"the map has {count} components; a"
+                               " canonical form needs a connected map")
+    return flags.canonical_form()
 
 
 def isomorphic(a: Cellulation, b: Cellulation) -> bool:

@@ -201,7 +201,7 @@ class TestCorrect:
 
     def test_code_without_logical_operators_rejected(self):
         full = _code("fig4_shor")
-        bare = stabilizer.CssCode(full.n, full.x_stabilizers,
+        bare = stabilizer.CssCode(full.x_stabilizers,
                                   full.z_stabilizers, 1, 3, 3)
         err = ErrorPattern.zero(full.n)
         with pytest.raises(ValueError, match="logical operators"):
@@ -430,7 +430,7 @@ class TestMonteCarlo:
 
     def test_code_without_logical_operators_rejected_before_trials(self):
         full = _code("fig4_shor")
-        bare = stabilizer.CssCode(full.n, full.x_stabilizers,
+        bare = stabilizer.CssCode(full.x_stabilizers,
                                   full.z_stabilizers, 1, 3, 3)
         with pytest.raises(ValueError, match="logical operators"):
             decoder.DecodingTables.build(bare)

@@ -28,7 +28,7 @@ class TestPairRankStabilizer:
     def test_rank_one_pair(self):
         # X and Z weight-2 generators on the same pair leave a pure
         # reduced state
-        code = CssCode(2, Gf2Matrix(1, 2, (0b11,)),
+        code = CssCode(Gf2Matrix(1, 2, (0b11,)),
                        Gf2Matrix(1, 2, (0b11,)), 0, None, None)
         assert invariants.pair_rank_stabilizer(code, (0, 1)) == 1
         assert dense_oracle.pair_rank_dense(code, (0, 1)) == 1
@@ -115,9 +115,9 @@ class TestCertificates:
         assert invariants.certify_inequivalent(a, b) is None
 
     def test_distinct_histograms_certify(self):
-        a = CssCode(2, Gf2Matrix(1, 2, (0b11,)), Gf2Matrix(0, 2, ()),
+        a = CssCode(Gf2Matrix(1, 2, (0b11,)), Gf2Matrix(0, 2, ()),
                     1, None, None)
-        b = CssCode(2, Gf2Matrix(0, 2, ()), Gf2Matrix(0, 2, ()),
+        b = CssCode(Gf2Matrix(0, 2, ()), Gf2Matrix(0, 2, ()),
                     2, None, None)
         cert = invariants.certify_inequivalent(a, b)
         assert cert is not None

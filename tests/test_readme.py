@@ -1,15 +1,24 @@
 import ast
+import json
+import re
+import shlex
 from pathlib import Path
 
+from cellqec import cli
+
 README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def _block(heading: str, lang: str) -> str:
+    """The first ``lang`` code block after a README heading."""
+    section = README.read_text().split(heading, 1)[1]
+    return section.split(f"```{lang}\n", 1)[1].split("```", 1)[0]
 
 
 def _run_tour():
     """Run the README's library tour; (namespace, values of its bare
     expression lines, in order)."""
-    text = README.read_text()
-    block = text.split("## Library tour", 1)[1]
-    block = block.split("```python\n", 1)[1].split("```", 1)[0]
+    block = _block("## Library tour", "python")
     namespace: dict = {}
     values = []
     for node in ast.parse(block).body:
@@ -35,3 +44,38 @@ def test_library_tour_gives_what_its_comments_say():
     assert punctured.code.parameters() == code.parameters()
     assert planar.parameters() == (553, 2, 7, 4)
     assert (sweep.x_failures, sweep.z_failures) == (14, 9)
+
+
+def _run(argv, capsys):
+    code = cli.main(argv)
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def test_cellulation_json_example_is_a_sphere(capsys):
+    doc = _block("## Cellulation JSON", "json")
+    code, out, err = _run(["catalog", "show", doc], capsys)
+    assert code == 0
+    assert err.endswith(": V=2 E=2 F=2 (sphere)\n")
+    assert json.loads(out)["cellulation"] == json.loads(doc)
+
+
+def test_command_line_examples_exit_zero(capsys, verify_paper_run):
+    lines = _block("## Command line", "sh").splitlines()
+    assert len(lines) == 10
+    checked = []
+    for line in lines:
+        comment = line.partition("#")[2]
+        argv = shlex.split(line, comments=True)
+        assert argv[0] == "cellqec"
+        if argv[1:] == ["search", "verify-paper"]:
+            # the slowest command: checked through its one shared run
+            assert verify_paper_run.code == 0, line
+            continue
+        code, out, err = _run(argv[1:], capsys)
+        assert code == 0, line
+        # bracketed values in a line's comment are what the command prints
+        for value in re.findall(r"\[[\[\]\d,]+\]", comment):
+            assert value in out + err, line
+            checked.append(value)
+    assert checked == ["[[9,1,3,3]]", "[553,2,7,4]"]

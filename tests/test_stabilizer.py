@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 import re
@@ -8,21 +9,7 @@ from sampling import planar_and_punctured_codes
 
 from cellqec import gf2, homology, invariants, stabilizer, surface
 from cellqec.gf2 import Gf2Matrix
-from cellqec.stabilizer import PauliOperator, PlanarPatch
-
-
-class TestPauliOperator:
-    def test_string_rendering(self):
-        p = PauliOperator(4, x_bits=0b0011, z_bits=0b0110)
-        assert p.to_string() == "XYZI"
-
-    def test_commutation(self):
-        x = PauliOperator(2, 0b01, 0)
-        z = PauliOperator(2, 0, 0b01)
-        zz = PauliOperator(2, 0, 0b11)
-        assert not x.commutes_with(z)
-        assert x.commutes_with(PauliOperator(2, 0, 0b10))
-        assert not zz.commutes_with(x)
+from cellqec.stabilizer import PlanarPatch
 
 
 class TestBuildCode:
@@ -74,9 +61,28 @@ class TestBuildCode:
         rows = list(code.x_stabilizers.row_bits)
         rows[0] ^= 1 << 3  # bigon row now overlaps a vertex row oddly
         bad = stabilizer.CssCode(
-            code.n, Gf2Matrix(len(rows), code.n, tuple(rows)),
+            Gf2Matrix(len(rows), code.n, tuple(rows)),
             code.z_stabilizers, code.k, code.d_x, code.d_z)
         assert not stabilizer.commutes(bad)
+
+    def test_n_is_read_from_the_checks(self):
+        code = stabilizer.build_code(surface.fig4_shor())
+        names = [f.name for f in dataclasses.fields(code)]
+        assert "n" not in names and len(names) == 7
+        assert code.n == code.x_stabilizers.cols == code.z_stabilizers.cols
+
+    def test_check_lengths_must_agree(self):
+        # a 3-column X check beside a 2-column Z check is no code
+        with pytest.raises(gf2.LengthMismatch,
+                           match="^X checks have 3 columns, Z checks 2$"):
+            stabilizer.CssCode(Gf2Matrix.from_rows([[1, 1, 0]]),
+                               Gf2Matrix.from_rows([[1, 1]]), 1, None, None)
+
+    def test_pauli_strings_read_the_check_rows(self):
+        code = stabilizer.CssCode(Gf2Matrix.from_rows([[1, 1, 0]]),
+                                  Gf2Matrix.from_rows([[0, 1, 1], [1, 0, 1]]),
+                                  0, None, None)
+        assert code.pauli_strings() == ["XXI", "IZZ", "ZIZ"]
 
     # the logical-operator contract, on every code the suites build
     def test_logicals_anticommute_pairwise(self):
@@ -174,7 +180,7 @@ class TestDistance:
         # qubit 0 is in three Z checks, so its column is no graph edge
         z_stab = Gf2Matrix(3, 4, (0b0011, 0b0101, 0b1001))
         x_stab = Gf2Matrix(0, 4, ())
-        code = stabilizer.CssCode(4, x_stab, z_stab, 1, None, None)
+        code = stabilizer.CssCode(x_stab, z_stab, 1, None, None)
         with pytest.raises(stabilizer.UnsupportedCheckStructure):
             stabilizer.css_distance(code)
 
@@ -183,7 +189,7 @@ class TestDistance:
         # with each, and ker(x_stab) = rowspace(z_stab), so k = 0
         x_stab = Gf2Matrix(3, 2, (0b11, 0b11, 0b11))
         z_stab = Gf2Matrix(1, 2, (0b11,))
-        assert stabilizer.commutes(stabilizer.CssCode(2, x_stab, z_stab, 0,
+        assert stabilizer.commutes(stabilizer.CssCode(x_stab, z_stab, 0,
                                                       None, None))
         with pytest.raises(stabilizer.UnsupportedCheckStructure,
                            match="column 0 touches 3 generators"):
@@ -191,7 +197,7 @@ class TestDistance:
 
     def test_non_commuting_checks_are_rejected(self):
         # qubit 1 is the only overlap of the X and the Z check
-        code = stabilizer.CssCode(3, Gf2Matrix.from_rows([[1, 1, 0]]),
+        code = stabilizer.CssCode(Gf2Matrix.from_rows([[1, 1, 0]]),
                                   Gf2Matrix.from_rows([[0, 1, 1]]), 1,
                                   None, None)
         with pytest.raises(ValueError,

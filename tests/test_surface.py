@@ -316,6 +316,30 @@ class TestCanonicalForm:
         long = surface.canonical_form(surface.toric(4, 16))
         assert len(square) == len(long) == 3 * 512 * 2
         assert square != long
+        # a closed 91 x 91 grid sphere (squares plus one outer face) has
+        # 66,976 flags, more than two-byte labels hold
+        m = 91
+        grid = [[i * (m + 1) + j, (i + 1) * (m + 1) + j,
+                 (i + 1) * (m + 1) + j + 1, i * (m + 1) + j + 1]
+                for i in range(m) for j in range(m)]
+        ring = ([i * (m + 1) for i in range(m)]
+                + [m * (m + 1) + j for j in range(m)]
+                + [(m - i) * (m + 1) + m for i in range(m)]
+                + [m - j for j in range(m)])
+        sphere = surface.from_vertex_faces((m + 1) ** 2, grid + [ring[::-1]])
+        n = surface.build_flags(sphere).n
+        assert n == 66976
+        assert len(surface.canonical_form(sphere)) == 3 * n * 3
+
+    def test_disconnected_map_is_rejected(self):
+        # two disjoint copies of rp2_minimal: a BFS code from one start
+        # flag sees only its copy, the same code as rp2_minimal's
+        twice = Cellulation(2, ((0, 0), (1, 1)),
+                            (((0, 1), (0, 1)), ((1, 1), (1, 1))))
+        with pytest.raises(CellulationError, match="has 2 components"):
+            surface.canonical_form(twice)
+        with pytest.raises(CellulationError, match="has 2 components"):
+            surface.isomorphic(surface.rp2_minimal(), twice)
 
     def test_empty_map(self):
         empty = Cellulation(0, (), ())
