@@ -20,14 +20,14 @@ Every minimum-weight-nontrivial-vector question in the library -- the
 primal and dual systoles here, and the code distances in ``stabilizer``
 -- is answered by one exact engine, ``_min_weight_logical``: a
 breadth-first search in the two-fold parity cover of the check graph,
-started only at one end of each column a class representative hits.
-The exhaustive coset search ``gf2.min_weight_in_coset`` and the greedy
-pass over ``gf2.kernel_basis`` are not used here; the tests keep them
-as independent oracles.
+started only at one end of each column a class representative hits,
+that meets in the middle: after level k it stops once it has met an
+odd closed walk of length <= 2k + 1.  The coset search
+``gf2.min_weight_in_coset`` and the greedy pass over
+``gf2.kernel_basis`` are independent oracles kept by the tests.
 """
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -219,68 +219,66 @@ def _min_weight_logical(graph: CheckGraph,
     """Minimum weight over ker(check) minus the vectors all functionals kill.
 
     graph is the check matrix's ``CheckGraph``, so the kernel is its
-    cycle space (columns of weight 1 attach to the boundary node;
-    columns of weight 0 are free single-edge cycles).  A vector is
-    nontrivial iff it pairs oddly with some functional, so the minimum
-    is taken over breadth-first searches in the two-fold parity cover,
-    per functional f one from the lower end node of each column in f's
-    support (each such node once, in ascending order).  This is exact: a
-    lightest vector pairing oddly with f contains a connected cycle that
-    does too and weighs no more.  That cycle crosses an odd number of
-    f's columns, so it passes through the lower end of one of them, and
-    the search from that node finds a closed walk of odd parity no
-    longer than it.  A free column in f's support is a vector of weight
-    1 by itself.  Among several lightest vectors, the one returned
-    depends on the functionals' supports, not only on their classes.
+    cycle space (columns of weight 1 attach to the boundary node; a
+    column of weight 0 is a cycle by itself, of weight 1).  A vector is
+    nontrivial iff it pairs oddly with some functional f; a lightest one
+    contains a connected cycle that does too and weighs no more, an odd
+    closed walk in the two-fold parity cover from (s, 0), s the lower
+    end node of a column of f it crosses.  So per f one breadth-first
+    search runs from each such s, once each, in ascending order.
+
+    The midpoint (u, p) of an odd closed walk of length L is at level
+    <= floor(L/2), and its twin (u, p ^ 1) at level <= ceil(L/2) by the
+    walk's other half, parities flipped.  So a state labelled while its
+    twin is gives a candidate of length dist(u, 0) + dist(u, 1), and a
+    walk not met after level k is at least 2k + 1 long: the search stops
+    once its best candidate, or the best weight so far, is at most that.
+    The witness, the XOR of the two half-walks to u, is a nontrivial
+    kernel vector weighing at most the candidate (less where they share
+    columns), so the lightest witness weighs exactly the minimum; among
+    several, which is returned depends on the functionals' supports.
     """
     n, n_nodes = len(graph.columns), graph.boundary + 1
     ends, adj = graph.ends, graph.adj
     if not functionals:
         raise ValueError("no functionals: code has k = 0")
-    best: tuple[int, int] | None = None  # (weight, bits)
+    best = (n + 1, 0)  # (weight, bits); weight n + 1 until one is found
     for f in functionals:
         tau = [(f.bits >> e) & 1 for e in range(n)]
-        starts = set()
-        for e in range(n):
-            if not tau[e]:
-                continue
-            if ends[e] is not None:
-                starts.add(ends[e][0])
-            elif best is None or (1, 1 << e) < best:
-                best = (1, 1 << e)  # a free column pairing oddly
-        for start in sorted(starts):
-            # BFS over states 2 * node + parity, from (start, 0) until
-            # (start, 1) is reached or no walk can beat the best so far
-            via = [-1] * (2 * n_nodes)  # edge that first reached a state
+        support = [e for e in range(n) if tau[e]]
+        best = min([best] + [(1, 1 << e) for e in support if not ends[e]])
+        for start in sorted({ends[e][0] for e in support if ends[e]}):
+            # BFS over states 2 * node + parity from (start, 0); reach is
+            # the shortest candidate met (or the best weight), at meet
+            s0 = 2 * start
+            via = [None] * (2 * n_nodes)  # (state, column) that reached it
             dist = [-1] * (2 * n_nodes)
-            s0, target = 2 * start, 2 * start + 1
             dist[s0] = 0
-            q = deque([s0])
-            while q and dist[target] < 0:
-                st = q.popleft()
-                d = dist[st] + 1
-                if best is not None and d >= best[0]:
-                    break
-                par = st & 1
-                for other, e in adj[st >> 1]:
-                    t2 = 2 * other + (par ^ tau[e])
-                    if dist[t2] < 0:
-                        dist[t2] = d
-                        via[t2] = e
-                        q.append(t2)
-            if dist[target] < 0:
+            frontier, level, reach, meet = [s0], 0, best[0], -1
+            while frontier and reach > 2 * level + 1:
+                level += 1
+                labelled = []
+                for st in frontier:
+                    par = st & 1
+                    for other, e in adj[st >> 1]:
+                        t = 2 * other + (par ^ tau[e])
+                        if dist[t] < 0:
+                            dist[t] = level
+                            via[t] = (st, e)
+                            labelled.append(t)
+                            twin = dist[t ^ 1]
+                            if twin >= 0 and level + twin < reach:
+                                reach, meet = level + twin, t
+                frontier = labelled
+            if meet < 0:
                 continue
             bits = 0
-            cur = target
-            while cur != s0:
-                e = via[cur]
-                bits ^= 1 << e
-                a, b = ends[e]
-                cur = 2 * (a ^ b ^ (cur >> 1)) + ((cur & 1) ^ tau[e])
-            cand = (bits.bit_count(), bits)
-            if best is None or cand < best:
-                best = cand
-    if best is None:
+            for cur in (meet, meet ^ 1):  # the two half-walks back to s0
+                while cur != s0:
+                    cur, e = via[cur]
+                    bits ^= 1 << e
+            best = min(best, (bits.bit_count(), bits))
+    if best[0] > n:
         raise ValueError("no nontrivial vector found; functionals inconsistent")
     return best[0], Gf2Vector(n, best[1])
 

@@ -28,6 +28,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
+from functools import reduce
+from operator import xor
 
 from . import gf2, homology, surface
 from .gf2 import Gf2Matrix, Gf2Vector
@@ -115,21 +117,21 @@ def _code_from_checks(x_stab: Gf2Matrix, z_stab: Gf2Matrix) -> CssCode:
 
 def check_relations(code: CssCode) -> bool:
     """XOR of all face rows and of all vertex rows must both vanish."""
-    x = 0
-    for r in code.x_stabilizers.row_bits:
-        x ^= r
-    z = 0
-    for r in code.z_stabilizers.row_bits:
-        z ^= r
-    return x == 0 and z == 0
+    return not any(reduce(xor, m.row_bits, 0)
+                   for m in (code.x_stabilizers, code.z_stabilizers))
 
 
 def commutes(code: CssCode) -> bool:
     """Every X generator commutes with every Z generator."""
+    z_rows_of = code.z_stabilizers.transpose().row_bits
     for xr in code.x_stabilizers.row_bits:
-        for zr in code.z_stabilizers.row_bits:
-            if (xr & zr).bit_count() & 1:
-                return False
+        overlap = 0  # bit i: parity of xr's overlap with Z row i
+        while xr:
+            low = xr & -xr
+            overlap ^= z_rows_of[low.bit_length() - 1]
+            xr ^= low
+        if overlap:
+            return False
     return True
 
 

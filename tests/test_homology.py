@@ -68,15 +68,20 @@ class TestSystole:
         assert homology.systole(c)[0] == primal
         assert homology.dual_systole(c)[0] == dual
 
-    @pytest.mark.parametrize("m", [6, 8, 12])
+    # every torus up to 12 x 12, square and rectangular, both parities
+    # of d: beyond the reach of the coset oracle
+    @pytest.mark.parametrize("m", range(2, 13))
     def test_large_toric_witnesses(self, m):
-        c = surface.catalog(f"toric({m},{m})")
-        w, witness = homology.systole(c)
-        assert w == witness.weight == m
-        assert homology.is_essential(c, witness)
-        w, witness = homology.dual_systole(c)
-        assert w == witness.weight == m
-        assert homology.is_essential(surface.dual(c), witness)
+        for n in range(2, 13):
+            c = surface.catalog(f"toric({m},{n})")
+            d = min(m, n)
+            assert stabilizer.build_code(c).parameters() == (2 * m * n, 2, d, d)
+            w, witness = homology.systole(c)
+            assert w == witness.weight == d
+            assert homology.is_essential(c, witness)
+            w, witness = homology.dual_systole(c)
+            assert w == witness.weight == d
+            assert homology.is_essential(surface.dual(c), witness)
 
     def test_witness_is_essential(self):
         for name in ["fig1_hemi_icosahedron", "fig4_shor", "toric(3,3)"]:
@@ -222,6 +227,20 @@ class TestStartRule:
                 shifted.append(Gf2Vector(f.n, bits))
             assert homology._min_weight_logical(graph, shifted)[0] == d
 
+    def test_planar_two_holes_witnesses(self):
+        code = stabilizer.build_punctured_disk_code(
+            stabilizer.planar_two_holes_patch())
+        x_graph = homology.CheckGraph.of(code.x_stabilizers)
+        z_graph = homology.CheckGraph.of(code.z_stabilizers)
+        z_side, x_side = homology._tree_cotree(x_graph, z_graph)
+        for check, graph, functionals, expected in (
+                (code.z_stabilizers, z_graph, z_side, 4),
+                (code.x_stabilizers, x_graph, x_side, 7)):
+            d, witness = homology._min_weight_logical(graph, functionals)
+            assert d == witness.weight == expected
+            assert check.mul_vector(witness).is_zero()
+            assert any(witness.dot(f) for f in functionals)
+
     def test_zero_column_in_the_support_gives_distance_one(self):
         # columns: rows 0 and 1, row 1 alone, no row
         check = Gf2Matrix(2, 3, (0b001, 0b011))
@@ -237,3 +256,75 @@ class TestStartRule:
             homology.CheckGraph.of(check),
             [Gf2Vector.from_support(3, [0])])
         assert (d, witness) == (2, Gf2Vector.from_support(3, [0, 1]))
+
+
+def _random_graph_case(rng):
+    """(check, columns, functionals): a random check matrix with columns
+    of weight <= 2 on at most 12 columns, its column bit sets, and 1 to
+    3 random functionals."""
+    rows, n = rng.randrange(9), rng.randrange(1, 13)
+    columns = []
+    for _ in range(n):
+        weight = min(rng.choice((0, 1, 2, 2, 2)), rows)
+        columns.append(sum(1 << r for r in rng.sample(range(rows), weight)))
+    check = Gf2Matrix(rows, n, tuple(
+        sum(((col >> r) & 1) << e for e, col in enumerate(columns))
+        for r in range(rows)))
+    functionals = [Gf2Vector(n, rng.getrandbits(n))
+                   for _ in range(rng.randrange(1, 4))]
+    return check, columns, functionals
+
+
+class TestMinWeightOracle:
+    # brute force over all 2^n vectors: the lightest kernel vector that
+    # pairs oddly with some functional
+    def test_matches_brute_force(self):
+        rng = random.Random(2024)
+        seen = set()
+        for _ in range(400):
+            check, columns, functionals = _random_graph_case(rng)
+            n = check.cols
+            syndrome = [0] * (1 << n)
+            lightest = None
+            for v in range(1, 1 << n):
+                low = v & -v
+                syndrome[v] = syndrome[v ^ low] ^ columns[low.bit_length() - 1]
+                if syndrome[v] == 0 and any((v & f.bits).bit_count() & 1
+                                            for f in functionals):
+                    w = v.bit_count()
+                    lightest = w if lightest is None else min(lightest, w)
+            graph = homology.CheckGraph.of(check)
+            if lightest is None:
+                with pytest.raises(ValueError, match="inconsistent"):
+                    homology._min_weight_logical(graph, functionals)
+                seen.add("none")
+                continue
+            d, witness = homology._min_weight_logical(graph, functionals)
+            assert d == lightest, (check, functionals)
+            assert witness.weight == d
+            assert check.mul_vector(witness).is_zero()
+            assert any(witness.dot(f) for f in functionals)
+            seen.add(("d mod 2", d % 2))
+            seen.update(("column weight", col.bit_count()) for col in columns)
+            seen.add(("functionals", len(functionals)))
+        assert seen >= {("d mod 2", 0), ("d mod 2", 1), ("column weight", 0),
+                        ("column weight", 1), ("column weight", 2), "none",
+                        ("functionals", 1), ("functionals", 2),
+                        ("functionals", 3)}
+
+    def test_later_start_one_shorter(self):
+        # a square on rows 0-3 (columns 0-3) and, apart from it, a
+        # triangle on rows 4-6 (columns 4-6); the functional hits column
+        # 0 and column 4, so the search from row 0 meets the square
+        # first, and the one from row 4 must still run to level 2 to
+        # meet the triangle
+        check = Gf2Matrix(7, 7, (0b0001001, 0b0000011, 0b0000110,
+                                 0b0001100, 0b1010000, 0b0110000,
+                                 0b1100000))
+        graph = homology.CheckGraph.of(check)
+        assert homology._min_weight_logical(
+            graph, [Gf2Vector.from_support(7, [0, 4])]) == (
+            3, Gf2Vector.from_support(7, [4, 5, 6]))
+        assert homology._min_weight_logical(
+            graph, [Gf2Vector.from_support(7, [0])]) == (
+            4, Gf2Vector.from_support(7, [0, 1, 2, 3]))

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import itertools
+import random
 import re
 
 import pytest
@@ -64,6 +65,23 @@ class TestBuildCode:
             Gf2Matrix(len(rows), code.n, tuple(rows)),
             code.z_stabilizers, code.k, code.d_x, code.d_z)
         assert not stabilizer.commutes(bad)
+
+    def test_commutes_matches_the_pairwise_definition(self):
+        rng = random.Random(5)
+        shapes = [(0, 0, 3), (0, 2, 4), (2, 0, 4), (1, 1, 1), (3, 2, 1),
+                  (0, 3, 1)]
+        shapes += [(rng.randrange(5), rng.randrange(5), rng.randrange(1, 13))
+                   for _ in range(300)]
+        seen = set()
+        for rx, rz, n in shapes:
+            x = Gf2Matrix(rx, n, tuple(rng.getrandbits(n) for _ in range(rx)))
+            z = Gf2Matrix(rz, n, tuple(rng.getrandbits(n) for _ in range(rz)))
+            expected = all((a & b).bit_count() % 2 == 0
+                           for a in x.row_bits for b in z.row_bits)
+            code = stabilizer.CssCode(x, z, 0, None, None)
+            assert stabilizer.commutes(code) == expected, (x, z)
+            seen.add(expected)
+        assert seen == {True, False}
 
     def test_n_is_read_from_the_checks(self):
         code = stabilizer.build_code(surface.fig4_shor())
