@@ -17,8 +17,8 @@ then.  Every minimum matching's paths XOR to the one minimum T-join
 (``MatchingGraph.min_weight_chain``), so the two give the same chain.
 
 Trials are decoded on bit sets (Python ints, bit j = column j) by
-``DecodingTables``, checked and built once per code: ``failures`` takes
-an error's two sides and returns its two failure verdicts.
+``DecodingTables``, built once per code: ``failures`` takes an error's
+two sides and returns its two failure verdicts.
 ``monte_carlo`` takes the tables, so a sweep builds them once for all
 its points; ``correct``, ``decode_error`` and ``exhaustive_weight_sweep``
 build them per call, and ``syndrome`` and ``is_failure`` read the check
@@ -211,9 +211,8 @@ class DecodingTables:
     """What every decode on one code reuses; build once per code.
 
     The code's length, the matching graphs of its two checks and the
-    bits of its logical operators.  ``build`` is the one check of a code
-    for decoding (``_require_logicals``); ``failures`` decodes one error
-    given as bit sets.
+    bits of its logical operators, which every code carries, k per side;
+    ``failures`` decodes one error given as bit sets.
     """
 
     n: int
@@ -224,7 +223,6 @@ class DecodingTables:
 
     @classmethod
     def build(cls, code: CssCode) -> "DecodingTables":
-        _require_logicals(code)
         z_graph, x_graph = (MatchingGraph.build(homology.CheckGraph.of(m))
                             for m in (code.z_stabilizers, code.x_stabilizers))
         return cls(code.n, z_graph, x_graph,
@@ -267,11 +265,6 @@ def _residual_failures(z_checks: homology.CheckGraph,
             any((res_z & lx).bit_count() & 1 for lx in logical_x))
 
 
-def _require_logicals(code: CssCode) -> None:
-    if len(code.logical_x) != code.k or len(code.logical_z) != code.k:
-        raise ValueError("code does not carry k logical operators per side")
-
-
 def syndrome(code: CssCode, err: ErrorPattern) -> Syndrome:
     """The checks each side of err flips (``homology.CheckGraph.syndrome``)."""
     if err.x_errors.n != code.n:
@@ -303,11 +296,8 @@ def is_failure(code: CssCode, err: ErrorPattern,
     """(x_fail, z_fail) of the residual err + corr, by
     ``_residual_failures``.
 
-    Raises SyndromeMismatch when corr does not reproduce err's syndrome,
-    and ValueError when the code does not carry k logical operators on
-    each side.
+    Raises SyndromeMismatch when corr does not reproduce err's syndrome.
     """
-    _require_logicals(code)
     res_x, res_z = err.x_errors ^ corr.x_errors, err.z_errors ^ corr.z_errors
     if res_x.n != code.n:
         raise gf2.LengthMismatch(f"{res_x.n} != {code.n}")
@@ -376,10 +366,9 @@ def monte_carlo(tables: DecodingTables, p_x: float, p_z: float,
                 trials: int, seed: int) -> MonteCarloResult:
     """iid X/Z errors per qubit; minimum-weight decode; deterministic in seed.
 
-    tables is ``DecodingTables.build(code)``, which checked the code;
-    a sweep builds it once and passes it to every point.  seed is the
-    Philox key, so it lies in [0, 2^128).  Every argument is checked
-    before any trial runs.
+    tables is ``DecodingTables.build(code)``; a sweep builds it once and
+    passes it to every point.  seed is the Philox key, so it lies in
+    [0, 2^128).  Every argument is checked before any trial runs.
     """
     if not (0.0 <= p_x <= 1.0 and 0.0 <= p_z <= 1.0):
         raise ValueError("probabilities must lie in [0, 1]")

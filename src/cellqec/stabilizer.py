@@ -5,35 +5,35 @@ operators are Z-type.  d_z (bit-flip distance) is the primal systole,
 d_x (phase distance) the dual systole.  logical_x vectors live in
 ker(vertex_edge) \\ rowspace(face_edge); logical_z dually.
 
-A ``CssCode`` stores its two check matrices, and n is read from them:
-X and Z checks of different lengths are rejected when it is built.
+A ``CssCode`` is its two check matrices; everything else is derived
+from them on first read and cached.  n is their column count (X and Z
+checks of different lengths are rejected when the code is built).  The
+first read of k or a logical operator builds each side's
+``homology.CheckGraph`` (every check column must have weight <= 2, even
+when k = 0) and runs one tree-cotree split, ``homology._tree_cotree``,
+which gives logical_z and logical_x already paired as the identity; the
+checks must commute for this, which is why ``build_code`` validates its
+cellulation first.  k is their number, and each distance is one
+parity-cover search, ``homology._min_weight_logical``, run on the first
+read of d_x or d_z.  The logical operators are valid, not necessarily
+of minimum weight, and deriving them does no GF(2) elimination.
 
 Every code's checks are read from a cellulation's incidences by
 ``surface.incidence_matrices``.  A closed surface gives all its face and
 vertex rows; a planar patch is cellulated by its unit squares and one
 face per hole (``surface.from_vertex_faces``), and the hole rows are
-dropped.  Closed-surface and planar codes are finished by the same code,
-``_code_from_checks``.  It builds each side's ``homology.CheckGraph``
-once (every check column must have weight <= 2, even when k = 0), and
-all that follows reads those two graphs: one tree-cotree split,
-``homology._tree_cotree``, gives logical_z and logical_x already paired
-as the identity (the checks must commute, which is why ``build_code``
-validates its cellulation first), k is their number, and both
-distances come from the parity-cover search
-``homology._min_weight_logical``.  The logical operators are valid, not
-necessarily of minimum weight, and building a code does no GF(2)
-elimination.
+dropped.
 """
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
-from functools import reduce
+from dataclasses import dataclass
+from functools import cached_property, reduce
 from operator import xor
 
 from . import gf2, homology, surface
 from .gf2 import Gf2Matrix, Gf2Vector
-# UnsupportedCheckStructure is re-exported: building a code raises it;
+# UnsupportedCheckStructure is re-exported: reading a code's k raises it;
 # _min_weight_logical is called by this name, which perfbench traces
 from .homology import UnsupportedCheckStructure, _min_weight_logical  # noqa: F401
 from .surface import Cellulation
@@ -41,15 +41,14 @@ from .surface import Cellulation
 
 @dataclass(frozen=True)
 class CssCode:
-    """A CSS code given by its X and Z checks; n is their column count."""
+    """A CSS code given by its X and Z checks; n is their column count.
+
+    k, the logical operators and both distances are derived from the
+    checks on first read (see the module docstring).
+    """
 
     x_stabilizers: Gf2Matrix
     z_stabilizers: Gf2Matrix
-    k: int
-    d_x: int | None
-    d_z: int | None
-    logical_x: tuple[Gf2Vector, ...] = ()
-    logical_z: tuple[Gf2Vector, ...] = ()
 
     def __post_init__(self):
         if self.x_stabilizers.cols != self.z_stabilizers.cols:
@@ -60,6 +59,39 @@ class CssCode:
     @property
     def n(self) -> int:
         return self.x_stabilizers.cols
+
+    @cached_property
+    def _split(self) -> tuple:
+        """(x graph, z graph, logical_x, logical_z) of one split."""
+        x_graph = homology.CheckGraph.of(self.x_stabilizers)
+        z_graph = homology.CheckGraph.of(self.z_stabilizers)
+        # Z logicals commute with the X checks: ker(x_stab) / rowspace(z_stab)
+        logical_z, logical_x = homology._tree_cotree(x_graph, z_graph)
+        return x_graph, z_graph, tuple(logical_x), tuple(logical_z)
+
+    @property
+    def logical_x(self) -> tuple[Gf2Vector, ...]:
+        return self._split[2]
+
+    @property
+    def logical_z(self) -> tuple[Gf2Vector, ...]:
+        return self._split[3]
+
+    @property
+    def k(self) -> int:
+        return len(self.logical_z)
+
+    @cached_property
+    def d_x(self) -> int | None:
+        """The dual systole; None when k = 0."""
+        x_graph, _, lx, _ = self._split
+        return _min_weight_logical(x_graph, lx)[0] if lx else None
+
+    @cached_property
+    def d_z(self) -> int | None:
+        """The primal systole; None when k = 0."""
+        _, z_graph, _, lz = self._split
+        return _min_weight_logical(z_graph, lz)[0] if lz else None
 
     def parameters(self) -> tuple:
         return (self.n, self.k, self.d_x, self.d_z)
@@ -90,29 +122,7 @@ def build_code(c: Cellulation) -> CssCode:
     Raises CellulationError unless c is a valid cellulation.
     """
     surface.validate(c)
-    fe, ve = surface.incidence_matrices(c)
-    return _code_from_checks(fe, ve)
-
-
-def _code_from_checks(x_stab: Gf2Matrix, z_stab: Gf2Matrix) -> CssCode:
-    """k, both distances and paired logical operators of a CSS code.
-
-    The checks must commute (as a valid cellulation's do), so that k is
-    the number of logical classes on either side, and every check column
-    must have weight <= 2; UnsupportedCheckStructure is raised otherwise,
-    also when k = 0.
-    """
-    x_graph = homology.CheckGraph.of(x_stab)
-    z_graph = homology.CheckGraph.of(z_stab)
-    # Z-type logicals commute with the X checks: ker(x_stab) / rowspace(z_stab)
-    logical_z, logical_x = homology._tree_cotree(x_graph, z_graph)
-    k = len(logical_z)
-    if k == 0:
-        return CssCode(x_stab, z_stab, 0, None, None)
-    d_z, _ = _min_weight_logical(z_graph, logical_z)
-    d_x, _ = _min_weight_logical(x_graph, logical_x)
-    return CssCode(x_stab, z_stab, k, d_x, d_z,
-                   tuple(logical_x), tuple(logical_z))
+    return CssCode(*surface.incidence_matrices(c))
 
 
 def check_relations(code: CssCode) -> bool:
@@ -155,18 +165,17 @@ def css_distance(code: CssCode) -> tuple[int, int]:
     """(d_x, d_z) computed from the check matrices alone.
 
     d_z = min weight in ker(z_stabilizers) \\ rowspace(x_stabilizers);
-    d_x with the roles swapped.  These are the distances that
-    ``_code_from_checks`` finds with the parity-cover graph search, so
-    it scales to the large planar instances.  Raises ValueError when
-    k < 1 or when the X and Z checks do not commute, since k, both
-    distances and the pairing all assume they do.
+    d_x with the roles swapped.  These are the code's own d_x and d_z,
+    found by the parity-cover graph search, so it scales to the large
+    planar instances.  Raises ValueError when k < 1 or when the X and Z
+    checks do not commute, since k, both distances and the pairing all
+    assume they do.
     """
     if code.k < 1:
         raise ValueError("distance undefined for k = 0")
     if not commutes(code):
         raise ValueError("X and Z checks do not commute")
-    fresh = _code_from_checks(code.x_stabilizers, code.z_stabilizers)
-    return fresh.d_x, fresh.d_z
+    return code.d_x, code.d_z
 
 
 # ---------------------------------------------------------------------------
@@ -189,17 +198,12 @@ def _tanner_planar(x_stab: Gf2Matrix, z_stab: Gf2Matrix) -> bool:
     import networkx as nx
 
     g = nx.Graph()
-    n = x_stab.cols
-    for q in range(n):
-        g.add_node(("q", q))
-    for i, r in enumerate(x_stab.row_bits):
-        for q in range(n):
-            if (r >> q) & 1:
-                g.add_edge(("x", i), ("q", q))
-    for i, r in enumerate(z_stab.row_bits):
-        for q in range(n):
-            if (r >> q) & 1:
-                g.add_edge(("z", i), ("q", q))
+    g.add_nodes_from(("q", q) for q in range(x_stab.cols))
+    for side, m in (("x", x_stab), ("z", z_stab)):
+        for i, r in enumerate(m.row_bits):
+            for q in range(m.cols):
+                if (r >> q) & 1:
+                    g.add_edge((side, i), ("q", q))
     ok, _ = nx.check_planarity(g)
     return ok
 
@@ -209,7 +213,9 @@ def puncture(c: Cellulation, face_id: int, vertex_id: int) -> PunctureResult:
 
     The product relations make any single face and vertex generator
     redundant, so the stabilizer row spaces -- and hence all code
-    parameters -- are preserved.  The planarity flag reports whether the
+    parameters -- are preserved; the punctured checks give the full
+    code's logical operators too, since dropping a row only makes that
+    node the boundary node.  The planarity flag reports whether the
     remaining generators admit a planar Tanner-graph layout.  Raises
     ValueError when face_id or vertex_id is out of range.
     """
@@ -222,8 +228,7 @@ def puncture(c: Cellulation, face_id: int, vertex_id: int) -> PunctureResult:
     z2 = _drop_row(full.z_stabilizers, vertex_id)
     preserved = (gf2.rowspace_equal(full.x_stabilizers, x2)
                  and gf2.rowspace_equal(full.z_stabilizers, z2))
-    code = replace(full, x_stabilizers=x2, z_stabilizers=z2)
-    return PunctureResult(code, preserved, _tanner_planar(x2, z2))
+    return PunctureResult(CssCode(x2, z2), preserved, _tanner_planar(x2, z2))
 
 
 # ---------------------------------------------------------------------------
@@ -294,6 +299,8 @@ class PlanarPatch:
             doc = json.loads(text)
         except RecursionError:
             raise ValueError("malformed patch: JSON nested too deeply") from None
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"malformed patch: {exc}") from None
         return cls.from_json_dict(doc)
 
 
@@ -327,7 +334,7 @@ def build_punctured_disk_code(patch: PlanarPatch) -> CssCode:
         len(vid), [[vid[p] for p in _ring(*r)] for r in squares + list(holes)])
     fe, ve = surface.incidence_matrices(cells)
     x_stab = Gf2Matrix(len(squares), fe.cols, fe.row_bits[:len(squares)])
-    code = _code_from_checks(x_stab, ve)
+    code = CssCode(x_stab, ve)
     if code.k != len(holes):
         raise AssertionError(
             f"expected k = {len(holes)} holes, computed {code.k}")

@@ -102,6 +102,8 @@ class Cellulation:
         except RecursionError:
             raise CellulationError(
                 "malformed cellulation: JSON nested too deeply") from None
+        except json.JSONDecodeError as exc:
+            raise CellulationError(f"malformed cellulation: {exc}") from None
         return cls.from_json_dict(doc)
 
 

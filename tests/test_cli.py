@@ -504,8 +504,12 @@ class TestLogicalOperators:
          "074a6d46182b429f1793423b4fff0591ec763993e79e4532e51836db543c6c21"),
         (["planar", "holes"],
          "fc751b7ebc91ffe36d5244508bc5f519ca2cb46c47113e318377f305474d9143"),
+        (["planar", "puncture", "fig4_shor", "--face", "6", "--vertex", "0"],
+         "363615b2908b130e68491c416b628554466790e24c75a290723c77fd7f47217a"),
+        (["planar", "puncture", "toric(3,3)", "--face", "4", "--vertex", "7"],
+         "916172a8d4ac0b15ad13b3ecf87eb4e03105978d2a4cc6da5cbc5483d5e85bfb"),
     ], ids=["fig1", "fig2", "toric33", "puncture-toric33", "toric88",
-            "planar-holes"])
+            "planar-holes", "puncture-shor", "puncture-toric33-interior"])
     def test_stdout_is_pinned(self, capsys, argv, digest):
         code, out, _ = run(capsys, argv)
         assert code == 0
@@ -535,6 +539,27 @@ class TestLogicalOperators:
             assert gf2.in_span(rows, v ^ Gf2Vector.from_support(v.n, support))
 
 
+class TestDerivedOnRead:
+    # these commands print no distance, so they must run no distance
+    # search: the code derives its distances only when they are read
+    @pytest.mark.parametrize("argv", [
+        ["code", "invariants", "fig4_shor"],
+        ["code", "compare", "fig2_nine_edge", "fig3_nine_edge"],
+        ["decode", "sweep", "toric(3,3)", "--p", "0.05,0.1", "--trials", "30",
+         "--seed", "4"],
+        ["decode", "exhaustive", "fig4_shor", "--weight", "2"],
+    ], ids=["invariants", "compare", "sweep", "exhaustive"])
+    def test_no_distance_search(self, capsys, monkeypatch, argv):
+        expected = run(capsys, argv)
+        assert expected[0] == 0
+
+        def no_search(graph, functionals):
+            raise AssertionError("distance search for no printed distance")
+
+        monkeypatch.setattr(stabilizer, "_min_weight_logical", no_search)
+        assert run(capsys, argv) == expected
+
+
 class TestErrors:
     def test_unknown_catalog_name(self, capsys):
         code, out, err = run(capsys, ["code", "params", "dodecahedron"])
@@ -561,10 +586,15 @@ class TestErrors:
          "malformed patch: hole [1, 2] is not [x, y, w, h]"),
         ({"width": "a", "height": 5, "holes": []},
          "malformed patch: 'a' is not an integer"),
-    ], ids=["missing-key", "wrong-type", "short-hole", "non-integer"])
+        ("{bad", "malformed patch: Expecting property name enclosed in"
+                 " double quotes: line 1 column 2 (char 1)"),
+        ("", "malformed patch: Expecting value: line 1 column 1 (char 0)"),
+    ], ids=["missing-key", "wrong-type", "short-hole", "non-integer",
+            "invalid-json", "empty-file"])
     def test_bad_patch_json(self, capsys, tmp_path, doc, message):
+        # a str doc is the file's text as it stands, not a JSON document
         p = tmp_path / "patch.json"
-        p.write_text(json.dumps(doc))
+        p.write_text(doc if isinstance(doc, str) else json.dumps(doc))
         code, out, err = run(capsys, ["planar", "holes", "--spec", str(p)])
         assert code == 1
         assert out == ""
@@ -663,12 +693,20 @@ class TestErrors:
          "malformed cellulation: not enough values to unpack"),
         ({"vertices": -1, "edges": [], "faces": []},
          "vertex count -1 is negative"),
+        ("{bad", "malformed cellulation: Expecting property name enclosed"
+                 " in double quotes: line 1 column 2 (char 1)\n"),
+        ('{"vertices": }',
+         "malformed cellulation: Expecting value: line 1 column 14"
+         " (char 13)\n"),
     ], ids=["single-cover", "missing-key", "wrong-type", "float", "string",
-            "boolean", "short-edge", "negative-vertices"])
+            "boolean", "short-edge", "negative-vertices", "invalid-json",
+            "missing-value"])
     def test_bad_cellulation_json(self, capsys, tmp_path, doc, message):
+        # a str doc is the text as it stands, not a JSON document
+        text = doc if isinstance(doc, str) else json.dumps(doc)
         p = tmp_path / "c.json"
-        p.write_text(json.dumps(doc))
-        for spec in (str(p), json.dumps(doc)):
+        p.write_text(text)
+        for spec in (str(p), text):
             for argv in (["code", "params", spec], ["catalog", "show", spec]):
                 code, out, err = run(capsys, argv)
                 assert code == 1

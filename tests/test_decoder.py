@@ -199,18 +199,6 @@ class TestCorrect:
                         not gf2.in_span(z_rows, err.z_errors ^ corr.z_errors))
                     assert decoder.is_failure(code, err, corr) == expected
 
-    def test_code_without_logical_operators_rejected(self):
-        full = _code("fig4_shor")
-        bare = stabilizer.CssCode(full.x_stabilizers,
-                                  full.z_stabilizers, 1, 3, 3)
-        err = ErrorPattern.zero(full.n)
-        with pytest.raises(ValueError, match="logical operators"):
-            decoder.is_failure(bare, err, err)
-        with pytest.raises(ValueError, match="logical operators"):
-            decoder.correct(bare, decoder.syndrome(bare, err))
-        with pytest.raises(ValueError, match="logical operators"):
-            decoder.decode_error(bare, err)
-
     def test_toric_weight_one(self):
         code = _code("toric(3,3)")
         for q in range(code.n):
@@ -427,13 +415,6 @@ class TestMonteCarlo:
         res = decoder.monte_carlo(_tables("fig4_shor"), 0.1, 0.1, 3,
                                   2**128 - 1)
         assert res.seed == 2**128 - 1 and res.trials == 3
-
-    def test_code_without_logical_operators_rejected_before_trials(self):
-        full = _code("fig4_shor")
-        bare = stabilizer.CssCode(full.x_stabilizers,
-                                  full.z_stabilizers, 1, 3, 3)
-        with pytest.raises(ValueError, match="logical operators"):
-            decoder.DecodingTables.build(bare)
 
     def test_probability_validation(self):
         with pytest.raises(ValueError):

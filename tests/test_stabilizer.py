@@ -62,8 +62,7 @@ class TestBuildCode:
         rows = list(code.x_stabilizers.row_bits)
         rows[0] ^= 1 << 3  # bigon row now overlaps a vertex row oddly
         bad = stabilizer.CssCode(
-            Gf2Matrix(len(rows), code.n, tuple(rows)),
-            code.z_stabilizers, code.k, code.d_x, code.d_z)
+            Gf2Matrix(len(rows), code.n, tuple(rows)), code.z_stabilizers)
         assert not stabilizer.commutes(bad)
 
     def test_commutes_matches_the_pairwise_definition(self):
@@ -78,15 +77,15 @@ class TestBuildCode:
             z = Gf2Matrix(rz, n, tuple(rng.getrandbits(n) for _ in range(rz)))
             expected = all((a & b).bit_count() % 2 == 0
                            for a in x.row_bits for b in z.row_bits)
-            code = stabilizer.CssCode(x, z, 0, None, None)
+            code = stabilizer.CssCode(x, z)
             assert stabilizer.commutes(code) == expected, (x, z)
             seen.add(expected)
         assert seen == {True, False}
 
     def test_n_is_read_from_the_checks(self):
         code = stabilizer.build_code(surface.fig4_shor())
-        names = [f.name for f in dataclasses.fields(code)]
-        assert "n" not in names and len(names) == 7
+        names = tuple(f.name for f in dataclasses.fields(code))
+        assert names == ("x_stabilizers", "z_stabilizers")
         assert code.n == code.x_stabilizers.cols == code.z_stabilizers.cols
 
     def test_check_lengths_must_agree(self):
@@ -94,12 +93,11 @@ class TestBuildCode:
         with pytest.raises(gf2.LengthMismatch,
                            match="^X checks have 3 columns, Z checks 2$"):
             stabilizer.CssCode(Gf2Matrix.from_rows([[1, 1, 0]]),
-                               Gf2Matrix.from_rows([[1, 1]]), 1, None, None)
+                               Gf2Matrix.from_rows([[1, 1]]))
 
     def test_pauli_strings_read_the_check_rows(self):
         code = stabilizer.CssCode(Gf2Matrix.from_rows([[1, 1, 0]]),
-                                  Gf2Matrix.from_rows([[0, 1, 1], [1, 0, 1]]),
-                                  0, None, None)
+                                  Gf2Matrix.from_rows([[0, 1, 1], [1, 0, 1]]))
         assert code.pauli_strings() == ["XXI", "IZZ", "ZIZ"]
 
     # the logical-operator contract, on every code the suites build
@@ -131,11 +129,27 @@ class TestBuildCode:
             raise AssertionError("GF(2) elimination while building a code")
 
         monkeypatch.setattr(gf2, "_forward", no_elimination)
-        for c in cellulations:
-            stabilizer.build_code(c)
-        for x_stab, z_stab in checks:
-            stabilizer._code_from_checks(x_stab, z_stab)
-        assert stabilizer.build_punctured_disk_code(patch).k == 2
+        codes = [stabilizer.build_code(c) for c in cellulations]
+        codes += [stabilizer.CssCode(x_stab, z_stab)
+                  for x_stab, z_stab in checks]
+        codes.append(stabilizer.build_punctured_disk_code(patch))
+        for code in codes:
+            assert len(code.logical_x) == len(code.logical_z) == code.k
+            assert (code.d_x is None) == (code.d_z is None) == (code.k == 0)
+        assert codes[-1].k == 2
+
+    def test_each_distance_is_searched_once(self, monkeypatch):
+        calls = []
+
+        def counted(graph, functionals):
+            calls.append(len(functionals))
+            return homology._min_weight_logical(graph, functionals)
+
+        monkeypatch.setattr(stabilizer, "_min_weight_logical", counted)
+        code = stabilizer.build_code(surface.fig4_shor())
+        assert calls == []
+        assert code.parameters() == code.parameters() == (9, 1, 3, 3)
+        assert calls == [1, 1]  # one search per side, each cached
 
 
 def _closed_names():
@@ -198,26 +212,25 @@ class TestDistance:
         # qubit 0 is in three Z checks, so its column is no graph edge
         z_stab = Gf2Matrix(3, 4, (0b0011, 0b0101, 0b1001))
         x_stab = Gf2Matrix(0, 4, ())
-        code = stabilizer.CssCode(x_stab, z_stab, 1, None, None)
+        code = stabilizer.CssCode(x_stab, z_stab)
         with pytest.raises(stabilizer.UnsupportedCheckStructure):
-            stabilizer.css_distance(code)
+            code.d_z
 
     def test_weight_three_column_is_rejected_when_k_is_zero(self):
         # columns 0 and 1 are in all three X checks; the Z check commutes
         # with each, and ker(x_stab) = rowspace(z_stab), so k = 0
         x_stab = Gf2Matrix(3, 2, (0b11, 0b11, 0b11))
         z_stab = Gf2Matrix(1, 2, (0b11,))
-        assert stabilizer.commutes(stabilizer.CssCode(x_stab, z_stab, 0,
-                                                      None, None))
+        code = stabilizer.CssCode(x_stab, z_stab)
+        assert stabilizer.commutes(code)
         with pytest.raises(stabilizer.UnsupportedCheckStructure,
                            match="column 0 touches 3 generators"):
-            stabilizer._code_from_checks(x_stab, z_stab)
+            code.k
 
     def test_non_commuting_checks_are_rejected(self):
         # qubit 1 is the only overlap of the X and the Z check
         code = stabilizer.CssCode(Gf2Matrix.from_rows([[1, 1, 0]]),
-                                  Gf2Matrix.from_rows([[0, 1, 1]]), 1,
-                                  None, None)
+                                  Gf2Matrix.from_rows([[0, 1, 1]]))
         with pytest.raises(ValueError,
                            match="^X and Z checks do not commute$"):
             stabilizer.css_distance(code)
