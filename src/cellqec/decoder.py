@@ -16,19 +16,24 @@ DP over subsets; above that it is the ``networkx`` blossom, loaded only
 then.  Every minimum matching's paths XOR to the one minimum T-join
 (``MatchingGraph.min_weight_chain``), so the two give the same chain.
 
-Trials are decoded on bit sets (Python ints, bit j = column j) by
+Single decodes run on bit sets (Python ints, bit j = column j) through
 ``DecodingTables``, built once per code: ``failures`` takes an error's
-two sides and returns its two failure verdicts.
-``monte_carlo`` takes the tables, so a sweep builds them once for all
-its points; ``correct``, ``decode_error`` and ``exhaustive_weight_sweep``
-build them per call, and ``syndrome`` and ``is_failure`` read the check
-graphs alone.  numpy is loaded only by ``_error_bits``, the sampler of
+two sides and returns its two failure verdicts.  ``monte_carlo`` takes
+the tables, so a sweep builds them once for all its points, and decodes
+a chunk of trials at a time (``DecodingTables._chunk_failures``): numpy
+multiplies the chunk's errors by each side's check columns and logical
+operators, and each distinct syndrome is matched once per tables.
+``correct``, ``decode_error`` and ``exhaustive_weight_sweep`` build the
+tables per call, and ``syndrome`` and ``is_failure`` read the check
+graphs of the code's split alone.  numpy is loaded only by
 ``monte_carlo``.
 """
 from __future__ import annotations
 
 import heapq
+from collections import Counter
 from dataclasses import astuple, dataclass, fields
+from functools import cached_property
 from typing import Iterator
 
 from . import gf2, homology
@@ -46,6 +51,11 @@ _DP_MAX_DEFECTS = 14
 # Doubles per draws array of _error_bits (512 KiB), so that its memory
 # does not grow with the trial count.
 _CHUNK_DRAWS = 1 << 16
+
+# Syndromes per side whose chain parities DecodingTables keeps (1.2 MB
+# per side when full, for 64 checks), so that the memo's memory does not
+# grow with the trial count; a decode_small sweep needs at most 253.
+_MEMO_SYNDROMES = 1 << 14
 
 
 class InconsistentSyndrome(ValueError):
@@ -223,11 +233,11 @@ class DecodingTables:
 
     @classmethod
     def build(cls, code: CssCode) -> "DecodingTables":
-        z_graph, x_graph = (MatchingGraph.build(homology.CheckGraph.of(m))
-                            for m in (code.z_stabilizers, code.x_stabilizers))
-        return cls(code.n, z_graph, x_graph,
-                   tuple(v.bits for v in code.logical_x),
-                   tuple(v.bits for v in code.logical_z))
+        x_checks, z_checks, logical_x, logical_z = code._split
+        return cls(code.n, MatchingGraph.build(z_checks),
+                   MatchingGraph.build(x_checks),
+                   tuple(v.bits for v in logical_x),
+                   tuple(v.bits for v in logical_z))
 
     def failures(self, x_bits: int, z_bits: int) -> tuple[bool, bool]:
         """(x_fail, z_fail) of decoding the error (x_bits, z_bits).
@@ -241,6 +251,75 @@ class DecodingTables:
             z_checks, x_checks, self.logical_x, self.logical_z,
             x_bits ^ zg.chain(z_checks.syndrome(x_bits)),
             z_bits ^ xg.chain(x_checks.syndrome(z_bits)))
+
+    @cached_property
+    def _sides(self) -> tuple:
+        """Per side, x errors then z errors: (matching graph, rows, [H | L],
+        memo).
+
+        H is the check graph's column matrix (n x checks) and L the
+        logical matrix (n x k) of the logical operators the side pairs
+        with; row j of [H | L] is the bit set rows[j] (checks first, then
+        bit checks + i for logical i), and the array is float64 so that
+        numpy multiplies it by BLAS, exactly.  The memo maps a syndrome
+        bit set to its chain's parities with the logical operators.
+        """
+        import numpy as np
+
+        sides = []
+        for graph, logicals in ((self.z_graph, self.logical_z),
+                                (self.x_graph, self.logical_x)):
+            checks = graph.graph.boundary
+            width = checks + len(logicals)
+            rows = [col | sum(((lg >> j) & 1) << (checks + i)
+                              for i, lg in enumerate(logicals))
+                    for j, col in enumerate(graph.graph.columns)]
+            size = (width + 7) // 8
+            packed = b"".join(r.to_bytes(size, "little") for r in rows)
+            hl = np.unpackbits(np.frombuffer(packed, np.uint8).reshape(
+                self.n, size), axis=1, count=width, bitorder="little")
+            sides.append((graph, rows, hl.astype(float), {}))
+        return tuple(sides)
+
+    def _chunk_failures(self, side: int, errors) -> int:
+        """How many trials fail on one side (0: x, 1: z) of a chunk;
+        errors is that side's boolean trials x n array.
+
+        A trial's row of errors @ [H | L] mod 2 is its syndrome beside its
+        parities with the logical operators, and it fails when these
+        differ from its chain's.  Each distinct syndrome is matched once
+        per tables while the memo holds fewer than ``_MEMO_SYNDROMES``,
+        and every chain matched must reproduce its syndrome (else
+        SyndromeMismatch): by linearity, every residual then has zero
+        syndrome.
+        """
+        import numpy as np
+
+        graph, rows, hl, memo = self._sides[side]
+        packed = np.packbits((errors @ hl).astype(int) & 1, axis=1,
+                             bitorder="little")
+        checks, failed = graph.graph.boundary, 0
+        mask = (1 << checks) - 1
+        for key, count in Counter(
+                packed.view(f"V{packed.shape[1]}").ravel().tolist()).items():
+            bits = int.from_bytes(key, "little")
+            syn = bits & mask
+            parities = memo.get(syn)
+            if parities is None:
+                chain, image = graph.chain(syn), 0  # image: chain @ [H | L]
+                while chain:
+                    low = chain & -chain
+                    image ^= rows[low.bit_length() - 1]
+                    chain ^= low
+                if image & mask != syn:
+                    raise SyndromeMismatch(
+                        "correction does not match the error syndrome")
+                parities = image >> checks
+                if len(memo) < _MEMO_SYNDROMES:
+                    memo[syn] = parities
+            if parities != bits >> checks:
+                failed += count
+        return failed
 
 
 def _residual_failures(z_checks: homology.CheckGraph,
@@ -269,8 +348,7 @@ def syndrome(code: CssCode, err: ErrorPattern) -> Syndrome:
     """The checks each side of err flips (``homology.CheckGraph.syndrome``)."""
     if err.x_errors.n != code.n:
         raise gf2.LengthMismatch(f"{err.x_errors.n} != {code.n}")
-    z_checks = homology.CheckGraph.of(code.z_stabilizers)
-    x_checks = homology.CheckGraph.of(code.x_stabilizers)
+    x_checks, z_checks, _, _ = code._split
     return Syndrome(
         z_checks=Gf2Vector(z_checks.boundary,
                            z_checks.syndrome(err.x_errors.bits)),
@@ -301,10 +379,10 @@ def is_failure(code: CssCode, err: ErrorPattern,
     res_x, res_z = err.x_errors ^ corr.x_errors, err.z_errors ^ corr.z_errors
     if res_x.n != code.n:
         raise gf2.LengthMismatch(f"{res_x.n} != {code.n}")
-    return _residual_failures(homology.CheckGraph.of(code.z_stabilizers),
-                              homology.CheckGraph.of(code.x_stabilizers),
-                              tuple(v.bits for v in code.logical_x),
-                              tuple(v.bits for v in code.logical_z),
+    x_checks, z_checks, logical_x, logical_z = code._split
+    return _residual_failures(z_checks, x_checks,
+                              tuple(v.bits for v in logical_x),
+                              tuple(v.bits for v in logical_z),
                               res_x.bits, res_z.bits)
 
 
@@ -327,39 +405,34 @@ class MonteCarloResult:
 
 
 def _error_bits(seed: int, trials: range, n: int, p_x: float,
-                p_z: float) -> Iterator[tuple[int, int]]:
-    """(x_bits, z_bits) of each trial t in trials (a range of step 1).
+                p_z: float) -> Iterator:
+    """The errors of the trials in trials (a range of step 1), by chunks.
 
-    Bit q of x_bits is draws[0][q] < p_x and of z_bits draws[1][q] < p_z,
-    where draws is ``Generator(Philox(key=seed, counter=t << 64))
-    .random((2, n))``: each trial has its own stream, so results do not
-    depend on how trials are partitioned.
+    A chunk is a boolean array of shape (trials in it, 2, n), with up to
+    ``_CHUNK_DRAWS`` // 2n trials in order.  For trial t, [0, q] is
+    draws[0][q] < p_x (an x error on qubit q) and [1, q] is
+    draws[1][q] < p_z, where draws is ``Generator(Philox(key=seed,
+    counter=t << 64)).random((2, n))``: each trial has its own stream,
+    so results do not depend on how trials are partitioned.
 
-    One Philox runs through the range.  numpy's Philox steps the
-    counter's low word before each block of four outputs, so trial t's
-    2n draws end at counter (m, t), m = ceil(2n / 4); advancing by
-    2^64 - m moves it to (0, t + 1), where trial t + 1's own stream
-    starts, and drops the unused buffered outputs.  The draws of up to
-    ``_CHUNK_DRAWS`` doubles are compared and packed at once.
+    One Philox runs through the range.  Before trial t its state is set
+    to counter (0, t) with no buffered output, where trial t's own
+    stream starts.
     """
     import numpy as np
 
-    bitgen = np.random.Philox(key=seed, counter=trials.start << 64)
-    random, advance = np.random.Generator(bitgen).random, bitgen.advance
-    skip = (1 << 64) - (2 * n + 3) // 4
+    bitgen = np.random.Philox(key=seed)
+    random, state = np.random.Generator(bitgen).random, bitgen.state
+    counter = state["state"]["counter"]  # words (0, t, 0, 0) for trial t
     per_chunk = max(1, _CHUNK_DRAWS // max(2 * n, 1))
     p = np.array([[p_x], [p_z]])
-    width = (n + 7) // 8  # bytes per side of a trial
     for first in range(trials.start, trials.stop, per_chunk):
         draws = np.empty((min(per_chunk, trials.stop - first), 2, n))
-        for row in draws:
+        for t, row in enumerate(draws, first):
+            counter[1] = t
+            bitgen.state = state
             random(out=row)
-            advance(skip)
-        packed = np.packbits(draws < p, axis=-1, bitorder="little").tobytes()
-        for i in range(len(draws)):
-            at = 2 * i * width
-            yield (int.from_bytes(packed[at:at + width], "little"),
-                   int.from_bytes(packed[at + width:at + 2 * width], "little"))
+        yield draws < p
 
 
 def monte_carlo(tables: DecodingTables, p_x: float, p_z: float,
@@ -377,10 +450,9 @@ def monte_carlo(tables: DecodingTables, p_x: float, p_z: float,
     if not 0 <= seed < 1 << 128:
         raise ValueError(f"seed must lie in [0, 2**128), got {seed}")
     xf = zf = 0
-    for bits in _error_bits(seed, range(trials), tables.n, p_x, p_z):
-        fx, fz = tables.failures(*bits)
-        xf += fx
-        zf += fz
+    for errors in _error_bits(seed, range(trials), tables.n, p_x, p_z):
+        xf += tables._chunk_failures(0, errors[:, 0])
+        zf += tables._chunk_failures(1, errors[:, 1])
     return MonteCarloResult(p_x, p_z, trials, xf, zf, seed)
 
 

@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cellqec
-from cellqec import cli, decoder, gf2, search, stabilizer, surface
+from cellqec import cli, decoder, gf2, homology, search, stabilizer, surface
 from cellqec.gf2 import Gf2Matrix, Gf2Vector
 
 
@@ -337,21 +337,28 @@ class TestDecode:
         assert rows[:3] == json.loads(pinned)["rows"]
 
     def test_sweep_builds_the_tables_once(self, capsys, monkeypatch):
-        # one DecodingTables per command, shared by every --p point
-        calls = []
-        build = decoder.DecodingTables.build
+        # one DecodingTables per command, shared by every --p point, and
+        # one check graph per check matrix, from the code's split
+        calls, graphs = [], []
+        build, of = decoder.DecodingTables.build, homology.CheckGraph.of
 
         def counted(code):
             calls.append(code)
             return build(code)
 
+        def counted_of(check):
+            graphs.append(check)
+            return of(check)
+
         monkeypatch.setattr(decoder.DecodingTables, "build", counted)
+        monkeypatch.setattr(homology.CheckGraph, "of", counted_of)
         code, out, _ = run(capsys, ["decode", "sweep", "fig4_shor", "--p",
                                     "0.02,0.05,0.1", "--trials", "5",
                                     "--seed", "1"])
         assert code == 0
         assert len(out.strip().split("\n")) == 4
         assert len(calls) == 1
+        assert len(graphs) == 2
 
     def test_sweep_large_toric(self, capsys):
         # 2^37 coset combinations per trial for an exhaustive decoder
@@ -369,13 +376,27 @@ class TestDecode:
                               timeout=60).returncode == 0
 
     def test_cli_import_does_not_load_numpy(self):
-        # numpy is loaded only to sample monte_carlo's errors
+        # numpy is loaded only by monte_carlo
         src = os.path.dirname(os.path.dirname(cellqec.__file__))
         env = dict(os.environ, PYTHONPATH=src)
         probe = ("import sys, cellqec.cli; "
                  "sys.exit('numpy' in sys.modules)")
         assert subprocess.run([sys.executable, "-c", probe], env=env,
                               timeout=60).returncode == 0
+
+    def test_commands_without_sampling_do_not_load_numpy(self):
+        src = os.path.dirname(os.path.dirname(cellqec.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        probe = ("import sys; from cellqec import cli; "
+                 "codes = [cli.main(['decode', 'exhaustive', 'fig4_shor', "
+                 "'--weight', '1']), cli.main(['code', 'params', "
+                 "'fig4_shor'])]; "
+                 "sys.exit(codes != [0, 0] or 'numpy' in sys.modules)")
+        done = subprocess.run([sys.executable, "-c", probe], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0
+        assert '"x_failures":0' in done.stdout
+        assert '"parameters":[9,1,3,3]' in done.stdout
 
 
 class TestSearch:

@@ -7,7 +7,7 @@ import pytest
 from coset_oracle import coset_min_weight_chain
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from sampling import sample_small_cellulations
+from sampling import planar_and_punctured_codes, sample_small_cellulations
 
 from cellqec import decoder, gf2, homology, stabilizer, surface
 from cellqec.decoder import ErrorPattern, Syndrome
@@ -53,6 +53,28 @@ def _oracle_bits(seed, trial, n, p_x, p_z):
         if draws[1][q] < p_z:
             z |= 1 << q
     return x, z
+
+
+def _sampled_bits(seed, trials, n, p_x, p_z):
+    """(x_bits, z_bits) of each trial, packed here from the boolean
+    chunks of ``decoder._error_bits``, whose shapes are checked."""
+    per_chunk = max(1, decoder._CHUNK_DRAWS // max(2 * n, 1))
+    bits = []
+    for chunk in decoder._error_bits(seed, trials, n, p_x, p_z):
+        assert chunk.dtype == bool and chunk.shape[1:] == (2, n)
+        assert 1 <= len(chunk) <= per_chunk
+        bits += [tuple(sum(1 << int(q) for q in np.flatnonzero(side))
+                       for side in trial) for trial in chunk]
+    return bits
+
+
+@functools.cache
+def _monte_carlo_codes() -> dict:
+    """The codes whose Monte Carlo counts are checked trial by trial."""
+    codes = {name: _code(name) for name in (
+        "fig4_shor", "fig1_hemi_icosahedron", "toric(3,3)", "cube_sphere")}
+    codes.update(planar_and_punctured_codes())
+    return codes
 
 
 def _matching_graph(checks):
@@ -358,17 +380,16 @@ class TestMonteCarlo:
     def test_trial_streams_are_position_independent(self):
         # trial t draws from its own keyed stream, so any partition of
         # the trial range reproduces the same per-trial randomness
-        r1 = list(decoder._error_bits(5, range(17, 18), 64, 0.5, 0.5))
-        r2 = list(decoder._error_bits(5, range(17, 18), 64, 0.5, 0.5))
-        r3 = list(decoder._error_bits(5, range(18, 19), 64, 0.5, 0.5))
+        r1 = _sampled_bits(5, range(17, 18), 64, 0.5, 0.5)
+        r2 = _sampled_bits(5, range(17, 18), 64, 0.5, 0.5)
+        r3 = _sampled_bits(5, range(18, 19), 64, 0.5, 0.5)
         assert r1 == r2
         assert r1 != r3
 
     def test_packed_draws_equal_the_per_qubit_loop(self):
         for n in (0, 1, 7, 8, 9, 64, 130):
             expected = [_oracle_bits(8, t, n, 0.3, 0.3) for t in range(3)]
-            assert list(decoder._error_bits(8, range(3), n, 0.3, 0.3)) \
-                == expected
+            assert _sampled_bits(8, range(3), n, 0.3, 0.3) == expected
 
     @pytest.mark.parametrize("seed", [0, 5, 2**64 + 3])
     @pytest.mark.parametrize("n", [1, 9, 15, 18, 128])
@@ -383,11 +404,11 @@ class TestMonteCarlo:
             expected = [_oracle_bits(seed, t, n, p_x, p_z) for t in range(13)]
             for chunk in chunks:
                 monkeypatch.setattr(decoder, "_CHUNK_DRAWS", chunk)
-                assert list(decoder._error_bits(
-                    seed, range(13), n, p_x, p_z)) == expected
+                assert _sampled_bits(seed, range(13), n, p_x,
+                                     p_z) == expected
                 for a, b in ((0, 0), (4, 13), (5, 9), (12, 13)):
-                    assert list(decoder._error_bits(
-                        seed, range(a, b), n, p_x, p_z)) == expected[a:b]
+                    assert _sampled_bits(seed, range(a, b), n, p_x,
+                                         p_z) == expected[a:b]
 
     def test_sampler_crosses_the_real_chunk_size(self):
         # 128 qubits: 256 trials per draws array
@@ -395,11 +416,75 @@ class TestMonteCarlo:
         per_chunk = decoder._CHUNK_DRAWS // (2 * n)
         trials = range(per_chunk - 3, 2 * per_chunk + 2)
         expected = [_oracle_bits(2**64 + 3, t, n, 0.3, 0.3) for t in trials]
-        got = list(decoder._error_bits(2**64 + 3, range(trials.stop), n,
-                                       0.3, 0.3))
+        got = _sampled_bits(2**64 + 3, range(trials.stop), n, 0.3, 0.3)
         assert got[trials.start:] == expected
-        assert list(decoder._error_bits(2**64 + 3, trials, n, 0.3, 0.3)) \
-            == expected
+        assert _sampled_bits(2**64 + 3, trials, n, 0.3, 0.3) == expected
+
+    def test_counts_equal_the_failures_of_each_trial(self, monkeypatch):
+        # the oracle: DecodingTables.failures on each side of each trial's
+        # bits, drawn qubit by qubit; 6 trials a chunk, so 20 trials cross
+        # three chunk boundaries, and one tables serves every point, as in
+        # a sweep
+        seen = set()
+        for label, code in _monte_carlo_codes().items():
+            tables = decoder.DecodingTables.build(code)
+            failures = functools.cache(tables.failures)  # p = 1 repeats
+            monkeypatch.setattr(decoder, "_CHUNK_DRAWS", 2 * code.n * 7 - 1)
+            rate = min(0.3, 10 / code.n)  # about 10 errors a side at most
+            for p_x, p_z in ((0.0, rate), (1.0, rate / 3), (rate / 2, 1.0)):
+                expected = [0, 0]
+                for t in range(20):
+                    x, z = _oracle_bits(7, t, code.n, p_x, p_z)
+                    expected[0] += failures(x, 0)[0]
+                    expected[1] += failures(0, z)[1]
+                res = decoder.monte_carlo(tables, p_x, p_z, 20, 7)
+                assert [res.x_failures, res.z_failures] == expected, \
+                    (label, p_x, p_z)
+                seen.update(expected)
+        assert {0, 20} < seen  # and counts strictly between
+
+    @pytest.mark.parametrize("name,distinct", [
+        ("fig4_shor", 41), ("fig1_hemi_icosahedron", 154),
+        ("toric(3,3)", 253)])
+    def test_each_distinct_syndrome_is_matched_once(self, name, distinct,
+                                                    monkeypatch):
+        # the benchmark's decode_small sweeps: 448 chains in all, where a
+        # chain per trial and side makes 5,400
+        points = (0.02, 0.05, 0.1)
+        code = _code(name)
+        x_checks, z_checks, _, _ = code._split
+        syndromes = set()
+        for p in points:
+            for t in range(300):
+                x, z = _oracle_bits(1, t, code.n, p, p)
+                syndromes |= {(0, z_checks.syndrome(x)),
+                              (1, x_checks.syndrome(z))}
+        calls = []
+        chain = decoder.MatchingGraph.chain
+        monkeypatch.setattr(decoder.MatchingGraph, "chain",
+                            lambda graph, syn: calls.append(syn)
+                            or chain(graph, syn))
+        tables = _tables(name)
+        for p in points:
+            decoder.monte_carlo(tables, p, p, 300, 1)
+        assert len(calls) == len(syndromes) == distinct
+
+    @pytest.mark.parametrize("name", ["fig4_shor", "toric(3,3)"])
+    def test_a_capped_memo_changes_no_count(self, name, monkeypatch):
+        points = (0.02, 0.05, 0.1)
+        tables = _tables(name)
+        expected = [decoder.monte_carlo(tables, p, p, 300, 1) for p in points]
+        monkeypatch.setattr(decoder, "_MEMO_SYNDROMES", 3)
+        tables = _tables(name)
+        for p, res in zip(points, expected):
+            assert decoder.monte_carlo(tables, p, p, 300, 1) == res
+            assert [len(memo) for *_, memo in tables._sides] == [3, 3]
+
+    def test_a_chain_that_misses_its_syndrome_is_rejected(self, monkeypatch):
+        monkeypatch.setattr(decoder.MatchingGraph, "chain",
+                            lambda graph, syn: 0)
+        with pytest.raises(decoder.SyndromeMismatch):
+            decoder.monte_carlo(_tables("fig4_shor"), 0.1, 0.1, 40, 1)
 
     @pytest.mark.parametrize("trials,seed", [(-3, 1), (5, -1), (5, 2**128),
                                              (5, 2**130)])
