@@ -111,8 +111,8 @@ def _cmd_code_compare(args) -> int:
 def _cmd_decode_sweep(args) -> int:
     c = _load_cellulation(args.cellulation)
     tables = decoder.DecodingTables.build(stabilizer.build_code(c))
-    results = [decoder.monte_carlo(tables, p, p, args.trials, args.seed)
-               for p in args.p]
+    results = decoder.monte_carlo(tables, [(p, p) for p in args.p],
+                                  args.trials, args.seed)
     sys.stdout.write(decoder.sweep_csv(results))
     print(f"{len(results)} sweep points, {args.trials} trials each,"
           f" rng {decoder.RNG_ALGORITHM}", file=sys.stderr)
@@ -193,7 +193,7 @@ def _non_negative_int(text: str) -> int:
 
 def _seed(text: str) -> int:
     value = _non_negative_int(text)
-    if value >> 128:  # the Philox key of decoder.monte_carlo
+    if value >> 128:  # the Philox key of every trial stream of a sweep
         raise argparse.ArgumentTypeError(
             f"must be less than 2**128, got {value}")
     return value

@@ -18,11 +18,13 @@ then.  Every minimum matching's paths XOR to the one minimum T-join
 
 Single decodes run on bit sets (Python ints, bit j = column j) through
 ``DecodingTables``, built once per code: ``failures`` takes an error's
-two sides and returns its two failure verdicts.  ``monte_carlo`` takes
-the tables, so a sweep builds them once for all its points, and decodes
-a chunk of trials at a time (``DecodingTables._chunk_failures``): numpy
-multiplies the chunk's errors by each side's check columns and logical
-operators, and each distinct syndrome is matched once per tables.
+two sides and returns its two failure verdicts.  ``monte_carlo`` runs a
+whole sweep on the tables: it draws each chunk of trials once
+(``_draws``), thresholds it at every (p_x, p_z) point and decodes it
+(``DecodingTables._chunk_failures``): numpy multiplies the chunk's
+errors by each side's check columns and logical operators, and each
+distinct syndrome is matched once per tables.  Each ``MatchingGraph``
+keeps the sub-matchings of its DP, so syndromes share them.
 ``correct``, ``decode_error`` and ``exhaustive_weight_sweep`` build the
 tables per call, and ``syndrome`` and ``is_failure`` read the check
 graphs of the code's split alone.  numpy is loaded only by
@@ -34,7 +36,7 @@ import heapq
 from collections import Counter
 from dataclasses import astuple, dataclass, fields
 from functools import cached_property
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from . import gf2, homology
 from .gf2 import Gf2Vector
@@ -48,14 +50,16 @@ RNG_ALGORITHM = "numpy-philox4x64(key=seed, counter hi word=trial)"
 # 16 nodes 7.1 and 4.7 ms (2-vCPU VM).
 _DP_MAX_DEFECTS = 14
 
-# Doubles per draws array of _error_bits (512 KiB), so that its memory
-# does not grow with the trial count.
+# Doubles per chunk of _draws (512 KiB), so that a sweep's memory grows
+# neither with its trial count nor with its number of points.
 _CHUNK_DRAWS = 1 << 16
 
-# Syndromes per side whose chain parities DecodingTables keeps (1.2 MB
-# per side when full, for 64 checks), so that the memo's memory does not
-# grow with the trial count; a decode_small sweep needs at most 253.
-_MEMO_SYNDROMES = 1 << 14
+# Entries of each memo, so that its memory does not grow with the trial
+# count: the syndromes per side whose chain parities DecodingTables
+# keeps (1.2 MB per side when full, for 64 checks; a decode_small sweep
+# needs at most 253), and the sub-matchings a MatchingGraph keeps, which
+# it clears before a DP once it holds this many.
+_MEMO_ENTRIES = 1 << 14
 
 
 class InconsistentSyndrome(ValueError):
@@ -153,19 +157,19 @@ class MatchingGraph:
         """
         if not syn:  # as most trials at low error rates: skip the DP set-up
             return 0
-        defects = []
-        while syn:
-            low = syn & -syn
-            defects.append(low.bit_length() - 1)
-            syn ^= low
-        if len(defects) % 2:
-            defects.append(self.graph.boundary)
-        if len(defects) <= _DP_MAX_DEFECTS:
-            matching = self._min_matching(defects)
+        if syn.bit_count() % 2:
+            syn |= 1 << self.graph.boundary
+        if syn.bit_count() <= _DP_MAX_DEFECTS:
+            matching = self._min_matching(syn)
             bits = None if matching is None else matching[1]
         else:
             import networkx as nx
 
+            defects = []
+            while syn:
+                low = syn & -syn
+                defects.append(low.bit_length() - 1)
+                syn ^= low
             g = nx.Graph()
             for i, a in enumerate(defects):
                 for b in defects[i + 1:]:
@@ -181,39 +185,55 @@ class MatchingGraph:
             raise InconsistentSyndrome("syndrome outside the check image")
         return bits
 
-    def _min_matching(self, nodes: list[int]) -> tuple[int, int] | None:
+    @cached_property
+    def _matchings(self) -> dict[int, tuple[int, int] | None]:
+        """The memo of ``_min_matching``: a bit set of node ids maps to
+        (total weight, XOR of the paths) of a minimum-weight perfect
+        matching of those nodes, or None when there is none."""
+        return {0: (0, 0)}
+
+    def _min_matching(self, nodes: int) -> tuple[int, int] | None:
         """(total weight, XOR of the paths) of a minimum-weight perfect
-        matching of nodes, or None when there is none.
+        matching of the nodes in bit set nodes (bit v: node id v), or
+        None when there is none (``_best``).
 
-        best(mask) matches the nodes in bit set mask: it pairs the lowest
-        of them with each other one it has a path to and keeps the lowest
-        total weight, memoised per mask.
+        ``_matchings`` keeps every sub-matching for every later DP; it is
+        cleared first once it holds ``_MEMO_ENTRIES``.
         """
-        memo: dict[int, tuple[int, int] | None] = {0: (0, 0)}
+        memo = self._matchings
+        if len(memo) >= _MEMO_ENTRIES:
+            memo.clear()
+            memo[0] = (0, 0)
+        return self._best(nodes)
 
-        def best(mask: int) -> tuple[int, int] | None:
-            if mask in memo:
-                return memo[mask]
-            low = mask & -mask
-            a = nodes[low.bit_length() - 1]
-            dist, path = self.dist[a], self.path[a]
-            top = None
-            rest = mask ^ low
-            others = rest
-            while others:
-                bit = others & -others
-                others ^= bit
-                b = nodes[bit.bit_length() - 1]
-                if dist[b] is None:
-                    continue
-                sub = best(rest ^ bit)
-                if sub is not None and (top is None
-                                        or dist[b] + sub[0] < top[0]):
-                    top = (dist[b] + sub[0], sub[1] ^ path[b])
-            memo[mask] = top
-            return top
-
-        return best((1 << len(nodes)) - 1)
+    def _best(self, mask: int) -> tuple[int, int] | None:
+        """``_min_matching`` of the nodes in bit set mask: pair the
+        lowest of them with each other one it has a path to and keep the
+        lowest total weight.  The result depends on mask alone, so
+        ``_matchings`` keeps it.  A method, not a closure in
+        ``_min_matching``: a recursive closure is a reference cycle, and
+        uncollected ones held their memos past their sweep."""
+        memo = self._matchings
+        if mask in memo:
+            return memo[mask]
+        low = mask & -mask
+        a = low.bit_length() - 1
+        dist, path = self.dist[a], self.path[a]
+        top = None
+        rest = mask ^ low
+        others = rest
+        while others:
+            bit = others & -others
+            others ^= bit
+            b = bit.bit_length() - 1
+            if dist[b] is None:
+                continue
+            sub = self._best(rest ^ bit)
+            if sub is not None and (top is None
+                                    or dist[b] + sub[0] < top[0]):
+                top = (dist[b] + sub[0], sub[1] ^ path[b])
+        memo[mask] = top
+        return top
 
 
 @dataclass(frozen=True)
@@ -288,7 +308,7 @@ class DecodingTables:
         A trial's row of errors @ [H | L] mod 2 is its syndrome beside its
         parities with the logical operators, and it fails when these
         differ from its chain's.  Each distinct syndrome is matched once
-        per tables while the memo holds fewer than ``_MEMO_SYNDROMES``,
+        per tables while the memo holds fewer than ``_MEMO_ENTRIES``,
         and every chain matched must reproduce its syndrome (else
         SyndromeMismatch): by linearity, every residual then has zero
         syndrome.
@@ -315,7 +335,7 @@ class DecodingTables:
                     raise SyndromeMismatch(
                         "correction does not match the error syndrome")
                 parities = image >> checks
-                if len(memo) < _MEMO_SYNDROMES:
+                if len(memo) < _MEMO_ENTRIES:
                     memo[syn] = parities
             if parities != bits >> checks:
                 failed += count
@@ -404,16 +424,16 @@ class MonteCarloResult:
     seed: int
 
 
-def _error_bits(seed: int, trials: range, n: int, p_x: float,
-                p_z: float) -> Iterator:
-    """The errors of the trials in trials (a range of step 1), by chunks.
+def _draws(seed: int, trials: range, n: int) -> Iterator:
+    """The uniform draws of the trials in trials (a range of step 1), by
+    chunks.
 
-    A chunk is a boolean array of shape (trials in it, 2, n), with up to
-    ``_CHUNK_DRAWS`` // 2n trials in order.  For trial t, [0, q] is
-    draws[0][q] < p_x (an x error on qubit q) and [1, q] is
-    draws[1][q] < p_z, where draws is ``Generator(Philox(key=seed,
-    counter=t << 64)).random((2, n))``: each trial has its own stream,
-    so results do not depend on how trials are partitioned.
+    A chunk is a float64 array of shape (trials in it, 2, n), with up to
+    ``_CHUNK_DRAWS`` // 2n trials in order.  Trial t's row is
+    ``Generator(Philox(key=seed, counter=t << 64)).random((2, n))``: each
+    trial has its own stream, so results do not depend on how trials are
+    partitioned.  Qubit q of trial t has an x error at p_x when
+    row[0][q] < p_x, and a z error at p_z when row[1][q] < p_z.
 
     One Philox runs through the range.  Before trial t its state is set
     to counter (0, t) with no buffered output, where trial t's own
@@ -425,35 +445,42 @@ def _error_bits(seed: int, trials: range, n: int, p_x: float,
     random, state = np.random.Generator(bitgen).random, bitgen.state
     counter = state["state"]["counter"]  # words (0, t, 0, 0) for trial t
     per_chunk = max(1, _CHUNK_DRAWS // max(2 * n, 1))
-    p = np.array([[p_x], [p_z]])
     for first in range(trials.start, trials.stop, per_chunk):
         draws = np.empty((min(per_chunk, trials.stop - first), 2, n))
         for t, row in enumerate(draws, first):
             counter[1] = t
             bitgen.state = state
             random(out=row)
-        yield draws < p
+        yield draws
 
 
-def monte_carlo(tables: DecodingTables, p_x: float, p_z: float,
-                trials: int, seed: int) -> MonteCarloResult:
+def monte_carlo(tables: DecodingTables,
+                points: Iterable[tuple[float, float]], trials: int,
+                seed: int) -> list[MonteCarloResult]:
     """iid X/Z errors per qubit; minimum-weight decode; deterministic in seed.
 
-    tables is ``DecodingTables.build(code)``; a sweep builds it once and
-    passes it to every point.  seed is the Philox key, so it lies in
-    [0, 2^128).  Every argument is checked before any trial runs.
+    One result per (p_x, p_z) of points, each over the same trials:
+    every chunk of trials is drawn once (``_draws``) and thresholded at
+    every point.  tables is ``DecodingTables.build(code)``.  seed is the
+    Philox key, so it lies in [0, 2^128).  Every argument is checked
+    before any trial is drawn.
     """
-    if not (0.0 <= p_x <= 1.0 and 0.0 <= p_z <= 1.0):
-        raise ValueError("probabilities must lie in [0, 1]")
+    points = tuple(points)
+    for p_x, p_z in points:
+        if not (0.0 <= p_x <= 1.0 and 0.0 <= p_z <= 1.0):
+            raise ValueError("probabilities must lie in [0, 1]")
     if trials < 0:
         raise ValueError(f"trials must be non-negative, got {trials}")
     if not 0 <= seed < 1 << 128:
         raise ValueError(f"seed must lie in [0, 2**128), got {seed}")
-    xf = zf = 0
-    for errors in _error_bits(seed, range(trials), tables.n, p_x, p_z):
-        xf += tables._chunk_failures(0, errors[:, 0])
-        zf += tables._chunk_failures(1, errors[:, 1])
-    return MonteCarloResult(p_x, p_z, trials, xf, zf, seed)
+    counts = [[0, 0] for _ in points]
+    for draws in _draws(seed, range(trials), tables.n):
+        for (p_x, p_z), count in zip(points, counts):
+            errors = draws < [[p_x], [p_z]]
+            count[0] += tables._chunk_failures(0, errors[:, 0])
+            count[1] += tables._chunk_failures(1, errors[:, 1])
+    return [MonteCarloResult(p_x, p_z, trials, xf, zf, seed)
+            for (p_x, p_z), (xf, zf) in zip(points, counts)]
 
 
 @dataclass(frozen=True)

@@ -337,10 +337,12 @@ class TestDecode:
         assert rows[:3] == json.loads(pinned)["rows"]
 
     def test_sweep_builds_the_tables_once(self, capsys, monkeypatch):
-        # one DecodingTables per command, shared by every --p point, and
-        # one check graph per check matrix, from the code's split
-        calls, graphs = [], []
+        # one DecodingTables per command, shared by every --p point, one
+        # check graph per check matrix, from the code's split, and each
+        # trial drawn once for all the points
+        calls, graphs, rows = [], [], []
         build, of = decoder.DecodingTables.build, homology.CheckGraph.of
+        draws = decoder._draws
 
         def counted(code):
             calls.append(code)
@@ -350,8 +352,14 @@ class TestDecode:
             graphs.append(check)
             return of(check)
 
+        def counted_draws(*args):
+            for chunk in draws(*args):
+                rows.extend(chunk)
+                yield chunk
+
         monkeypatch.setattr(decoder.DecodingTables, "build", counted)
         monkeypatch.setattr(homology.CheckGraph, "of", counted_of)
+        monkeypatch.setattr(decoder, "_draws", counted_draws)
         code, out, _ = run(capsys, ["decode", "sweep", "fig4_shor", "--p",
                                     "0.02,0.05,0.1", "--trials", "5",
                                     "--seed", "1"])
@@ -359,6 +367,7 @@ class TestDecode:
         assert len(out.strip().split("\n")) == 4
         assert len(calls) == 1
         assert len(graphs) == 2
+        assert len(rows) == 5  # not 3 points x 5 trials
 
     def test_sweep_large_toric(self, capsys):
         # 2^37 coset combinations per trial for an exhaustive decoder

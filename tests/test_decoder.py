@@ -56,15 +56,16 @@ def _oracle_bits(seed, trial, n, p_x, p_z):
 
 
 def _sampled_bits(seed, trials, n, p_x, p_z):
-    """(x_bits, z_bits) of each trial, packed here from the boolean
-    chunks of ``decoder._error_bits``, whose shapes are checked."""
+    """(x_bits, z_bits) of each trial, thresholded and packed here from
+    the chunks of ``decoder._draws``, whose shapes are checked."""
     per_chunk = max(1, decoder._CHUNK_DRAWS // max(2 * n, 1))
     bits = []
-    for chunk in decoder._error_bits(seed, trials, n, p_x, p_z):
-        assert chunk.dtype == bool and chunk.shape[1:] == (2, n)
+    for chunk in decoder._draws(seed, trials, n):
+        assert chunk.dtype == np.float64 and chunk.shape[1:] == (2, n)
         assert 1 <= len(chunk) <= per_chunk
+        errors = chunk < [[p_x], [p_z]]
         bits += [tuple(sum(1 << int(q) for q in np.flatnonzero(side))
-                       for side in trial) for trial in chunk]
+                       for side in trial) for trial in errors]
     return bits
 
 
@@ -75,6 +76,19 @@ def _monte_carlo_codes() -> dict:
         "fig4_shor", "fig1_hemi_icosahedron", "toric(3,3)", "cube_sphere")}
     codes.update(planar_and_punctured_codes())
     return codes
+
+
+@functools.cache
+def _shared_matching_graphs() -> dict:
+    """The matching graphs of both checks of toric(4,4) (closed) and of
+    the planar two-hole code (weight-1 columns), built once, so that
+    their DP memos fill across tests."""
+    planar = stabilizer.build_punctured_disk_code(
+        stabilizer.planar_two_holes_patch())
+    tables = {"toric(4,4)": _tables("toric(4,4)"),
+              "planar two holes": decoder.DecodingTables.build(planar)}
+    return {f"{label} {side}": getattr(t, f"{side}_graph")
+            for label, t in tables.items() for side in "xz"}
 
 
 def _matching_graph(checks):
@@ -309,7 +323,8 @@ class TestCorrect:
         for size in range(2, 21, 2):
             for _ in range(3):
                 nodes = sorted(rng.sample(pool, size))
-                weight, bits = matching._min_matching(nodes)
+                weight, bits = matching._min_matching(
+                    sum(1 << v for v in nodes))
                 g = nx.Graph()
                 for a, b in itertools.combinations(nodes, 2):
                     g.add_edge(a, b, weight=matching.dist[a][b])
@@ -325,6 +340,21 @@ class TestCorrect:
                 # the matched paths are edge-disjoint
                 assert weight == sum((1 << n) - (1 << (n - 1 - j))
                                      for j in chain.support())
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_a_warm_shared_memo_gives_the_fresh_chain(self, data):
+        # _matchings is shared by every syndrome of one MatchingGraph; up
+        # to 6 error qubits give at most 13 nodes, all matched by the DP
+        graphs = _shared_matching_graphs()
+        graph = graphs[data.draw(st.sampled_from(sorted(graphs)))]
+        qubits = data.draw(st.sets(st.integers(0, len(graph.graph.columns)
+                                               - 1), max_size=6))
+        syn = graph.graph.syndrome(sum(1 << q for q in qubits))
+        fresh = decoder.MatchingGraph(graph.graph, graph.dist, graph.path)
+        assert graph.chain(syn) == fresh.chain(syn)
+        # the warm memo holds every sub-matching of this DP, and agrees
+        assert fresh._matchings.items() <= graph._matchings.items()
 
     def test_even_defects_in_two_components_rejected(self):
         # check graph 0 - 1 - 2 (columns 0, 1) and 3 - 4 (column 2); no
@@ -365,16 +395,16 @@ class TestExhaustiveSweep:
 class TestMonteCarlo:
     def test_deterministic_in_seed(self):
         tables = _tables("fig4_shor")
-        a = decoder.monte_carlo(tables, 0.1, 0.1, trials=40, seed=11)
-        b = decoder.monte_carlo(tables, 0.1, 0.1, trials=40, seed=11)
+        [a] = decoder.monte_carlo(tables, [(0.1, 0.1)], trials=40, seed=11)
+        [b] = decoder.monte_carlo(tables, [(0.1, 0.1)], trials=40, seed=11)
         assert a == b
-        c = decoder.monte_carlo(tables, 0.1, 0.1, trials=40, seed=12)
+        [c] = decoder.monte_carlo(tables, [(0.1, 0.1)], trials=40, seed=12)
         assert (a.x_failures, a.z_failures) != (c.x_failures, c.z_failures) \
             or a.seed != c.seed
 
     def test_zero_rate_never_fails(self):
-        res = decoder.monte_carlo(_tables("fig4_shor"), 0.0, 0.0,
-                                  trials=25, seed=3)
+        [res] = decoder.monte_carlo(_tables("fig4_shor"), [(0.0, 0.0)],
+                                    trials=25, seed=3)
         assert res.x_failures == res.z_failures == 0
 
     def test_trial_streams_are_position_independent(self):
@@ -423,25 +453,44 @@ class TestMonteCarlo:
     def test_counts_equal_the_failures_of_each_trial(self, monkeypatch):
         # the oracle: DecodingTables.failures on each side of each trial's
         # bits, drawn qubit by qubit; 6 trials a chunk, so 20 trials cross
-        # three chunk boundaries, and one tables serves every point, as in
-        # a sweep
+        # three chunk boundaries, and one call runs every point, as a
+        # sweep does
         seen = set()
         for label, code in _monte_carlo_codes().items():
             tables = decoder.DecodingTables.build(code)
             failures = functools.cache(tables.failures)  # p = 1 repeats
             monkeypatch.setattr(decoder, "_CHUNK_DRAWS", 2 * code.n * 7 - 1)
             rate = min(0.3, 10 / code.n)  # about 10 errors a side at most
-            for p_x, p_z in ((0.0, rate), (1.0, rate / 3), (rate / 2, 1.0)):
+            points = ((0.0, rate), (1.0, rate / 3), (rate / 2, 1.0))
+            results = decoder.monte_carlo(tables, points, 20, 7)
+            assert len(results) == len(points)
+            for (p_x, p_z), res in zip(points, results):
                 expected = [0, 0]
                 for t in range(20):
                     x, z = _oracle_bits(7, t, code.n, p_x, p_z)
                     expected[0] += failures(x, 0)[0]
                     expected[1] += failures(0, z)[1]
-                res = decoder.monte_carlo(tables, p_x, p_z, 20, 7)
+                assert (res.p_x, res.p_z, res.trials, res.seed) == \
+                    (p_x, p_z, 20, 7)
                 assert [res.x_failures, res.z_failures] == expected, \
                     (label, p_x, p_z)
                 seen.update(expected)
         assert {0, 20} < seen  # and counts strictly between
+
+    @pytest.mark.parametrize("name", ["fig4_shor", "fig1_hemi_icosahedron",
+                                      "toric(3,3)"])
+    def test_a_sweep_equals_its_points_run_one_at_a_time(self, name,
+                                                         monkeypatch):
+        # 5 trials a chunk, so 23 trials cross four chunk boundaries
+        code = _code(name)
+        monkeypatch.setattr(decoder, "_CHUNK_DRAWS", 2 * code.n * 5)
+        points = [(0.1, 0.1), (0.0, 0.05), (0.02, 0.2), (0.1, 0.1)]
+        sweep = decoder.monte_carlo(_tables(name), points, 23, 3)
+        alone = [decoder.monte_carlo(_tables(name), [point], 23, 3)[0]
+                 for point in points]
+        assert sweep == alone
+        assert sweep[0] == sweep[3]
+        assert decoder.monte_carlo(_tables("fig4_shor"), [], 23, 3) == []
 
     @pytest.mark.parametrize("name,distinct", [
         ("fig4_shor", 41), ("fig1_hemi_icosahedron", 154),
@@ -464,50 +513,68 @@ class TestMonteCarlo:
         monkeypatch.setattr(decoder.MatchingGraph, "chain",
                             lambda graph, syn: calls.append(syn)
                             or chain(graph, syn))
-        tables = _tables(name)
-        for p in points:
-            decoder.monte_carlo(tables, p, p, 300, 1)
+        decoder.monte_carlo(_tables(name), [(p, p) for p in points], 300, 1)
         assert len(calls) == len(syndromes) == distinct
 
-    @pytest.mark.parametrize("name", ["fig4_shor", "toric(3,3)"])
-    def test_a_capped_memo_changes_no_count(self, name, monkeypatch):
-        points = (0.02, 0.05, 0.1)
-        tables = _tables(name)
-        expected = [decoder.monte_carlo(tables, p, p, 300, 1) for p in points]
-        monkeypatch.setattr(decoder, "_MEMO_SYNDROMES", 3)
-        tables = _tables(name)
-        for p, res in zip(points, expected):
-            assert decoder.monte_carlo(tables, p, p, 300, 1) == res
-            assert [len(memo) for *_, memo in tables._sides] == [3, 3]
+    @pytest.mark.parametrize("name,rows", [
+        ("fig4_shor", [(3, 2), (14, 9), (46, 30)]),
+        ("fig1_hemi_icosahedron", [(2, 0), (23, 3), (60, 17)]),
+        ("toric(3,3)", [(4, 3), (16, 12), (67, 65)])])
+    def test_a_capped_memo_changes_no_count(self, name, rows, monkeypatch):
+        # the pinned decode_small sweeps (tests/test_cli.py) with both
+        # memos capped at 3 entries: the syndrome memo stops filling, and
+        # the DP memo is cleared before a DP, so it never holds more than
+        # the cap and one DP's sub-matchings
+        monkeypatch.setattr(decoder, "_MEMO_ENTRIES", 3)
+        tables, sizes = _tables(name), []
+        min_matching = decoder.MatchingGraph._min_matching
+
+        def bounded(graph, nodes):
+            result = min_matching(graph, nodes)
+            sizes.append(len(graph._matchings))
+            assert len(graph._matchings) < 3 + 2 ** nodes.bit_count()
+            return result
+
+        monkeypatch.setattr(decoder.MatchingGraph, "_min_matching", bounded)
+        results = decoder.monte_carlo(tables, [(0.02, 0.02), (0.05, 0.05),
+                                               (0.1, 0.1)], 300, 1)
+        assert [(r.x_failures, r.z_failures) for r in results] == rows
+        assert [len(memo) for *_, memo in tables._sides] == [3, 3]
+        assert max(sizes) > 3  # a DP filled the memo past the cap
 
     def test_a_chain_that_misses_its_syndrome_is_rejected(self, monkeypatch):
         monkeypatch.setattr(decoder.MatchingGraph, "chain",
                             lambda graph, syn: 0)
         with pytest.raises(decoder.SyndromeMismatch):
-            decoder.monte_carlo(_tables("fig4_shor"), 0.1, 0.1, 40, 1)
+            decoder.monte_carlo(_tables("fig4_shor"), [(0.1, 0.1)], 40, 1)
 
-    @pytest.mark.parametrize("trials,seed", [(-3, 1), (5, -1), (5, 2**128),
-                                             (5, 2**130)])
-    def test_trials_and_seed_validation(self, trials, seed, monkeypatch):
+    @pytest.mark.parametrize("points,trials,seed", [
+        ([(0.1, 0.1)], -3, 1), ([(0.1, 0.1)], 5, -1),
+        ([(0.1, 0.1)], 5, 2**128), ([(0.1, 0.1)], 5, 2**130),
+        ([(0.1, 0.1), (0.2, 0.2), (0.05, 1.5)], 5, 1),
+        ([(0.1, 0.1), (float("nan"), 0.2)], 5, 1)])
+    def test_trials_and_seed_validation(self, points, trials, seed,
+                                        monkeypatch):
+        # also a bad probability at a later point: nothing is drawn
         def no_sampling(*args):
             raise AssertionError("sampled before validating")
 
-        monkeypatch.setattr(decoder, "_error_bits", no_sampling)
+        monkeypatch.setattr(decoder, "_draws", no_sampling)
         with pytest.raises(ValueError):
-            decoder.monte_carlo(_tables("fig4_shor"), 0.1, 0.1, trials, seed)
+            decoder.monte_carlo(_tables("fig4_shor"), points, trials, seed)
 
     def test_largest_seed_is_accepted(self):
-        res = decoder.monte_carlo(_tables("fig4_shor"), 0.1, 0.1, 3,
-                                  2**128 - 1)
+        [res] = decoder.monte_carlo(_tables("fig4_shor"), [(0.1, 0.1)], 3,
+                                    2**128 - 1)
         assert res.seed == 2**128 - 1 and res.trials == 3
 
     def test_probability_validation(self):
         with pytest.raises(ValueError):
-            decoder.monte_carlo(_tables("fig4_shor"), 1.5, 0.0, 1, 0)
+            decoder.monte_carlo(_tables("fig4_shor"), [(1.5, 0.0)], 1, 0)
 
     def test_csv_format(self):
-        res = decoder.monte_carlo(_tables("fig4_shor"), 0.05, 0.0,
-                                  trials=10, seed=2)
+        [res] = decoder.monte_carlo(_tables("fig4_shor"), [(0.05, 0.0)],
+                                    trials=10, seed=2)
         text = decoder.sweep_csv([res])
         lines = text.strip().split("\n")
         assert lines[0] == "p_x,p_z,trials,x_failures,z_failures,seed"

@@ -49,3 +49,16 @@ def test_traced_pass_sees_the_distance_search(capsys):
     # the originals are back once the tracer is removed
     assert cli.main.__module__ == "cellqec.cli"
     assert not hasattr(cli.main, "__wrapped__")
+
+
+def test_traced_sweep_runs_monte_carlo_once(capsys):
+    # one call per decode sweep, for all its --p points
+    from cellqec import cli
+
+    tracing = _load("tracing")
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        assert cli.main(["decode", "sweep", "fig4_shor", "--p",
+                         "0.02,0.05,0.1", "--trials", "5", "--seed", "1"]) == 0
+    assert len(capsys.readouterr().out.strip().split("\n")) == 4
+    assert tracer.summary()["decoder.monte_carlo"]["calls"] == 1
