@@ -10,6 +10,10 @@ shortest-path distances (Dennis--Kitaev--Landahl--Preskill).  Column j
 of an n-qubit code weighs 2^n - 2^(n-1-j), so the minimum is unique and
 is the lightest chain with the earliest support (``Gf2Vector.sort_key``).
 The tests keep an exhaustive coset search as the oracle for this rule.
+These weights also make every shortest path one of fewest columns, so
+``MatchingGraph.build`` finds them by walking the graph in layers of
+equal column count from each node; the tests keep a heap Dijkstra as
+its oracle.
 
 Up to 14 nodes to match (defects and boundary) the matching is an exact
 DP over subsets; above that it is the ``networkx`` blossom, loaded only
@@ -32,9 +36,8 @@ graphs of the code's split alone.  numpy is loaded only by
 """
 from __future__ import annotations
 
-import heapq
 from collections import Counter
-from dataclasses import astuple, dataclass, fields
+from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import Iterable, Iterator
 
@@ -46,8 +49,8 @@ RNG_ALGORITHM = "numpy-philox4x64(key=seed, counter hi word=trial)"
 
 # Above this many nodes to match (defects and boundary) the networkx
 # blossom is faster than the subset DP of MatchingGraph._min_matching: on
-# toric(8,8), 14 nodes take 2.6 ms by the DP and 4.2 ms by the blossom,
-# 16 nodes 7.1 and 4.7 ms (2-vCPU VM).
+# toric(8,8), 14 random nodes take 1.4 ms by the DP from an empty memo
+# and 2.0 ms by the blossom, 16 nodes 4.0 and 2.8 ms (2-vCPU VM).
 _DP_MAX_DEFECTS = 14
 
 # Doubles per chunk of _draws (512 KiB), so that a sweep's memory grows
@@ -96,10 +99,17 @@ class MatchingGraph:
 
     ``graph`` is the ``homology.CheckGraph`` (the check rows plus a
     boundary node); it gives the boundary, the syndromes and, through
-    its adjacency, the edges the Dijkstra runs of ``build`` walk.
+    its adjacency, the edges that ``build`` walks layer by layer.
     Column j weighs 2^n - 2^(n-1-j) (see the module docstring); no two
     edge sets weigh the same, so every shortest path is unique.  Columns
     of weight 0 join nothing, and no minimum-weight chain contains one.
+
+    A path of k columns weighs at least (k-1) 2^n + 2^(n-k), more than
+    the (k-1) 2^n - 2^(k-1) + 1 that a path of k-1 columns weighs at
+    most, so every shortest path has the fewest columns.  ``build``
+    therefore reaches the nodes from each source in layers of equal
+    column count, and a node's shortest path is the lightest extension
+    of a shortest path to a neighbour in the layer before.
     """
 
     graph: homology.CheckGraph
@@ -111,21 +121,25 @@ class MatchingGraph:
         n, n_nodes = len(graph.columns), graph.boundary + 1
         weight = [(1 << n) - (1 << (n - 1 - e)) for e in range(n)]
         dist, path = [], []
-        for source in range(n_nodes):  # Dijkstra from every node
+        for source in range(n_nodes):  # layer by layer from every node
+            hops: list[int | None] = [None] * n_nodes
             d: list[int | None] = [None] * n_nodes
             p = [0] * n_nodes
-            d[source] = 0
-            heap = [(0, source)]
-            while heap:
-                du, u = heapq.heappop(heap)
-                if du > d[u]:
-                    continue  # stale entry
-                for v, e in graph.adj[u]:
-                    dv = du + weight[e]
-                    if d[v] is None or dv < d[v]:
-                        d[v] = dv
-                        p[v] = p[u] | (1 << e)
-                        heapq.heappush(heap, (dv, v))
+            hops[source], d[source] = 0, 0
+            layer, k = [source], 0
+            while layer:
+                k += 1
+                following = []
+                for u in layer:
+                    du, pu = d[u], p[u]
+                    for v, e in graph.adj[u]:
+                        if hops[v] is None:  # first reached: layer k
+                            hops[v] = k
+                            d[v], p[v] = du + weight[e], pu | (1 << e)
+                            following.append(v)
+                        elif hops[v] == k and du + weight[e] < d[v]:
+                            d[v], p[v] = du + weight[e], pu | (1 << e)
+                layer = following
             dist.append(tuple(d))
             path.append(tuple(p))
         return cls(graph, tuple(dist), tuple(path))
@@ -204,18 +218,18 @@ class MatchingGraph:
         if len(memo) >= _MEMO_ENTRIES:
             memo.clear()
             memo[0] = (0, 0)
-        return self._best(nodes)
+        return memo[nodes] if nodes in memo else self._best(nodes)
 
     def _best(self, mask: int) -> tuple[int, int] | None:
-        """``_min_matching`` of the nodes in bit set mask: pair the
-        lowest of them with each other one it has a path to and keep the
-        lowest total weight.  The result depends on mask alone, so
-        ``_matchings`` keeps it.  A method, not a closure in
-        ``_min_matching``: a recursive closure is a reference cycle, and
-        uncollected ones held their memos past their sweep."""
+        """``_min_matching`` of the nodes in bit set mask, which
+        ``_matchings`` does not hold yet: pair the lowest of them with
+        each other one it has a path to and keep the lowest total
+        weight.  Each sub-mask is looked up in ``_matchings`` before it
+        is recursed on, and the result, which depends on mask alone,
+        goes into it.  A method, not a closure in ``_min_matching``: a
+        recursive closure is a reference cycle, and uncollected ones
+        held their memos past their sweep."""
         memo = self._matchings
-        if mask in memo:
-            return memo[mask]
         low = mask & -mask
         a = low.bit_length() - 1
         dist, path = self.dist[a], self.path[a]
@@ -228,7 +242,8 @@ class MatchingGraph:
             b = bit.bit_length() - 1
             if dist[b] is None:
                 continue
-            sub = self._best(rest ^ bit)
+            sub_mask = rest ^ bit
+            sub = memo[sub_mask] if sub_mask in memo else self._best(sub_mask)
             if sub is not None and (top is None
                                     or dist[b] + sub[0] < top[0]):
                 top = (dist[b] + sub[0], sub[1] ^ path[b])
@@ -436,14 +451,22 @@ def _draws(seed: int, trials: range, n: int) -> Iterator:
     row[0][q] < p_x, and a z error at p_z when row[1][q] < p_z.
 
     One Philox runs through the range.  Before trial t its state is set
-    to counter (0, t) with no buffered output, where trial t's own
-    stream starts.
+    to counter words (0, t, 0, 0), key words (seed mod 2^64, seed >>
+    64) and no buffered output, where trial t's own stream starts.  The
+    state is one dict of plain ints, built once, whose counter is
+    changed per trial: numpy reads plain ints faster than the numpy
+    scalars of the dict that ``bitgen.state`` returns.
     """
     import numpy as np
 
     bitgen = np.random.Philox(key=seed)
-    random, state = np.random.Generator(bitgen).random, bitgen.state
-    counter = state["state"]["counter"]  # words (0, t, 0, 0) for trial t
+    random = np.random.Generator(bitgen).random
+    counter = [0, 0, 0, 0]  # words (0, t, 0, 0) for trial t
+    state = {"bit_generator": "Philox",
+             "state": {"counter": counter,
+                       "key": [seed & ((1 << 64) - 1), seed >> 64]},
+             "buffer": [0] * 4, "buffer_pos": 4, "has_uint32": 0,
+             "uinteger": 0}
     per_chunk = max(1, _CHUNK_DRAWS // max(2 * n, 1))
     for first in range(trials.start, trials.stop, per_chunk):
         draws = np.empty((min(per_chunk, trials.stop - first), 2, n))
@@ -515,6 +538,6 @@ def exhaustive_weight_sweep(code: CssCode, max_weight: int) -> list[ExhaustiveSw
 
 def sweep_csv(results: list[MonteCarloResult]) -> str:
     """A header line of the field names, then one line per result."""
-    lines = [[f.name for f in fields(MonteCarloResult)]]
-    lines += [astuple(r) for r in results]
+    names = [f.name for f in fields(MonteCarloResult)]
+    lines = [names] + [[getattr(r, name) for name in names] for r in results]
     return "".join(",".join(map(str, line)) + "\n" for line in lines)

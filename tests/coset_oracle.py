@@ -5,12 +5,14 @@ parity-cover search in ``homology``, takes its class representatives
 from the check graphs' spanning forests, and decodes by matching in
 ``decoder``.  These oracles answer the same questions with a different
 algorithm -- a greedy pass over a GF(2) kernel basis, a Gray-code search
-of a coset, or a scan of supports by weight -- so tests can cross-check
-them.  The last two are exponential in the subspace dimension or in the
-distance: keep their inputs small.
+of a coset, a scan of supports by weight, or a heap Dijkstra for the
+decoder's shortest paths -- so tests can cross-check them.  The coset
+search and the support scan are exponential in the subspace dimension or
+in the distance: keep their inputs small.
 """
 from __future__ import annotations
 
+import heapq
 import itertools
 
 from cellqec import gf2, homology
@@ -71,3 +73,31 @@ def coset_min_weight_chain(checks: Gf2Matrix, syn: Gf2Vector) -> Gf2Vector | Non
     if particular is None:
         return None
     return gf2.min_weight_in_coset(gf2.kernel_basis(checks), particular)[1]
+
+
+def dijkstra_shortest_paths(graph: homology.CheckGraph) -> tuple[tuple, tuple]:
+    """(dist, path) of ``decoder.MatchingGraph`` by a heap Dijkstra from
+    every node of graph: column j weighs 2^n - 2^(n-1-j), dist[a][b] is
+    the weight of the shortest path from a to b (None: no path) and
+    path[a][b] the bit set of its columns."""
+    n, n_nodes = len(graph.columns), graph.boundary + 1
+    weight = [(1 << n) - (1 << (n - 1 - e)) for e in range(n)]
+    dist, path = [], []
+    for source in range(n_nodes):
+        d: list[int | None] = [None] * n_nodes
+        p = [0] * n_nodes
+        d[source] = 0
+        heap = [(0, source)]
+        while heap:
+            du, u = heapq.heappop(heap)
+            if du > d[u]:
+                continue  # stale entry
+            for v, e in graph.adj[u]:
+                dv = du + weight[e]
+                if d[v] is None or dv < d[v]:
+                    d[v] = dv
+                    p[v] = p[u] | (1 << e)
+                    heapq.heappush(heap, (dv, v))
+        dist.append(tuple(d))
+        path.append(tuple(p))
+    return tuple(dist), tuple(path)

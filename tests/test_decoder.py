@@ -4,7 +4,7 @@ import random
 
 import numpy as np
 import pytest
-from coset_oracle import coset_min_weight_chain
+from coset_oracle import coset_min_weight_chain, dijkstra_shortest_paths
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from sampling import planar_and_punctured_codes, sample_small_cellulations
@@ -372,6 +372,25 @@ class TestCorrect:
                 Gf2Vector.from_support(5, support)) == \
                 Gf2Vector.from_support(3, chain)
 
+    def test_layered_shortest_paths_equal_dijkstra(self):
+        # both checks of every oracle code and of toric(8,8): the closed
+        # codes' isolated boundary node has an all-None row of dist
+        codes = dict(_oracle_codes(), **{"toric(8,8)": _code("toric(8,8)")})
+        isolated = 0
+        for label, code in codes.items():
+            for graph in code._split[:2]:
+                matching = decoder.MatchingGraph.build(graph)
+                assert (matching.dist, matching.path) == \
+                    dijkstra_shortest_paths(graph), label
+                boundary = graph.boundary
+                if not graph.adj[boundary]:
+                    isolated += 1
+                    assert matching.dist[boundary] == \
+                        (None,) * boundary + (0,)
+                    assert {row[boundary] for row in matching.dist[:-1]} \
+                        <= {None}
+        assert isolated > 0
+
     def test_weight_three_column_is_rejected(self):
         checks = gf2.Gf2Matrix.from_rows([[1], [1], [1]])
         with pytest.raises(homology.UnsupportedCheckStructure):
@@ -415,6 +434,19 @@ class TestMonteCarlo:
         r3 = _sampled_bits(5, range(18, 19), 64, 0.5, 0.5)
         assert r1 == r2
         assert r1 != r3
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1, 2**64, 2**128 - 1])
+    @pytest.mark.parametrize("first", [0, 2**32, 2**63])
+    @pytest.mark.parametrize("n", [1, 9, 33])
+    def test_draws_are_the_per_trial_doubles(self, seed, first, n):
+        # the doubles themselves, bit for bit: the hand-built key words
+        # (seed mod 2^64, seed >> 64) and counter words (0, t, 0, 0)
+        trials = range(first, first + 3)
+        [chunk] = decoder._draws(seed, trials, n)
+        for t, row in zip(trials, chunk):
+            expected = np.random.Generator(np.random.Philox(
+                key=seed, counter=t << 64)).random((2, n))
+            assert row.tobytes() == expected.tobytes()
 
     def test_packed_draws_equal_the_per_qubit_loop(self):
         for n in (0, 1, 7, 8, 9, 64, 130):
