@@ -42,10 +42,26 @@ R3  Root rank.  Vertex 0 has the maximum degree d0 and slot 0 is the
 R2 and R3 are switched by reduce_symmetry, on by default; with it off
 the search keeps only R1 and serves as the test suite's oracle.
 
-Two feasibility bounds always prune on the face count: a branch with
-too many faces, and a branch whose free slots can no longer close
-enough of them (every free slot adds one s0 join, and a join closes
-at most one face).
+The face count prunes by three rules, each of which cuts only
+branches with no leaf below them:
+
+- Too many faces: more than f_target, or f_target with slots left (the
+  last match always closes a face).
+- Too few: faces + free - u < f_target, where free counts the free
+  slots and u the unions still needed (v - 1 minus those made).  Each
+  free slot adds one s0 join and a join closes at most one face, but
+  the first join of a union merges paths of two components, which
+  cannot close one.
+- Face-closing candidates: when faces + free - f_target <= max(1, u),
+  a child that closes no face leaves fewer than f_target faces within
+  reach by the rule above, so the lowest free slot a is offered only
+  the slots whose match can close a face: the far ends of a's two
+  paths or, when a's path runs from flag 2a to 2a + 1, every free slot
+  whose path does the same.
+
+A match that uses up a component's last free slots while others remain
+is rejected before any write: the component can never be joined to
+the rest.
 
 Duality halves the work when the Euler characteristic pins the face
 count: each side is searched once, as its dual when it has more faces
@@ -146,8 +162,11 @@ def _scheme_search(degrees: tuple[int, ...],
     Returns the number of complete schemes reached (the matching is
     guaranteed connected).  f_target, when set, prunes branches that
     already have too many faces or can no longer close enough of them,
-    and a complete scheme is accepted only with exactly f_target faces
-    and, when orientable is set, the requested orientability.
+    counting the unions still needed, whose first joins close none;
+    near that bound a node offers only matches that close a face, as
+    no other child keeps a leaf below it.  A complete scheme is
+    accepted only with exactly f_target faces and, when orientable is
+    set, the requested orientability.
     reduce_symmetry switches on R2 and R3; R1 is always on.  visit(s0,
     s1) is called on the flag involutions of every accepted scheme, in
     lexicographic order of the matches.
@@ -180,74 +199,89 @@ def _scheme_search(degrees: tuple[int, ...],
     # face tracing: paths alternating fixed s1 edges and matched s0
     # edges; end[] maps a path endpoint to the opposite endpoint
     end = list(s1)
-    # union-find: link[x] = 2 * parent + orientation parity relative to
-    # the parent; a root x has link[x] == 2 * x
-    link = [2 * x for x in range(v)]
+    # comp[x] = 2 * root + parity: the lowest vertex of x's component and
+    # x's orientation parity relative to it; a union relabels the members
+    # of the higher root
+    comp = [2 * x for x in range(v)]
     free = list(degrees)
     touched = [False] * v
-    count = [nslots, 0, 0, 0]  # free slots, faces, conflicts, bigons
+    # free slots, faces, conflicts, bigons, unions still needed
+    count = [nslots, 0, 0, 0, v - 1]
     leaves = 0
     # every write below first pushes (array, index, old value); undo(mark)
     # pops back to a mark, so new search state needs no undo code of its own
     trail: list[tuple[list, int, object]] = []
     push, extend = trail.append, trail.extend
 
-    def find(x: int) -> tuple[int, int]:
-        p = 0
-        while link[x] != 2 * x:
-            p ^= link[x] & 1
-            x = link[x] >> 1
-        return x, p
-
     def apply(a: int, b: int, t: int) -> bool:
         """Match slots a, b with twist t; False when the branch is pruned."""
         nonlocal root_rank
         va, vb = slot_vertex[a], slot_vertex[b]
         da, db = degrees[va], degrees[vb]
-        if reduce_symmetry and max(da, db) == d0:
+        if reduce_symmetry and (da == d0 or db == d0):
             # R3: the rank this edge would give as the root edge
             if va == vb:
                 rank = min(b - a, d0 - b + a)
                 if a == 0 and rank < b:
                     return False  # the reversed rotation roots it lower
             else:
-                rank = 2 * d0 - min(da, db)
+                rank = 3 * d0 - da - db  # 2 d0 - d for the far end's d
             if a == 0:
                 root_rank = rank
             elif rank < root_rank:
                 return False
-        extend(((match, a, -1), (match, b, -1), (count, 0, count[0])))
+        ca, cb = comp[va], comp[vb]
+        ra, rb = ca >> 1, cb >> 1
+        left = free[ra] - 2 if ra == rb else free[ra] + free[rb] - 2
+        if left == 0 and count[0] > 2:
+            return False  # a closed component with slots left over
+        # the ribbon's two s0 flag edges (p, q) and (p2, q2): the first
+        # closes a face iff end[p] == q, else it joins two paths, after
+        # which the second closes one iff its ends meet
+        if t == 0:
+            p, q, p2, q2 = 2 * a, 2 * b + 1, 2 * a + 1, 2 * b
+        else:
+            p, q, p2, q2 = 2 * a, 2 * b, 2 * a + 1, 2 * b + 1
+        if f_target is not None:
+            ep, eq = end[p], end[q]
+            if ep == q:
+                faces = count[1] + 1 + (end[p2] == q2)
+            else:
+                faces = count[1] + (
+                    q2 == (eq if p2 == ep else ep if p2 == eq else end[p2]))
+            rest = count[0] - 2
+            if faces > f_target or (faces == f_target and rest):
+                return False
+            if faces + rest - count[4] + (ra != rb) < f_target:
+                return False  # each union's first join closes no face
+        if ra > rb:  # the lower root stays
+            ra, rb = rb, ra
+        extend(((match, a, -1), (match, b, -1), (count, 0, count[0]),
+                (free, ra, free[ra])))
         match[a] = 2 * b + t
         match[b] = 2 * a + t
         count[0] -= 2
+        free[ra] = left
         if not touched[vb]:
             push((touched, vb, False))
             touched[vb] = True
         # orientation parity: an untwisted edge keeps the local
         # orientations aligned, a twisted one flips them
-        ra, pa = find(va)
-        rb, pb = find(vb)
+        flip = (ca ^ cb ^ t) & 1
         if ra == rb:
-            if (pa ^ pb) != t:
+            if flip:
                 push((count, 2, count[2]))
                 count[2] += 1
-            push((free, ra, free[ra]))
-            free[ra] -= 2
         else:
-            if ra > rb:  # the lower root stays, keeping the trees shallow
-                ra, rb = rb, ra
-                pa, pb = pb, pa
-            extend(((link, rb, 2 * rb), (free, ra, free[ra])))
-            link[rb] = 2 * ra + (pa ^ pb ^ t)
-            free[ra] += free[rb] - 2
-        if free[ra] == 0 and count[0] > 0:
-            return False  # a closed component with slots left over
-        # face tracing: the two s0 flag edges of the new ribbon
-        if t == 0:
-            pairs = ((2 * a, 2 * b + 1), (2 * a + 1, 2 * b))
-        else:
-            pairs = ((2 * a, 2 * b), (2 * a + 1, 2 * b + 1))
-        for p, q in pairs:
+            push((count, 4, count[4]))
+            count[4] -= 1
+            for x in range(rb, v):  # a root is its component's lowest vertex
+                cx = comp[x]
+                if cx >> 1 == rb:
+                    push((comp, x, cx))
+                    comp[x] = 2 * ra + ((cx ^ flip) & 1)
+        # face tracing: close a face or join two paths, join by join
+        for p, q in ((p, q), (p2, q2)):
             if end[p] == q:
                 push((count, 1, count[1]))
                 count[1] += 1
@@ -262,11 +296,6 @@ def _scheme_search(degrees: tuple[int, ...],
                 extend(((end, ep, end[ep]), (end, eq, end[eq])))
                 end[ep] = eq
                 end[eq] = ep
-        if f_target is not None:
-            if count[1] > f_target or (count[1] == f_target and count[0] > 0):
-                return False
-            if count[1] + count[0] < f_target:
-                return False  # each free slot closes at most one face
         return max_bigons is None or count[3] <= max_bigons
 
     def undo(mark: int) -> None:
@@ -297,7 +326,20 @@ def _scheme_search(degrees: tuple[int, ...],
         if seed:
             push((touched, va, False))
             touched[va] = True
-        for b in range(a + 1, nslots):
+        if (f_target is not None
+                and count[1] + count[0] - f_target <= max(1, count[4])):
+            # every child must close a face: a join closes one only at
+            # the far end of a's path, or, when that path runs from 2a to
+            # 2a + 1, as the second join with a b whose path does the same
+            x = end[2 * a]
+            if x == 2 * a + 1:
+                bs = [b for b in range(a + 1, nslots)
+                      if end[2 * b] == 2 * b + 1]
+            else:
+                bs = sorted({x >> 1, end[2 * a + 1] >> 1})
+        else:
+            bs = range(a + 1, nslots)
+        for b in bs:
             if match[b] >= 0:
                 continue
             vb = slot_vertex[b]
@@ -310,7 +352,8 @@ def _scheme_search(degrees: tuple[int, ...],
                 mark = len(trail)
                 if apply(a, b, t):
                     rec_search(a + 1)
-                undo(mark)
+                if len(trail) > mark:
+                    undo(mark)
         if seed:
             undo(base)
 

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import hashlib
 import itertools
@@ -89,6 +90,42 @@ class TestSchemeSearch:
                     assert got == [leaf for leaf, k in zip(every, bigons)
                                    if k <= b], (degs, f_target, reduced, b)
                     assert n == len(got)
+
+
+    def test_face_bounds_keep_exactly_the_leaves_with_the_target_faces(self):
+        # oracle: the search with neither a face target nor a bigon
+        # bound, filtered to the leaves whose flag maps have exactly
+        # f_target face cells and at most max_bigons of 4 flags; every
+        # target from 1 to the sphere's e - v + 2 up to 4 edges, and the
+        # projective plane's 6 - v at 5 edges
+        cases = [(degs, range(1, e - len(degs) + 3))
+                 for e in range(1, 5) for v in range(1, 2 * e + 1)
+                 for degs in search._partitions(2 * e, v, 2 * e)]
+        cases += [(degs, (6 - v,)) for v in range(1, 6)
+                  for degs in search._partitions(10, v, 10)]
+        cut = 0
+        for degs, targets in cases:
+            s2 = [f ^ 1 for f in range(2 * sum(degs))]
+            for reduced in (False, True):
+                cells = []
+
+                def count_cells(s0, s1):
+                    cell, _, faces = surface.FlagMap(s0, s1, s2)._cells(s0, s1)
+                    sizes = collections.Counter(cell).values()
+                    cells.append((faces, list(sizes).count(4)))
+
+                _, every = _leaves(degs, None, reduced, visit=count_cells)
+                for f_target in targets:
+                    for max_bigons in (None, 0, 1):
+                        n, got = _leaves(degs, f_target, reduced, max_bigons)
+                        want = [leaf for leaf, (k, b) in zip(every, cells)
+                                if k == f_target
+                                and (max_bigons is None or b <= max_bigons)]
+                        assert got == want, (degs, f_target, reduced,
+                                             max_bigons)
+                        assert n == len(got)
+                        cut += 0 < len(want) < len(every)
+        assert cut > 0
 
 
 class TestEnumerate:
@@ -187,7 +224,7 @@ class TestCensus:
     # (schemes_examined, classes_examined) pinned so that changes to the
     # search state or its undo trail cannot move them unnoticed
     @pytest.mark.parametrize("edges,counts", [
-        (3, (22, 19)), (4, (109, 106)), (5, (1263, 709))])
+        (3, (22, 19)), (4, (109, 106)), (5, (1263, 709)), (6, (8822, 5356))])
     def test_report_counts_are_pinned(self, edges, counts):
         report = search.census_report(edges)
         assert (report["schemes_examined"],
@@ -237,6 +274,43 @@ class TestCensus:
         search._enumerate_with_stats(cons)
         assert calls
         assert len(set(calls)) == len(calls)
+
+    @pytest.mark.parametrize("edges,leaves,digest", [
+        (5, 1263,
+         "6c86a83ab44d15a80f131298f86d93774856c3c263de47c6077a4e949c47b0a3"),
+        (6, 8822,
+         "348007c9d2407088b615bf8dfc94fb729e7966117ad1a510fa1ed62f2bfd7a5d"),
+    ])
+    def test_census_leaf_stream_is_pinned(self, edges, leaves, digest,
+                                          monkeypatch):
+        # every search census_report runs, with every leaf in order; the
+        # digests were taken before the face bound counted the unions
+        # still needed and before a node offered only face-closing matches
+        real = search._scheme_search
+        h = hashlib.sha256()
+        total = 0
+
+        def spy(degrees, visit, f_target, reduce_symmetry,
+                max_bigons=None, orientable=None):
+            nonlocal total
+            h.update(repr((degrees, f_target, reduce_symmetry, max_bigons,
+                           orientable)).encode())
+
+            def collect(s0, s1):
+                nonlocal total
+                h.update(bytes(s0))
+                total += 1
+                visit(s0, s1)
+
+            n = real(degrees, collect, f_target, reduce_symmetry,
+                     max_bigons, orientable)
+            h.update(n.to_bytes(4, "little"))
+            return n
+
+        monkeypatch.setattr(search, "_scheme_search", spy)
+        search.census_report(edges)
+        assert total == leaves
+        assert h.hexdigest() == digest
 
     def test_filters_reach_the_report(self):
         report = search.census_report(4, min_systole=1, vertex_count=1)
