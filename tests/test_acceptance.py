@@ -6,11 +6,11 @@ value threshold 1e-9, criterion 7 < 600 s for the 5- and 7-edge runs,
 criterion 10 < 120 s.  The full 9-edge census is opt-in via the
 environment variable CELLQEC_E9_CENSUS=1.  Measured single-core runs
 (Python 3.11, 2-vCPU VM): the 7- and 8-edge censuses examine 119,046
-and 966,745 schemes in about 7-8 s and 63 s, and the two constrained
+and 966,745 schemes in about 7 s and 61 s, and the two constrained
 9-edge pools of the figure reconstruction 350,985 and 2,337,234
-schemes (about 4 min for the whole reconstruction).  Census time
-grows eight- to ninefold per edge, so the full 9-edge census
-extrapolates (not measured) to some 10 min of single-core time.  The
+schemes (about 3.5 min for the whole reconstruction).  Census time
+grows about eightfold per edge, so the full 9-edge census
+extrapolates (not measured) to some 8-9 min of single-core time.  The
 always-on control checks that the three frozen nine-edge catalog
 classes are pairwise distinct and pass the census filter.
 """

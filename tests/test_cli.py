@@ -810,3 +810,23 @@ class TestParserReuse:
         code, out, _ = run(capsys, ["search", "census", "--edges", "3"])
         assert code == 0 and json.loads(out)["classes_examined"] == 19
         assert run(capsys, a) == first
+
+
+class TestModuleEntry:
+    def _module(self, *argv):
+        src = os.path.dirname(os.path.dirname(cellqec.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        return subprocess.run([sys.executable, "-m", "cellqec", *argv],
+                              env=env, capture_output=True, text=True,
+                              timeout=60)
+
+    def test_python_m_runs_the_cli(self, capsys):
+        done = self._module("catalog", "list")
+        code, out, _ = run(capsys, ["catalog", "list"])
+        assert done.returncode == code == 0
+        assert done.stdout == out
+
+    def test_python_m_keeps_the_usage_exit_code(self):
+        done = self._module("search", "census")  # --edges is required
+        assert done.returncode == 2
+        assert "--edges" in done.stderr and done.stdout == ""

@@ -128,6 +128,51 @@ class TestSchemeSearch:
         assert cut > 0
 
 
+def _orderly_cases():
+    """(degrees, f_target, max_bigons): every degree sequence up to 5
+    edges with no face target and at each target from 1 to the
+    sphere's e - v + 2, and the projective plane's e - v + 1 up to 6
+    edges with max_bigons 0 and 1."""
+    for e in range(1, 7):
+        for v in range(1, 2 * e + 1):
+            for degs in search._partitions(2 * e, v, 2 * e):
+                if e <= 5:
+                    yield degs, None, None
+                    for f_target in range(1, e - v + 3):
+                        yield degs, f_target, None
+                if e - v + 1 > 0:
+                    for max_bigons in (0, 1):
+                        yield degs, e - v + 1, max_bigons
+
+
+class TestFirstOfClass:
+    def test_accepts_exactly_the_first_leaf_of_each_class(self):
+        # oracle: the leaf's canonical form has not been seen before in
+        # its search; both verdicts must come up on leaves of (5, 3, 2)
+        # with a seed (a vertex i > 0 whose slot 0 is the lower end of
+        # its match) and on leaves with a twisted loop at the root
+        seeded, twisted = set(), set()
+        for degs, f_target, max_bigons in _orderly_cases():
+            first = search._first_of_class(degs)
+            starts = list(itertools.accumulate(degs, initial=0))
+            s2 = [f ^ 1 for f in range(2 * sum(degs))]
+            seen = set()
+
+            def check(s0, s1):
+                key = surface.FlagMap(s0, s1, s2).canonical_form()
+                new = key not in seen
+                seen.add(key)
+                assert first(s0) == new, (degs, f_target, max_bigons, s0)
+                if degs == (5, 3, 2) and any(s0[2 * s + 1] >> 1 > s
+                                             for s in starts[1:-1]):
+                    seeded.add(new)
+                if s0[1] & 1 and s0[1] >> 1 < degs[0]:
+                    twisted.add(new)
+
+            search._scheme_search(degs, check, f_target, True, max_bigons)
+        assert seeded == twisted == {True, False}
+
+
 class TestEnumerate:
     @pytest.mark.parametrize("edges,classes", [(1, 3), (2, 11), (3, 63)])
     def test_unfiltered_class_counts(self, edges, classes):
