@@ -181,14 +181,21 @@ def _cmd_planar_holes(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
-def _non_negative_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
-    return value
+def _int_at_least(least: int, what: str):
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"not an integer: {text!r}") from None
+        if value < least:
+            raise argparse.ArgumentTypeError(f"must be {what}, got {value}")
+        return value
+    return parse
+
+
+_non_negative_int = _int_at_least(0, "non-negative")
+_positive_int = _int_at_least(1, "positive")
 
 
 def _seed(text: str) -> int:
@@ -264,10 +271,11 @@ def build_parser() -> argparse.ArgumentParser:
     srch = sub.add_parser("search", help="cellulation census")
     srch_sub = srch.add_subparsers(dest="subcommand", required=True)
     p = srch_sub.add_parser("census")
-    p.add_argument("--edges", type=int, required=True)
-    p.add_argument("--min-systole", type=int, default=3)
-    p.add_argument("--vertices", type=int, default=None)
-    p.add_argument("--bigons", type=int, default=None)
+    # --edges above the enumeration budget is a computation limit (exit 1)
+    p.add_argument("--edges", type=_positive_int, required=True)
+    p.add_argument("--min-systole", type=_positive_int, default=3)
+    p.add_argument("--vertices", type=_non_negative_int, default=None)
+    p.add_argument("--bigons", type=_non_negative_int, default=None)
     p.set_defaults(func=_cmd_search_census)
     srch_sub.add_parser("verify-paper").set_defaults(func=_cmd_search_verify)
 

@@ -14,15 +14,15 @@ is built.  The census driver runs the search over every degree sequence,
 keeps one cellulation per class and applies the filters; it returns the
 survivors with the scheme and class counts that census_report prints.
 Isomorphism rejection is orderly (McKay, "Isomorph-free exhaustive
-generation", 1998, as in the plantri generators): a leaf opens a new
-class iff it is the first leaf of its class in DFS order, which
-``_first_of_class`` decides by walking the relabellings that R1-R3
-allow, each only until its word departs from the leaf's.  No canonical
-form is computed and no set of classes is kept, although most leaves
-repeat a class: the e=6 census searches reach 8,822 leaves for 2,678
-classes, and those at e=7 119,046 for 30,347.  Without reduce_symmetry
-each leaf is keyed by the canonical form of its flag system
-(``FlagMap.canonical_form``) instead, an independent oracle.
+generation", 1998, as in the plantri generators): the first leaf of a
+class in DFS order opens it.  ``_first_of_class`` walks the relabellings
+that R1-R3 allow node by node inside the DFS and cuts a child once one
+gives a smaller word, so every leaf the reduced search reaches opens a
+class: 2,678 at e=6 and 30,347 at e=7, against 8,822 and 119,046 when
+the test ran on complete leaves.  No canonical form is computed and no
+set of classes is kept.  Without reduce_symmetry each leaf is keyed by
+the canonical form of its flag system (``FlagMap.canonical_form``)
+instead, an independent oracle.
 
 Symmetry reductions used by the matching search:
 
@@ -174,9 +174,10 @@ def _scheme_search(degrees: tuple[int, ...],
     no other child keeps a leaf below it.  A complete scheme is
     accepted only with exactly f_target faces and, when orientable is
     set, the requested orientability.
-    reduce_symmetry switches on R2 and R3; R1 is always on.  visit(s0,
-    s1) is called on the flag involutions of every accepted scheme, in
-    lexicographic order of the matches.
+    reduce_symmetry switches on R2, R3 and the orderly test of
+    _first_of_class, which cuts every scheme but the first of its class;
+    R1 is always on.  visit(s0, s1) is called on the flag involutions of
+    every accepted scheme, in lexicographic order of the matches.
     """
     v = len(degrees)
     nslots = sum(degrees)
@@ -318,7 +319,11 @@ def _scheme_search(degrees: tuple[int, ...],
             return
         visit([f for m in match for f in (m ^ 1, m)], s1)
 
-    def rec_search(hint: int) -> None:
+    # the orderly test: a child that a live walk cuts is not searched
+    if reduce_symmetry and v:
+        seeded, extend_walks = _first_of_class(degrees, match)
+
+    def rec_search(hint: int, walks: list) -> None:
         if count[0] == 0:
             emit()
             return
@@ -331,6 +336,8 @@ def _scheme_search(degrees: tuple[int, ...],
         # is matched); it is marked before the loop, as vb - 1 can be va
         seed = not touched[va]
         if seed:
+            if va and reduce_symmetry:
+                walks = walks + seeded(va, touched)
             push((touched, va, False))
             touched[va] = True
         if (f_target is not None
@@ -358,121 +365,144 @@ def _scheme_search(degrees: tuple[int, ...],
             for t in twists:
                 mark = len(trail)
                 if apply(a, b, t):
-                    rec_search(a + 1)
+                    kids = (extend_walks(walks, a, b) if reduce_symmetry
+                            else walks)
+                    if kids is not None:
+                        rec_search(a + 1, kids)
                 if len(trail) > mark:
                     undo(mark)
         if seed:
             undo(base)
 
     if v and nslots % 2 == 0 and (f_target is None or f_target >= 1):
-        rec_search(0)
+        rec_search(0, [])
+    del rec_search  # it refers to itself; free the search state now
     return leaves
 
 
-def _first_of_class(degrees: tuple[int, ...]) -> Callable[[list[int]], bool]:
-    """The test first(s0): is the leaf s0 of the reduced _scheme_search
-    over degrees the first leaf of its class that the search reaches?
+def _first_of_class(degrees: tuple[int, ...],
+                    match: list[int]) -> tuple[Callable, Callable]:
+    """The orderly test inside the reduced _scheme_search over degrees:
+    (seeded, extend) over the search's live match list.
 
-    Leaves come in lexicographic order of their word, match[a] = s0[2a + 1]
-    over the slots a whose partner is higher, in ascending a.  Every
-    relabelling that R1, R2 and R3 allow is reached, and no other, so
-    the leaf is first iff no allowed relabelling has a smaller word.
-    Each is walked along the leaf's own lower ends: while the two words
-    agree they have the same lowest free slot.  A relabelling starts at
-    a root of the leaf's R3 rank: an edge to a vertex of the far-end
-    degree of the leaf's root edge, in either direction, or a loop
-    whose ends sit b0 apart in the direction taken, b0 being the leaf's
-    (R3 prunes a loop root with 2 delta > d0).  Each vertex it reaches
-    first takes the next index of its degree class, with slot 0 at the
-    arriving end and the orientation that leaves that edge untwisted.
-    A seed, a lowest free slot on an untouched vertex, branches over the
-    untouched vertices of its degree, their base slot and orientation.
-    The walk ends at the first difference; a smaller value rejects.
-    Without seeds the leaf's own root gives the leaf back, so it is
-    walked only when the leaf has one (a vertex i > 0 whose slot 0 is
-    the lower end of its match).
+    Leaves come in lexicographic order of their word, match[a] over the
+    lower ends a, and every relabelling that R1-R3 allow is reached, so a
+    leaf is the first of its class iff no allowed relabelling has a
+    smaller word.  A walk follows one along the word; while the words
+    agree they share the lowest free slot.  It starts at a root of the R3
+    rank of the root edge: an edge to a vertex of the same far-end degree,
+    either way round, or a loop b0 slots long in the direction taken.  A
+    vertex it reaches first takes the next index of its degree class, slot
+    0 at the arriving end, untwisted; at a seed, a lowest free slot on an
+    untouched vertex, it branches over the untouched vertices of that
+    degree, base slot and orientation.  The leaf's own root gives the leaf
+    back up to its first seed, so seeded(j, touched) returns only the
+    walks it branches into at the seed j.
+
+    extend(walks, a, b) runs after the search matched its lowest free slot
+    a to b.  It resumes the walks that wait on a or b and starts those
+    rooted at a or b.  A walk that finds a smaller value cuts the child
+    (None), one that finds a larger value is dropped, and one that needs a
+    free slot waits on it: the next lower end, or the image of a word slot.
+    A walk is (word slot, slot waited on, enc, inv): enc[x] = 2 x' + o
+    puts old slot x at new slot x' with orientation o, inv[x'] = x, -1
+    where unplaced.  They are copied, never changed, so backtracking needs
+    no undo.
     """
-    v = len(degrees)
-    d0 = degrees[0]
-    starts = [0] * v
-    lead = [0] * v  # the first vertex of each vertex's degree class
-    for i in range(1, v):
-        starts[i] = starts[i - 1] + degrees[i - 1]
-        lead[i] = i if degrees[i] != degrees[i - 1] else lead[i - 1]
+    v, d0, nslots = len(degrees), degrees[0], sum(degrees)
+    starts = [sum(degrees[:i]) for i in range(v)]
+    lead = [degrees.index(d) for d in degrees]  # the first of its class
     vertex = [i for i, d in enumerate(degrees) for _ in range(d)]
-    # candidate roots (vertex, base slot, slot) at the degree-d0 vertices
-    roots = [(w, k, starts[w] + k)
-             for w in range(v) if degrees[w] == d0 for k in range(d0)]
+    # orbit[s][o]: the slots of s's vertex from s on, along (o = 0) or
+    # against (o = 1) its rotation
+    orbit = [tuple(tuple(starts[x] + (s - starts[x] + r * i) % degrees[x]
+                         for i in range(degrees[x])) for r in (1, -1))
+             for s, x in enumerate(vertex)]
+    unplaced = [-1] * nslots
 
-    def smaller(match, lows, pos, place, old) -> bool:
-        """Does a completion of the partial relabelling place, which
-        agrees with the leaf before lows[pos], give a smaller word?
+    def placed(enc, inv, s, o, j) -> tuple[list[int], list[int]]:
+        """Copies of enc, inv with s's vertex as new vertex j, s at 0."""
+        enc, inv = enc[:], inv[:]
+        for i, x in enumerate(orbit[s][o], starts[j]):
+            inv[i] = x
+            enc[x] = 2 * i + o
+        return enc, inv
 
-        place[x] is (new index, base slot, orientation +1 or -1) of old
-        vertex x, or None while x is untouched, and old[j] the old vertex
-        of new vertex j, or -1."""
-        n = len(lows)
-        while pos < n:
-            a = lows[pos]
-            j = vertex[a]
-            w = old[j]
-            if w < 0:  # a seed: j is the next index of its class
-                d = degrees[j]
-                for w in range(lead[j], v):
-                    if degrees[w] != d:
-                        break
-                    if place[w] is None:
-                        for k in range(d):
-                            for f in (1, -1):
-                                place2, old2 = place[:], old[:]
-                                place2[w], old2[j] = (j, k, f), w
-                                if smaller(match, lows, pos, place2, old2):
-                                    return True
-                return False
-            _, base, f = place[w]
-            m = match[starts[w] + (base + f * (a - starts[j])) % degrees[j]]
-            b = m >> 1
-            x = vertex[b]
-            if place[x] is None:  # reached first: slot 0, untwisted
-                jx = lead[x]
-                while old[jx] >= 0:
-                    jx += 1
-                place[x], old[jx] = (jx, b - starts[x], -f if m & 1 else f), x
-                value = 2 * starts[jx]
-            else:
-                jx, base, fx = place[x]
-                value = (2 * (starts[jx] + (fx * (b - starts[x] - base))
-                              % degrees[x]) + ((m & 1) ^ (f != fx)))
-            if value != match[a]:
-                return value < match[a]
-            pos += 1
+    def branches(j, enc, inv):
+        """Copies of (enc, inv) with each unplaced vertex of j's degree
+        placed as new vertex j at each base slot and orientation."""
+        for w in range(lead[j], lead[j] + degrees.count(degrees[j])):
+            if enc[starts[w]] < 0:
+                for s in range(starts[w], starts[w] + degrees[w]):
+                    for o in (0, 1):
+                        yield placed(enc, inv, s, o, j)
+
+    def run(a, enc, inv, out) -> bool:
+        """Walk on from slot a of the word: True on a smaller value, else
+        the states where the walk waits go to out.  A loop, not recursion,
+        so that no closure refers to itself and outlives the search."""
+        todo = [(a, enc, inv)]
+        while todo:
+            a, enc, inv = todo.pop()
+            for a in range(a, nslots):
+                word = match[a]
+                if word < 0:  # the next lower end
+                    out.append((a, a, enc, inv))
+                    break
+                if word >> 1 < a:  # an upper end
+                    continue
+                s = inv[a]
+                if s < 0:  # a seed
+                    todo += [(a, enc2, inv2) for enc2, inv2
+                             in branches(vertex[a], enc, inv)]
+                    break
+                m = match[s]
+                if m < 0:
+                    out.append((a, s, enc, inv))
+                    break
+                b = m >> 1
+                o = (m ^ enc[s]) & 1
+                if enc[b] < 0:  # reached first
+                    j = lead[vertex[b]]
+                    while inv[starts[j]] >= 0:
+                        j += 1
+                    enc, inv = placed(enc, inv, b, o, j)
+                    value = 2 * starts[j]
+                else:
+                    value = enc[b] ^ o
+                if value != word:
+                    if value < word:
+                        return True
+                    break
         return False
 
-    def first(s0: list[int]) -> bool:
-        match = s0[1::2]
-        lows = [a for a, m in enumerate(match) if m >> 1 > a]
-        b0 = match[0] >> 1
-        if vertex[b0] == 0:  # a loop root, b0 slots from its other end
-            cands = [(w, k, f) for w, k, s in roots
-                     if vertex[match[s] >> 1] == w
-                     for f in (1, -1)
-                     if f * ((match[s] >> 1) - s) % d0 == b0]
-        else:
-            far = degrees[vertex[b0]]
-            cands = [(w, k, f) for w, k, s in roots
-                     if vertex[match[s] >> 1] != w
-                     and degrees[vertex[match[s] >> 1]] == far
-                     for f in (1, -1)]
-        if not any(match[s] >> 1 > s for s in starts[1:]):
-            cands.remove((0, 0, 1))  # it gives the leaf back
-        for w, k, f in cands:
-            place, old = [None] * v, [-1] * v
-            place[w], old[0] = (0, k, f), w
-            if smaller(match, lows, 0, place, old):
-                return False
-        return True
+    def seeded(j, touched) -> list:
+        enc = [2 * s if touched[x] else -1 for s, x in enumerate(vertex)]
+        # the first branch places j itself, as the identity does
+        return [(starts[j], starts[j], enc2, inv2) for enc2, inv2 in
+                branches(j, enc, [e >> 1 for e in enc])][1:]
 
-    return first
+    def extend(walks, a, b) -> list | None:
+        out = []
+        for walk in walks:
+            if walk[1] != a and walk[1] != b:
+                out.append(walk)
+            elif run(walk[0], walk[2], walk[3], out):
+                return None
+        b0 = match[0] >> 1
+        far = vertex[b0]  # 0 when the root edge is a loop
+        for s, p in ((a, b), (b, a)):
+            w, x = vertex[s], vertex[p]
+            if degrees[w] == d0 and (w == x if far == 0 else
+                                     w != x and degrees[x] == degrees[far]):
+                for o, span in enumerate((p - s, s - p)):
+                    # not the leaf's own root; a loop only b0 slots long
+                    if (s or o) and (far or span % d0 == b0):
+                        if run(0, *placed(unplaced, unplaced, s, o, 0), out):
+                            return None
+        return out
+
+    return seeded, extend
 
 
 # ---------------------------------------------------------------------------
@@ -549,13 +579,12 @@ def _enumerate_with_stats(cons: EnumerationConstraints,
                           ) -> tuple[list[Cellulation], int, int]:
     """(classes passing the filters, schemes examined, classes examined).
 
-    Target vertex counts that need the same search share it.  A leaf
-    opens a new class when _first_of_class accepts it or, without
-    reduce_symmetry, when its canonical form is new to the search; only
-    then is its flag map built, and the class becomes one Cellulation
-    per target, through the flag dual for a mirrored one.  Classes come
-    out grouped by search, not by vertex count, and are counted once
-    per target.
+    Target vertex counts that need the same search share it.  Every leaf
+    of the reduced search opens a new class; without reduce_symmetry a
+    leaf does when its canonical form is new to the search.  The class
+    becomes one Cellulation per target, through the flag dual for a
+    mirrored one.  Classes come out grouped by search, not by vertex
+    count, and are counted once per target.
     """
     if cons.edge_count > MAX_EDGE_COUNT:
         raise EnumerationBudgetError(
@@ -606,18 +635,14 @@ def _enumerate_with_stats(cons: EnumerationConstraints,
         for degs in _partitions(2 * e, side_v, 2 * e):
             if want2 is not None and degs.count(2) != want2:
                 continue
-            if reduce_symmetry:
-                def visit(s0, s1, _first=_first_of_class(degs),
-                          _targets=targets):
-                    if _first(s0):
-                        add_class(FlagMap(s0, s1, s2), _targets)
-            else:
-                def visit(s0, s1, _targets=targets, _seen=seen):
-                    flags = FlagMap(s0, s1, s2)
+            def visit(s0, s1, _targets=targets, _seen=seen):
+                flags = FlagMap(s0, s1, s2)
+                if not reduce_symmetry:
                     key = flags.canonical_form()
-                    if key not in _seen:
-                        _seen.add(key)
-                        add_class(flags, _targets)
+                    if key in _seen:
+                        return
+                    _seen.add(key)
+                add_class(flags, _targets)
             schemes += _scheme_search(degs, visit, f_target,
                                       reduce_symmetry,
                                       max_bigons=side_bigons,

@@ -423,7 +423,7 @@ class TestSearch:
         assert code == 0
         assert out == (
             '{"classes_examined":9,"edge_count":3,"min_systole":1,'
-            '"schemes_examined":16,"survivor_count":9,"survivors":['
+            '"schemes_examined":9,"survivor_count":9,"survivors":['
             '{"edges":[[0,0],[0,1],[1,1]],"faces":[[[0,1],[1,1],[2,1],'
             '[2,1],[1,-1]],[[0,1]]],"vertices":2},'
             '{"edges":[[0,0],[0,0],[0,1]],"faces":[[[0,1],[0,1],[1,1]],'
@@ -451,15 +451,38 @@ class TestSearch:
         assert code == 0
         assert json.loads(out)["survivor_count"] == 13
         assert hashlib.sha256(out.encode()).hexdigest() == (
-            "00f8e5486bf0f6f031ef6e1bd32f5271101c5c5dacac1e10de32046f3589ca8e")
+            "4cdb2a477e5a22cb63268593012aed9819030b6f86ba247ef5972484e8a98b4c")
 
-    @pytest.mark.parametrize("flag,field", [("--vertices", "vertex_count"),
-                                            ("--bigons", "bigon_faces")])
-    def test_negative_count_is_an_error(self, capsys, flag, field):
-        code, out, err = run(capsys, ["search", "census", "--edges", "3",
-                                      flag, "-1"])
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--edges", "0", "must be positive, got 0"),
+        ("--edges", "-2", "must be positive, got -2"),
+        ("--min-systole", "0", "must be positive, got 0"),
+        ("--vertices", "-1", "must be non-negative, got -1"),
+        ("--bigons", "-1", "must be non-negative, got -1"),
+        ("--bigons", "x", "not an integer: 'x'"),
+    ], ids=["edges-0", "edges-negative", "min-systole-0", "vertices",
+            "bigons", "bigons-word"])
+    def test_bad_count_is_usage_error(self, capsys, flag, value, message):
+        argv = ["search", "census", "--edges", "3", flag, value]
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"{flag}: {message}" in err
+
+    @pytest.mark.parametrize("argv", [["--vertices", "0"], ["--bigons", "0"],
+                                      ["--min-systole", "1"]])
+    def test_smallest_valid_counts_run(self, capsys, argv):
+        code, out, _ = run(capsys, ["search", "census", "--edges", "3"]
+                           + argv)
+        assert code == 0
+        assert json.loads(out)["edge_count"] == 3
+
+    def test_edges_over_budget_is_a_computation_error(self, capsys):
+        code, out, err = run(capsys, ["search", "census", "--edges", "11"])
         assert (code, out) == (1, "")
-        assert err == f"error: {field} must be non-negative\n"
+        assert err == "error: edge count 11 exceeds the budget of 10\n"
 
     def test_verify_nonexistence(self, verify_paper_run):
         assert verify_paper_run.code == 0

@@ -53,8 +53,8 @@ def _leaves(degs, f_target, reduce_symmetry, max_bigons=None, visit=None):
 class TestSchemeSearch:
     def test_leaf_stream_is_pinned(self):
         # every leaf, in order, of every small search; the digest was
-        # taken before the search dropped its class table, its per-node
-        # offered set and its path lengths
+        # derived before the orderly test moved into the search, from the
+        # leaves its leaf-level form accepted
         digest = hashlib.sha256()
         total = 0
         for degs, f_target in _search_inputs():
@@ -65,9 +65,9 @@ class TestSchemeSearch:
                     for leaf in leaves:
                         digest.update(leaf)
                     total += len(leaves)
-        assert total == 34987
+        assert total == 32970
         assert digest.hexdigest() == (
-            "dac905e1b50abe3a985f1fb55b64c05a3c94504cc28b9e883e671228cedbde3b")
+            "d6f726deda7762f666de7f67dbbdc7d760e16a05cd64c3421202ee332bc1b2a8")
 
     def test_bigon_bound_keeps_exactly_the_leaves_within_it(self):
         # oracle: count the faces of size 2 (face cycles of 4 flags) of
@@ -146,31 +146,68 @@ def _orderly_cases():
 
 
 class TestFirstOfClass:
-    def test_accepts_exactly_the_first_leaf_of_each_class(self):
-        # oracle: the leaf's canonical form has not been seen before in
-        # its search; both verdicts must come up on leaves of (5, 3, 2)
-        # with a seed (a vertex i > 0 whose slot 0 is the lower end of
-        # its match) and on leaves with a twisted loop at the root
-        seeded, twisted = set(), set()
+    def test_accepts_exactly_the_first_leaf_of_each_class(self, monkeypatch):
+        # oracle: the same search with the orderly cut switched off (R2
+        # and R3 only), every leaf keyed by its canonical form.  The
+        # reduced search must reach exactly the leaves of that stream
+        # whose forms are new to it, in order, so each of its leaves
+        # opens a class and it finds them all; up to 4 edges the classes
+        # must also be those of the unreduced search.  The cut must fire
+        # on (5, 3, 2) below a seed (a vertex i > 0 whose slot 0 is the
+        # lower end of its match) and below a twisted loop at the root,
+        # and leaves of both kinds must come out
+        real = search._first_of_class
+        cut, kept = set(), set()
+
+        def spy(degrees, match):
+            seeded, extend = real(degrees, match)
+            starts = list(itertools.accumulate(degrees, initial=0))
+
+            def extend_and_record(walks, a, b):
+                kids = extend(walks, a, b)
+                if kids is None:
+                    if degrees == (5, 3, 2) and any(
+                            match[s] >> 1 > s for s in starts[1:-1]):
+                        cut.add("seeded")
+                    if match[0] & 1 and match[0] >> 1 < degrees[0]:
+                        cut.add("twisted")
+                return kids
+            return seeded, extend_and_record
+
+        def uncut(degrees, match):
+            return (lambda j, touched: []), (lambda walks, a, b: walks)
+
         for degs, f_target, max_bigons in _orderly_cases():
-            first = search._first_of_class(degs)
             starts = list(itertools.accumulate(degs, initial=0))
             s2 = [f ^ 1 for f in range(2 * sum(degs))]
-            seen = set()
+            keyed = []
 
-            def check(s0, s1):
-                key = surface.FlagMap(s0, s1, s2).canonical_form()
-                new = key not in seen
-                seen.add(key)
-                assert first(s0) == new, (degs, f_target, max_bigons, s0)
+            def key(s0, s1):
+                keyed.append((bytes(s0), surface.FlagMap(s0, s1, s2)
+                              .canonical_form()))
+
+            monkeypatch.setattr(search, "_first_of_class", uncut)
+            search._scheme_search(degs, key, f_target, True, max_bigons)
+            forms, want = set(), []
+            for leaf, form in keyed:
+                if form not in forms:
+                    forms.add(form)
+                    want.append(leaf)
+            monkeypatch.setattr(search, "_first_of_class", spy)
+            n, got = _leaves(degs, f_target, True, max_bigons)
+            assert got == want, (degs, f_target, max_bigons)
+            assert n == len(got)
+            for s0 in got:
                 if degs == (5, 3, 2) and any(s0[2 * s + 1] >> 1 > s
                                              for s in starts[1:-1]):
-                    seeded.add(new)
+                    kept.add("seeded")
                 if s0[1] & 1 and s0[1] >> 1 < degs[0]:
-                    twisted.add(new)
-
-            search._scheme_search(degs, check, f_target, True, max_bigons)
-        assert seeded == twisted == {True, False}
+                    kept.add("twisted")
+            if sum(degs) <= 8:
+                keyed.clear()
+                search._scheme_search(degs, key, f_target, False, max_bigons)
+                assert {form for _, form in keyed} == forms
+        assert cut == kept == {"seeded", "twisted"}
 
 
 class TestEnumerate:
@@ -264,12 +301,21 @@ class TestCensus:
         assert report["survivor_count"] == 0
         assert report["survivors"] == []
         assert report["classes_examined"] > 0
-        assert report["schemes_examined"] >= report["classes_examined"]
+
+    @pytest.mark.parametrize("edges,classes", [(5, 709), (6, 5356)])
+    def test_every_reduced_leaf_opens_a_class(self, edges, classes):
+        # without duality each class is searched once, and the orderly
+        # test inside the search lets only its first leaf through
+        _, schemes, found = search._enumerate_with_stats(
+            EnumerationConstraints.rp2(edges), use_duality=False)
+        assert schemes == found == classes
 
     # (schemes_examined, classes_examined) pinned so that changes to the
-    # search state or its undo trail cannot move them unnoticed
+    # search state or its undo trail cannot move them unnoticed; the
+    # scheme counts were derived before the orderly test moved into the
+    # search, as the leaves its leaf-level form accepted
     @pytest.mark.parametrize("edges,counts", [
-        (3, (22, 19)), (4, (109, 106)), (5, (1263, 709)), (6, (8822, 5356))])
+        (3, (14, 19)), (4, (53, 106)), (5, (502, 709)), (6, (2678, 5356))])
     def test_report_counts_are_pinned(self, edges, counts):
         report = search.census_report(edges)
         assert (report["schemes_examined"],
@@ -279,18 +325,19 @@ class TestCensus:
         (EnumerationConstraints.rp2(3), False, (162, 19, 19)),
         (EnumerationConstraints.rp2(4), False, (2169, 106, 106)),
         (EnumerationConstraints(1), True, (3, 3, 3)),
-        (EnumerationConstraints(2), True, (13, 11, 11)),
-        (EnumerationConstraints(3), True, (94, 63, 63)),
+        (EnumerationConstraints(2), True, (11, 11, 11)),
+        (EnumerationConstraints(3), True, (63, 63, 63)),
         # the only runs that prune on the bigon counter
-        (EnumerationConstraints.rp2(4, bigon_faces=0), True, (135, 67, 67)),
-        (EnumerationConstraints.rp2(4, bigon_faces=1), True, (154, 73, 30)),
+        (EnumerationConstraints.rp2(4, bigon_faces=0), True, (67, 67, 67)),
+        (EnumerationConstraints.rp2(4, bigon_faces=1), True, (73, 73, 30)),
         (EnumerationConstraints.rp2(5, bigon_faces=2, valence2_vertices=1),
-         True, (623, 226, 16)),
-        # chi = 0 leaves differ only in orientability: torus, Klein bottle
+         True, (226, 226, 16)),
+        # chi = 0 leaves differ only in orientability: torus, Klein bottle;
+        # schemes count the leaves of both, classes those of one
         (EnumerationConstraints(4, chi=0, orientable=True), True,
-         (282, 40, 40)),
+         (134, 40, 40)),
         (EnumerationConstraints(4, chi=0, orientable=False), True,
-         (282, 137, 137)),
+         (134, 137, 137)),
     ], ids=["rp2-3-unreduced", "rp2-4-unreduced", "all-1", "all-2",
             "all-3", "rp2-4-no-bigons", "rp2-4-bigons",
             "rp2-5-bigons-valence2", "torus-4", "klein-4"])
@@ -321,16 +368,16 @@ class TestCensus:
         assert len(set(calls)) == len(calls)
 
     @pytest.mark.parametrize("edges,leaves,digest", [
-        (5, 1263,
-         "6c86a83ab44d15a80f131298f86d93774856c3c263de47c6077a4e949c47b0a3"),
-        (6, 8822,
-         "348007c9d2407088b615bf8dfc94fb729e7966117ad1a510fa1ed62f2bfd7a5d"),
+        (5, 502,
+         "5298c3ddc14e1c7edc765e0bbf0d1a15b42642e243692fb4813f28a9687a1e79"),
+        (6, 2678,
+         "424aaea91aa5311ad44777702802c6a6f2bb88dca807ef91e3faae18a56c3eb0"),
     ])
     def test_census_leaf_stream_is_pinned(self, edges, leaves, digest,
                                           monkeypatch):
         # every search census_report runs, with every leaf in order; the
-        # digests were taken before the face bound counted the unions
-        # still needed and before a node offered only face-closing matches
+        # digests were derived before the orderly test moved into the
+        # search, from the leaves its leaf-level form accepted
         real = search._scheme_search
         h = hashlib.sha256()
         total = 0
