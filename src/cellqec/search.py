@@ -46,6 +46,7 @@ R3  Root rank.  Vertex 0 has the maximum degree d0 and slot 0 is the
     the first leaf of each class has its lowest root rank and is never
     pruned; pruning cuts whole subtrees, so the classes, their order
     and each representative (built from the first leaf) are unchanged.
+    The rank of every slot pair is tabled once per degree sequence.
 R2 and R3 are switched by reduce_symmetry, on by default; with it off
 the search keeps only R1 and serves as the test suite's oracle.
 
@@ -67,26 +68,32 @@ branches with no leaf below them:
   whose path does the same.
 
 A match that uses up a component's last free slots while others remain
-is rejected before any write: the component can never be joined to
-the rest.
+is rejected, like a match that R3 prunes, once per candidate slot and
+before either twist is tried: the component can never be joined to the
+rest.
 
 Duality halves the work when the Euler characteristic pins the face
 count: each side is searched once, as its dual when it has more faces
 than vertices, and each new class is read as itself, its dual or both.
 
-Before a new class becomes a Cellulation, its flag map is tested for a
-short orientation-reversing cycle: a twisted loop (length 1) or two
-edges with the same ends and different twists (length 2), in the vertex
-graph against min_primal_systole and in the face graph (the flag dual)
-against min_dual_systole.  The vertex ids and the local orientations
-that give the twists come from one labelling of the vertex cells
-(``FlagMap._cells``).  Such a cycle pairs oddly with the first
+Before a new class becomes a Cellulation, it is tested for a short
+orientation-reversing cycle: a twisted loop (length 1) or two edges
+with the same ends and different twists (length 2), in the vertex graph
+against min_primal_systole and in the face graph against
+min_dual_systole.  Such a cycle pairs oddly with the first
 Stiefel-Whitney class, so it is essential on every surface and the
 homology systole filter would reject the class; the test drops only
 those classes, and the filter still decides every class it keeps.  On
 RP2 every essential cycle reverses orientation, so for bounds up to 3
 the test is exact there, and the census builds no Cellulation for a
-class it rejects.
+class it rejects.  The search hands each leaf's shortest such cycle in
+its own graph, capped at 3, to visit, read off the matches: relabelling
+a vertex's orientation flips the twists of both edges of a pair, so the
+raw twists decide.  That graph is a target's vertex graph, or its face
+graph when the target is read as the dual, and a class whose bound it
+breaks gets no flag map at all.  The other graph is tested on the flag
+dual (``_short_reversing_cycle``), with vertex ids and local
+orientations from one labelling of its vertex cells (``FlagMap._cells``).
 
 Vertex identification and edge slides are both moves on the flag map:
 pinching a face at two corners at different vertices swaps the s1
@@ -176,16 +183,36 @@ def _scheme_search(degrees: tuple[int, ...],
     set, the requested orientability.
     reduce_symmetry switches on R2, R3 and the orderly test of
     _first_of_class, which cuts every scheme but the first of its class;
-    R1 is always on.  visit(s0, s1) is called on the flag involutions of
-    every accepted scheme, in lexicographic order of the matches.
+    R1 is always on.  visit(s0, s1, girth) is called on the flag
+    involutions of every accepted scheme, in lexicographic order of the
+    matches, with the length of the shortest orientation-reversing cycle
+    of the scheme's vertex graph capped at 3 (a twisted loop 1, two
+    edges with the same ends and different twists 2, else 3).
     """
     v = len(degrees)
     nslots = sum(degrees)
     starts = [sum(degrees[:i]) for i in range(v)]
     slot_vertex = [i for i, d in enumerate(degrees) for _ in range(d)]
     d0 = degrees[0] if v else 0
-    root_rank = 0  # R3 rank of the root edge, set by the match of slot 0
     nflags = 2 * nslots
+
+    # R3 as a table: rank[a][b] is the rank of the match a, b as the root
+    # edge, -1 for a loop root that the reversed rotation roots lower,
+    # and 2 d0, above every rank, when neither end is at a degree-d0
+    # vertex; a match ranked below the root edge is pruned.  All 0, so
+    # nothing is pruned, without reduce_symmetry
+    rank = [[0] * nslots for _ in range(nslots)]
+    if reduce_symmetry:
+        for a in range(nslots):
+            for b in range(a + 1, nslots):
+                da, db = degrees[slot_vertex[a]], degrees[slot_vertex[b]]
+                if da != d0 and db != d0:
+                    rank[a][b] = 2 * d0
+                elif slot_vertex[a] != slot_vertex[b]:
+                    rank[a][b] = 3 * d0 - da - db  # 2 d0 - d, far end's d
+                else:  # a loop whose ends sit b - a apart
+                    r = min(b - a, d0 - b + a)
+                    rank[a][b] = -1 if a == 0 and r < b else r
 
     # corner involution s1 is fixed by the rotation layout; the side
     # involution s2 is (2s <-> 2s+1) implicitly
@@ -221,28 +248,12 @@ def _scheme_search(degrees: tuple[int, ...],
     trail: list[tuple[list, int, object]] = []
     push, extend = trail.append, trail.extend
 
-    def apply(a: int, b: int, t: int) -> bool:
-        """Match slots a, b with twist t; False when the branch is pruned."""
-        nonlocal root_rank
-        va, vb = slot_vertex[a], slot_vertex[b]
-        da, db = degrees[va], degrees[vb]
-        if reduce_symmetry and (da == d0 or db == d0):
-            # R3: the rank this edge would give as the root edge
-            if va == vb:
-                rank = min(b - a, d0 - b + a)
-                if a == 0 and rank < b:
-                    return False  # the reversed rotation roots it lower
-            else:
-                rank = 3 * d0 - da - db  # 2 d0 - d for the far end's d
-            if a == 0:
-                root_rank = rank
-            elif rank < root_rank:
-                return False
-        ca, cb = comp[va], comp[vb]
+    def apply(a: int, b: int, t: int, vb: int, ca: int, cb: int,
+              left: int) -> bool:
+        """Match slots a, b with twist t; False when the branch is pruned.
+        vb is b's vertex, ca and cb the comp entries of both ends' vertices
+        and left the free slots of the component the match leaves."""
         ra, rb = ca >> 1, cb >> 1
-        left = free[ra] - 2 if ra == rb else free[ra] + free[rb] - 2
-        if left == 0 and count[0] > 2:
-            return False  # a closed component with slots left over
         # the ribbon's two s0 flag edges (p, q) and (p2, q2): the first
         # closes a face iff end[p] == q, else it joins two paths, after
         # which the second closes one iff its ends meet
@@ -317,7 +328,23 @@ def _scheme_search(degrees: tuple[int, ...],
         leaves += 1
         if orientable is not None and (count[2] == 0) != orientable:
             return
-        visit([f for m in match for f in (m ^ 1, m)], s1)
+        # the shortest orientation-reversing cycle of the vertex graph,
+        # capped at 3: a twisted loop, or two edges with the same ends and
+        # different twists (flipping a vertex's local orientation flips
+        # the twists of both, so their difference does not depend on it)
+        girth = 3
+        twist = {}
+        for a, m in enumerate(match):
+            b = m >> 1
+            if b > a:
+                u, w = slot_vertex[a], slot_vertex[b]
+                if u == w:
+                    if m & 1:
+                        girth = 1
+                        break
+                elif twist.setdefault(u * v + w, m & 1) != m & 1:
+                    girth = 2
+        visit([f for m in match for f in (m ^ 1, m)], s1, girth)
 
     # the orderly test: a child that a live walk cuts is not searched
     if reduce_symmetry and v:
@@ -353,18 +380,30 @@ def _scheme_search(degrees: tuple[int, ...],
                 bs = sorted({x >> 1, end[2 * a + 1] >> 1})
         else:
             bs = range(a + 1, nslots)
+        # the tests that do not depend on the twist run once per b
+        ranks = rank[a]
+        floor = rank[0][match[0] >> 1] if a else 0  # the root edge's rank
+        ca = comp[va]
+        ra = ca >> 1
+        fa = free[ra]
+        last = count[0] == 2
+        mark = len(trail)  # every child is undone back to it
         for b in bs:
-            if match[b] >= 0:
+            if match[b] >= 0 or ranks[b] < floor:
                 continue
             vb = slot_vertex[b]
             fresh = not touched[vb]
             if fresh and (b != starts[vb]
                           or not (lead[vb] or touched[vb - 1])):
                 continue
+            cb = comp[vb]
+            rb = cb >> 1
+            left = fa - 2 if ra == rb else fa + free[rb] - 2
+            if left == 0 and not last:
+                continue  # a closed component with slots left over
             twists = (0,) if fresh and reduce_symmetry else (0, 1)
             for t in twists:
-                mark = len(trail)
-                if apply(a, b, t):
+                if apply(a, b, t, vb, ca, cb, left):
                     kids = (extend_walks(walks, a, b) if reduce_symmetry
                             else walks)
                     if kids is not None:
@@ -583,8 +622,10 @@ def _enumerate_with_stats(cons: EnumerationConstraints,
     of the reduced search opens a new class; without reduce_symmetry a
     leaf does when its canonical form is new to the search.  The class
     becomes one Cellulation per target, through the flag dual for a
-    mirrored one.  Classes come out grouped by search, not by vertex
-    count, and are counted once per target.
+    mirrored one.  A target whose bound the girth handed over by the
+    search breaks is dropped before any flag map is built.  Classes come
+    out grouped by search, not by vertex count, and are counted once per
+    target.
     """
     if cons.edge_count > MAX_EDGE_COUNT:
         raise EnumerationBudgetError(
@@ -615,34 +656,41 @@ def _enumerate_with_stats(cons: EnumerationConstraints,
     s2 = [f ^ 1 for f in range(4 * e)]  # every leaf has 4e flags
     results: list[Cellulation] = []
     schemes = classes = 0
-
-    def add_class(flags: FlagMap, targets: list[bool]) -> None:
-        nonlocal classes
-        classes += len(targets)
-        for dualize in targets:
-            side = flags.dual() if dualize else flags
-            if (_short_reversing_cycle(side, cons.min_primal_systole)
-                    or _short_reversing_cycle(side.dual(),
-                                              cons.min_dual_systole)):
-                continue  # the systole filter would reject it
-            c = side.to_cellulation()
-            if _passes_filters(c, cons):
-                results.append(c)
+    # the search's vertex graph is a target's own vertex graph, and its
+    # face graph the target's face graph, unless the target is its dual
+    bounds = {False: (cons.min_primal_systole, cons.min_dual_systole),
+              True: (cons.min_dual_systole, cons.min_primal_systole)}
 
     for (side_v, want2, side_bigons), targets in searches.items():
         seen: set[bytes] = set()  # canonical forms, without reduce_symmetry
         f_target = None if chi is None else chi - side_v + e
+
+        def visit(s0, s1, girth, _targets=targets, _seen=seen):
+            nonlocal classes
+            flags = None
+            if not reduce_symmetry:
+                flags = FlagMap(s0, s1, s2)
+                key = flags.canonical_form()
+                if key in _seen:
+                    return
+                _seen.add(key)
+            classes += len(_targets)
+            for dualize in _targets:
+                vertex_bound, face_bound = bounds[dualize]
+                if girth < min(vertex_bound, 3):
+                    continue  # the systole filter would reject it
+                if flags is None:
+                    flags = FlagMap(s0, s1, s2)
+                faces = flags.dual()
+                if _short_reversing_cycle(faces, face_bound):
+                    continue
+                c = (faces if dualize else flags).to_cellulation()
+                if _passes_filters(c, cons):
+                    results.append(c)
+
         for degs in _partitions(2 * e, side_v, 2 * e):
             if want2 is not None and degs.count(2) != want2:
                 continue
-            def visit(s0, s1, _targets=targets, _seen=seen):
-                flags = FlagMap(s0, s1, s2)
-                if not reduce_symmetry:
-                    key = flags.canonical_form()
-                    if key in _seen:
-                        return
-                    _seen.add(key)
-                add_class(flags, _targets)
             schemes += _scheme_search(degs, visit, f_target,
                                       reduce_symmetry,
                                       max_bigons=side_bigons,

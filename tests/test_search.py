@@ -40,7 +40,7 @@ def _leaves(degs, f_target, reduce_symmetry, max_bigons=None, visit=None):
     """(returned count, every accepted leaf's s0 as bytes, in order)."""
     leaves = []
 
-    def collect(s0, s1):
+    def collect(s0, s1, girth):
         leaves.append(bytes(s0))
         if visit is not None:
             visit(s0, s1)
@@ -182,7 +182,7 @@ class TestFirstOfClass:
             s2 = [f ^ 1 for f in range(2 * sum(degs))]
             keyed = []
 
-            def key(s0, s1):
+            def key(s0, s1, girth):
                 keyed.append((bytes(s0), surface.FlagMap(s0, s1, s2)
                               .canonical_form()))
 
@@ -254,9 +254,20 @@ class TestEnumerate:
         EnumerationConstraints(4, chi=2),
         EnumerationConstraints.rp2(5, bigon_faces=1),
         EnumerationConstraints.rp2(5, valence2_vertices=2),
+        # the search's girth lets some classes through, and a dualized
+        # side reads it against the other bound
+        EnumerationConstraints.rp2(5, min_primal_systole=2,
+                                   min_dual_systole=2),
+        EnumerationConstraints(5, chi=0, min_primal_systole=1,
+                               min_dual_systole=3),
+        EnumerationConstraints(5, chi=0, min_primal_systole=3,
+                               min_dual_systole=1),
+        EnumerationConstraints(5, chi=2, min_primal_systole=2,
+                               min_dual_systole=3),
     ], ids=["all-1", "all-2", "all-3", "all-4", "rp2-2", "rp2-3", "rp2-4",
             "rp2-5", "torus-4", "klein-4", "chi-1-4", "sphere-4",
-            "rp2-5-bigon", "rp2-5-valence2"])
+            "rp2-5-bigon", "rp2-5-valence2", "rp2-5-systole22",
+            "chi0-5-systole13", "chi0-5-systole31", "sphere-5-systole23"])
     def test_reductions_keep_representatives_and_order(self, cons):
         # the first leaf of each class is never pruned, so the reduced
         # search lists the very same cellulations in the same order
@@ -388,11 +399,11 @@ class TestCensus:
             h.update(repr((degrees, f_target, reduce_symmetry, max_bigons,
                            orientable)).encode())
 
-            def collect(s0, s1):
+            def collect(s0, s1, girth):
                 nonlocal total
                 h.update(bytes(s0))
                 total += 1
-                visit(s0, s1)
+                visit(s0, s1, girth)
 
             n = real(degrees, collect, f_target, reduce_symmetry,
                      max_bigons, orientable)
@@ -591,3 +602,26 @@ class TestShortReversingCycle:
                         rp2_kept[bound] += 1
                         assert length >= bound, name
         assert min(rejected.values()) > 0 and min(rp2_kept.values()) > 0
+
+    def test_search_girth_agrees_with_the_flag_test(self):
+        # the capped girth the search hands to visit, read off its own
+        # matches, against the flag-map test, on every leaf of every
+        # surface with at most 5 edges; no orientable leaf has an
+        # orientation-reversing cycle, and non-orientable leaves come
+        # out at every capped girth
+        found = collections.Counter()
+        for e in range(1, 6):
+            s2 = [f ^ 1 for f in range(4 * e)]
+
+            def visit(s0, s1, girth):
+                fm = surface.FlagMap(s0, s1, s2)
+                found[girth, fm.components()[1]] += 1
+                for bound in (2, 3):
+                    assert ((girth < bound)
+                            == search._short_reversing_cycle(fm, bound))
+
+            for v in range(1, 2 * e + 1):
+                for degs in search._partitions(2 * e, v, 2 * e):
+                    search._scheme_search(degs, visit, None, True)
+        assert set(found) == {(1, False), (2, False), (3, False),
+                              (3, True)}

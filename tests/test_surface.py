@@ -16,7 +16,7 @@ def _every_scheme(max_edges):
     """
     maps = []
 
-    def keep(s0, s1):
+    def keep(s0, s1, girth):
         maps.append(FlagMap(s0, s1, [f ^ 1 for f in range(len(s0))]))
 
     for e in range(1, max_edges + 1):
