@@ -6,13 +6,14 @@ per edge.  The enumerator fixes a vertex degree sequence, lays the edge
 ends out as slots and depth-first searches over perfect matchings of the
 slots with twist bits, tracing faces and orientability incrementally;
 a face is checked for being a bigon from the matches when it closes.
-All search state lives in flat lists, and every write first pushes
-(list, index, old value) onto one trail; backtracking pops the trail
-back to a mark.  A complete scheme whose face count or orientability
-misses the target surface is counted and dropped before its flag system
-is built.  The census driver runs the search over every degree sequence,
-keeps one cellulation per class and applies the filters; it returns the
-survivors with the scheme and class counts that census_report prints.
+All search state lives in small flat lists.  The matches and the touched
+vertices are written in place and reset after each child; the rest is
+copied per node, only where a match changes it, so nothing is undone.
+A complete scheme whose face count or orientability misses the target
+surface is counted and dropped before its flag system is built.  The
+census driver runs the search over every degree sequence, keeps one
+cellulation per class and applies the filters; it returns the survivors
+with the scheme and class counts that census_report prints.
 Isomorphism rejection is orderly (McKay, "Isomorph-free exhaustive
 generation", 1998, as in the plantri generators): the first leaf of a
 class in DFS order opens it.  ``_first_of_class`` walks the relabellings
@@ -229,30 +230,21 @@ def _scheme_search(degrees: tuple[int, ...],
 
     # match[a] = 2 * b + t for the ribbon on slots a, b with twist t, -1
     # while a is free; a full match is s0 with s0[2a] = match[a] ^ 1 and
-    # s0[2a + 1] = match[a]
+    # s0[2a + 1] = match[a].  match and touched are written in place and
+    # reset after each child; the other state is handed down the DFS as
+    # per-node lists that apply copies where a match changes them, so a
+    # node's lists never change under it and nothing is undone
     match = [-1] * nslots
-    # face tracing: paths alternating fixed s1 edges and matched s0
-    # edges; end[] maps a path endpoint to the opposite endpoint
-    end = list(s1)
-    # comp[x] = 2 * root + parity: the lowest vertex of x's component and
-    # x's orientation parity relative to it; a union relabels the members
-    # of the higher root
-    comp = [2 * x for x in range(v)]
-    free = list(degrees)
     touched = [False] * v
-    # free slots, faces, conflicts, bigons, unions still needed
-    count = [nslots, 0, 0, 0, v - 1]
     leaves = 0
-    # every write below first pushes (array, index, old value); undo(mark)
-    # pops back to a mark, so new search state needs no undo code of its own
-    trail: list[tuple[list, int, object]] = []
-    push, extend = trail.append, trail.extend
 
-    def apply(a: int, b: int, t: int, vb: int, ca: int, cb: int,
-              left: int) -> bool:
-        """Match slots a, b with twist t; False when the branch is pruned.
-        vb is b's vertex, ca and cb the comp entries of both ends' vertices
-        and left the free slots of the component the match leaves."""
+    def apply(a: int, b: int, t: int, ca: int, cb: int, left: int,
+              count: list, end: list, comp: list, free: list):
+        """Match slots a, b with twist t: the child's (count, end, comp,
+        free), fresh copies of those the match changes, or None when the
+        branch is pruned.  ca and cb are the comp entries of both ends'
+        vertices and left the free slots of the component the match
+        leaves."""
         ra, rb = ca >> 1, cb >> 1
         # the ribbon's two s0 flag edges (p, q) and (p2, q2): the first
         # closes a face iff end[p] == q, else it joins two paths, after
@@ -270,63 +262,54 @@ def _scheme_search(degrees: tuple[int, ...],
                     q2 == (eq if p2 == ep else ep if p2 == eq else end[p2]))
             rest = count[0] - 2
             if faces > f_target or (faces == f_target and rest):
-                return False
+                return None
             if faces + rest - count[4] + (ra != rb) < f_target:
-                return False  # each union's first join closes no face
+                return None  # each union's first join closes no face
         if ra > rb:  # the lower root stays
             ra, rb = rb, ra
-        extend(((match, a, -1), (match, b, -1), (count, 0, count[0]),
-                (free, ra, free[ra])))
         match[a] = 2 * b + t
         match[b] = 2 * a + t
+        count = count[:]
         count[0] -= 2
+        free = free[:]
         free[ra] = left
-        if not touched[vb]:
-            push((touched, vb, False))
-            touched[vb] = True
         # orientation parity: an untwisted edge keeps the local
         # orientations aligned, a twisted one flips them
         flip = (ca ^ cb ^ t) & 1
         if ra == rb:
-            if flip:
-                push((count, 2, count[2]))
-                count[2] += 1
+            count[2] += flip
         else:
-            push((count, 4, count[4]))
             count[4] -= 1
+            comp = comp[:]
             for x in range(rb, v):  # a root is its component's lowest vertex
                 cx = comp[x]
                 if cx >> 1 == rb:
-                    push((comp, x, cx))
                     comp[x] = 2 * ra + ((cx ^ flip) & 1)
-        # face tracing: close a face or join two paths, join by join
+        # face tracing: close a face or join two paths, join by join; a
+        # first join that closes a face leaves end as the second reads it
+        if end[p] != q or end[p2] != q2:
+            end = end[:]
         for p, q in ((p, q), (p2, q2)):
             if end[p] == q:
-                push((count, 1, count[1]))
                 count[1] += 1
                 # the face p, q, s1[q], x = s1[p] is a bigon iff x's s0
                 # partner is s1[q]; x == q is a face of size 1
                 x = s1[p]
                 if x != q and match[x >> 1] ^ (x & 1) ^ 1 == s1[q]:
-                    push((count, 3, count[3]))
                     count[3] += 1
             else:
                 ep, eq = end[p], end[q]
-                extend(((end, ep, end[ep]), (end, eq, end[eq])))
                 end[ep] = eq
                 end[eq] = ep
-        return max_bigons is None or count[3] <= max_bigons
+        if max_bigons is not None and count[3] > max_bigons:
+            return None
+        return count, end, comp, free
 
-    def undo(mark: int) -> None:
-        for arr, i, old in reversed(trail[mark:]):
-            arr[i] = old
-        del trail[mark:]
-
-    def emit() -> None:
+    def emit(conflicts: int) -> None:
         # apply's face bounds leave exactly f_target faces at a leaf
         nonlocal leaves
         leaves += 1
-        if orientable is not None and (count[2] == 0) != orientable:
+        if orientable is not None and (conflicts == 0) != orientable:
             return
         # the shortest orientation-reversing cycle of the vertex graph,
         # capped at 3: a twisted loop, or two edges with the same ends and
@@ -350,22 +333,28 @@ def _scheme_search(degrees: tuple[int, ...],
     if reduce_symmetry and v:
         seeded, extend_walks = _first_of_class(degrees, match)
 
-    def rec_search(hint: int, walks: list) -> None:
+    def rec_search(hint: int, walks: list, count: list, end: list,
+                   comp: list, free: list) -> None:
+        """Search below the node whose state is count (free slots, faces,
+        conflicts, bigons, unions still needed), end (face tracing: paths
+        alternating fixed s1 edges and matched s0 edges, each endpoint
+        mapped to the opposite one), comp (comp[x] = 2 * root + parity,
+        the lowest vertex of x's component and x's orientation parity
+        relative to it; a union relabels the members of the higher root)
+        and free (the free slots of each root's component)."""
         if count[0] == 0:
-            emit()
+            emit(count[2])
             return
         a = hint
         while match[a] >= 0:
             a += 1
         va = slot_vertex[a]
-        base = len(trail)
         # a seed va is the lowest untouched vertex (every slot below a
         # is matched); it is marked before the loop, as vb - 1 can be va
         seed = not touched[va]
         if seed:
             if va and reduce_symmetry:
                 walks = walks + seeded(va, touched)
-            push((touched, va, False))
             touched[va] = True
         if (f_target is not None
                 and count[1] + count[0] - f_target <= max(1, count[4])):
@@ -387,7 +376,6 @@ def _scheme_search(degrees: tuple[int, ...],
         ra = ca >> 1
         fa = free[ra]
         last = count[0] == 2
-        mark = len(trail)  # every child is undone back to it
         for b in bs:
             if match[b] >= 0 or ranks[b] < floor:
                 continue
@@ -401,20 +389,21 @@ def _scheme_search(degrees: tuple[int, ...],
             left = fa - 2 if ra == rb else fa + free[rb] - 2
             if left == 0 and not last:
                 continue  # a closed component with slots left over
-            twists = (0,) if fresh and reduce_symmetry else (0, 1)
-            for t in twists:
-                if apply(a, b, t, vb, ca, cb, left):
+            touched[vb] = True
+            for t in (0,) if fresh and reduce_symmetry else (0, 1):
+                state = apply(a, b, t, ca, cb, left, count, end, comp, free)
+                if state is not None:
                     kids = (extend_walks(walks, a, b) if reduce_symmetry
                             else walks)
                     if kids is not None:
-                        rec_search(a + 1, kids)
-                if len(trail) > mark:
-                    undo(mark)
-        if seed:
-            undo(base)
+                        rec_search(a + 1, kids, *state)
+                match[a] = match[b] = -1
+            touched[vb] = not fresh  # unmarked if this node marked it
+        touched[va] = not seed
 
     if v and nslots % 2 == 0 and (f_target is None or f_target >= 1):
-        rec_search(0, [])
+        rec_search(0, [], [nslots, 0, 0, 0, v - 1], list(s1),
+                   [2 * x for x in range(v)], list(degrees))
     del rec_search  # it refers to itself; free the search state now
     return leaves
 
@@ -501,12 +490,14 @@ def _first_of_class(degrees: tuple[int, ...],
                     break
                 b = m >> 1
                 o = (m ^ enc[s]) & 1
-                if enc[b] < 0:  # reached first
+                if enc[b] < 0:  # reached first; placed only if it agrees
                     j = lead[vertex[b]]
                     while inv[starts[j]] >= 0:
                         j += 1
-                    enc, inv = placed(enc, inv, b, o, j)
                     value = 2 * starts[j]
+                    if value == word:
+                        enc, inv = placed(enc, inv, b, o, j)
+                        continue
                 else:
                     value = enc[b] ^ o
                 if value != word:

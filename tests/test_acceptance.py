@@ -5,14 +5,15 @@ criterion 1 < 1 s, criterion 2 < 5 s, criterion 6 < 30 s with singular
 value threshold 1e-9, criterion 7 < 600 s for the 5- and 7-edge runs,
 criterion 10 < 120 s.  The full 9-edge census is opt-in via the
 environment variable CELLQEC_E9_CENSUS=1.  Measured single-core runs
-(Python 3.11, 2-vCPU VM): the 7- and 8-edge censuses examine 30,347
-and 198,573 schemes in about 3-4 s and 23-25 s, and the two constrained
-9-edge pools of the figure reconstruction 57,751 and 406,721 schemes
-(about 1.5 min for the whole reconstruction).  Census time grows about
-sevenfold per edge, so the full 9-edge census extrapolates (not
-measured) to some 3 min of single-core time.  The
-always-on control checks that the three frozen nine-edge catalog
-classes are pairwise distinct and pass the census filter.
+(Python 3.11, 2-vCPU VM whose speed drifts with the host's load): the
+7-, 8- and 9-edge censuses examine 30,347, 198,573 and 2,460,402
+schemes in about 2-2.5 s, 13-18 s and 205 s (one run), and the two
+constrained 9-edge pools of the figure reconstruction 57,751 and
+406,721 schemes (about 1.5 min for the whole reconstruction).  Census
+time grows about 7-8 times from 7 to 8 edges and 12-16 times from 8 to
+9, so the full 9-edge census takes some 3.5 min.  The always-on
+control checks that the three frozen nine-edge catalog classes are
+pairwise distinct and pass the census filter.
 """
 import json
 import os

@@ -209,6 +209,40 @@ class TestFirstOfClass:
                 assert {form for _, form in keyed} == forms
         assert cut == kept == {"seeded", "twisted"}
 
+    @pytest.mark.parametrize("degs,f_target,max_bigons", [
+        ((5, 3, 2), 3, 1), ((3, 3, 2, 2), 2, None), ((4, 3, 2, 1), 2, None),
+        ((3, 3, 2, 1, 1), 2, None), ((6, 3, 2, 1), 3, None)])
+    def test_search_resets_its_live_lists(self, degs, f_target, max_bigons,
+                                          monkeypatch):
+        # match and touched are written in place and reset after each
+        # child: once the search returns, the match list the orderly test
+        # reads is all -1 and the touched list seeded reads all False, and
+        # a second run in the same process reaches the same leaves; each
+        # case reaches a seed, where seeded is handed the touched list
+        real = search._first_of_class
+        live = []
+
+        def spy(degrees, match):
+            seeded, extend = real(degrees, match)
+
+            def seeded_and_record(j, touched):
+                live.append(touched)
+                return seeded(j, touched)
+
+            live.append(match)
+            return seeded_and_record, extend
+
+        monkeypatch.setattr(search, "_first_of_class", spy)
+        runs = []
+        for _ in range(2):
+            live.clear()
+            runs.append(_leaves(degs, f_target, True, max_bigons))
+            match, *touched = live
+            assert match == [-1] * sum(degs)
+            assert touched and all(t == [False] * len(degs) for t in touched)
+        assert runs[0] == runs[1]
+        assert runs[0][0] == len(runs[0][1]) > 0
+
 
 class TestEnumerate:
     @pytest.mark.parametrize("edges,classes", [(1, 3), (2, 11), (3, 63)])
@@ -322,9 +356,10 @@ class TestCensus:
         assert schemes == found == classes
 
     # (schemes_examined, classes_examined) pinned so that changes to the
-    # search state or its undo trail cannot move them unnoticed; the
-    # scheme counts were derived before the orderly test moved into the
-    # search, as the leaves its leaf-level form accepted
+    # search state, its per-node copies or its in-place resets cannot
+    # move them unnoticed; the scheme counts were derived before the
+    # orderly test moved into the search, as the leaves its leaf-level
+    # form accepted
     @pytest.mark.parametrize("edges,counts", [
         (3, (14, 19)), (4, (53, 106)), (5, (502, 709)), (6, (2678, 5356))])
     def test_report_counts_are_pinned(self, edges, counts):
