@@ -20,18 +20,24 @@ DP over subsets; above that it is the ``networkx`` blossom, loaded only
 then.  Every minimum matching's paths XOR to the one minimum T-join
 (``MatchingGraph.min_weight_chain``), so the two give the same chain.
 
-Single decodes run on bit sets (Python ints, bit j = column j) through
-``DecodingTables``, built once per code: ``failures`` takes an error's
-two sides and returns its two failure verdicts.  ``monte_carlo`` runs a
-whole sweep on the tables: it draws each chunk of trials once
-(``_draws``), thresholds it at every (p_x, p_z) point and decodes it
-(``DecodingTables._chunk_failures``): numpy multiplies the chunk's
-errors by each side's check columns and logical operators, and each
-distinct syndrome is matched once per tables.  Each ``MatchingGraph``
-keeps the sub-matchings of its DP, so syndromes share them.
-``correct``, ``decode_error`` and ``exhaustive_weight_sweep`` build the
-tables per call, and ``syndrome`` and ``is_failure`` read the check
-graphs of the code's split alone.  numpy is loaded only by
+Errors are bit sets (Python ints, bit j = column j), and every decode
+reaches its verdict in one place, ``DecodingTables._failed``.  Per side,
+row j of ``_image_rows`` holds the checks column j flips and then its
+parities with the logical operators the side pairs with, and an error's
+image is the XOR of its columns' rows (``gf2.xor_rows``): its syndrome
+beside its parities.  ``_failed`` matches each syndrome once per
+tables, keeps its chain's parities in a memo, and counts the errors
+whose parities differ.  Each ``MatchingGraph`` keeps the sub-matchings
+of its DP, so syndromes share them too.
+
+``monte_carlo`` runs a whole sweep on the tables: it draws each chunk
+of trials once (``_draws``) and thresholds it at every (p_x, p_z)
+point; numpy multiplies the chunk's errors by each side's rows, and
+only the distinct images go to ``_failed``.  ``exhaustive_weight_sweep``
+feeds it the image of every pattern and ``decode_error`` one image per
+side, each on tables built per call; ``correct`` builds them too.
+``syndrome`` and ``is_failure``, which reads the residual's image, read
+the check graphs of the code's split alone.  numpy is loaded only by
 ``monte_carlo``.
 """
 from __future__ import annotations
@@ -39,7 +45,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, fields
 from functools import cached_property
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from . import gf2, homology
 from .gf2 import Gf2Vector
@@ -98,7 +104,7 @@ class MatchingGraph:
     """All-pairs shortest paths in the check graph of one check matrix.
 
     ``graph`` is the ``homology.CheckGraph`` (the check rows plus a
-    boundary node); it gives the boundary, the syndromes and, through
+    boundary node); it gives the boundary, the columns and, through
     its adjacency, the edges that ``build`` walks layer by layer.
     Column j weighs 2^n - 2^(n-1-j) (see the module docstring); no two
     edge sets weigh the same, so every shortest path is unique.  Columns
@@ -251,13 +257,36 @@ class MatchingGraph:
         return top
 
 
+def _image_rows(graph: homology.CheckGraph,
+                logicals: Sequence[int]) -> tuple[int, ...]:
+    """Row j: the checks column j of graph flips, then bit checks + i for
+    its parity with logicals[i]; an error's image is ``gf2.xor_rows`` of
+    these rows.
+
+    An error on this side fails to decode when its residual, error plus
+    chain, acts on the code space.  The residual must have zero syndrome,
+    which by linearity says that the chain reproduces the error's
+    syndrome (else SyndromeMismatch), so for x errors it lies in
+    ker(z_stabilizers).  As ker(x_stabilizers) is spanned by
+    rowspace(z_stabilizers) and logical_z, it lies in
+    rowspace(x_stabilizers) iff it pairs evenly with every logical_z:
+    the residual fails iff some parity bit of its image is set, that is
+    iff error and chain differ in some parity.  z errors pair dually
+    with logical_x.
+    """
+    checks = graph.boundary
+    return tuple(col | sum(((lg >> j) & 1) << (checks + i)
+                           for i, lg in enumerate(logicals))
+                 for j, col in enumerate(graph.columns))
+
+
 @dataclass(frozen=True)
 class DecodingTables:
     """What every decode on one code reuses; build once per code.
 
     The code's length, the matching graphs of its two checks and the
     bits of its logical operators, which every code carries, k per side;
-    ``failures`` decodes one error given as bit sets.
+    ``_failed`` judges errors given by their images.
     """
 
     n: int
@@ -274,121 +303,74 @@ class DecodingTables:
                    tuple(v.bits for v in logical_x),
                    tuple(v.bits for v in logical_z))
 
-    def failures(self, x_bits: int, z_bits: int) -> tuple[bool, bool]:
-        """(x_fail, z_fail) of decoding the error (x_bits, z_bits).
-
-        The syndrome of each side is matched to its minimum-weight chain,
-        and the residual, error plus chain, goes to ``_residual_failures``.
-        """
-        zg, xg = self.z_graph, self.x_graph
-        z_checks, x_checks = zg.graph, xg.graph
-        return _residual_failures(
-            z_checks, x_checks, self.logical_x, self.logical_z,
-            x_bits ^ zg.chain(z_checks.syndrome(x_bits)),
-            z_bits ^ xg.chain(x_checks.syndrome(z_bits)))
-
     @cached_property
     def _sides(self) -> tuple:
-        """Per side, x errors then z errors: (matching graph, rows, [H | L],
-        memo).
+        """Per side, x errors then z errors: (matching graph, rows, memo).
 
-        H is the check graph's column matrix (n x checks) and L the
-        logical matrix (n x k) of the logical operators the side pairs
-        with; row j of [H | L] is the bit set rows[j] (checks first, then
-        bit checks + i for logical i), and the array is float64 so that
-        numpy multiplies it by BLAS, exactly.  The memo maps a syndrome
+        rows are the side's ``_image_rows``; the memo maps a syndrome
         bit set to its chain's parities with the logical operators.
         """
+        return tuple((graph, _image_rows(graph.graph, logicals), {})
+                     for graph, logicals in ((self.z_graph, self.logical_z),
+                                             (self.x_graph, self.logical_x)))
+
+    @cached_property
+    def _matrices(self) -> tuple:
+        """Per side, the rows of ``_sides`` as an n x (checks + k) 0/1
+        array, float64 so that numpy multiplies by it through BLAS,
+        exactly: a trial's row of errors @ matrix mod 2 is its image."""
         import numpy as np
 
-        sides = []
-        for graph, logicals in ((self.z_graph, self.logical_z),
-                                (self.x_graph, self.logical_x)):
-            checks = graph.graph.boundary
-            width = checks + len(logicals)
-            rows = [col | sum(((lg >> j) & 1) << (checks + i)
-                              for i, lg in enumerate(logicals))
-                    for j, col in enumerate(graph.graph.columns)]
+        matrices = []
+        for graph, rows, _ in self._sides:
+            width = graph.graph.boundary + len(self.logical_x)
             size = (width + 7) // 8
             packed = b"".join(r.to_bytes(size, "little") for r in rows)
-            hl = np.unpackbits(np.frombuffer(packed, np.uint8).reshape(
-                self.n, size), axis=1, count=width, bitorder="little")
-            sides.append((graph, rows, hl.astype(float), {}))
-        return tuple(sides)
+            matrices.append(np.unpackbits(
+                np.frombuffer(packed, np.uint8).reshape(self.n, size),
+                axis=1, count=width, bitorder="little").astype(float))
+        return tuple(matrices)
 
-    def _chunk_failures(self, side: int, errors) -> int:
-        """How many trials fail on one side (0: x, 1: z) of a chunk;
-        errors is that side's boolean trials x n array.
+    def _failed(self, side: int,
+                images: Iterable[tuple[int, int]]) -> int:
+        """How many errors fail on one side (0: x, 1: z), given as
+        (image, count) pairs: the one verdict of every decode.
 
-        A trial's row of errors @ [H | L] mod 2 is its syndrome beside its
-        parities with the logical operators, and it fails when these
-        differ from its chain's.  Each distinct syndrome is matched once
-        per tables while the memo holds fewer than ``_MEMO_ENTRIES``,
-        and every chain matched must reproduce its syndrome (else
-        SyndromeMismatch): by linearity, every residual then has zero
-        syndrome.
+        Each distinct syndrome is matched once per tables while the memo
+        holds fewer than ``_MEMO_ENTRIES``, and every chain matched must
+        reproduce its syndrome (else SyndromeMismatch); an error fails
+        when its parities differ from its chain's (``_image_rows``).
         """
-        import numpy as np
-
-        graph, rows, hl, memo = self._sides[side]
-        packed = np.packbits((errors @ hl).astype(int) & 1, axis=1,
-                             bitorder="little")
+        graph, rows, memo = self._sides[side]
         checks, failed = graph.graph.boundary, 0
         mask = (1 << checks) - 1
-        for key, count in Counter(
-                packed.view(f"V{packed.shape[1]}").ravel().tolist()).items():
-            bits = int.from_bytes(key, "little")
-            syn = bits & mask
+        for image, count in images:
+            syn = image & mask
             parities = memo.get(syn)
             if parities is None:
-                chain, image = graph.chain(syn), 0  # image: chain @ [H | L]
-                while chain:
-                    low = chain & -chain
-                    image ^= rows[low.bit_length() - 1]
-                    chain ^= low
-                if image & mask != syn:
+                chain_image = gf2.xor_rows(rows, graph.chain(syn))
+                if chain_image & mask != syn:
                     raise SyndromeMismatch(
                         "correction does not match the error syndrome")
-                parities = image >> checks
+                parities = chain_image >> checks
                 if len(memo) < _MEMO_ENTRIES:
                     memo[syn] = parities
-            if parities != bits >> checks:
+            if parities != image >> checks:
                 failed += count
         return failed
 
 
-def _residual_failures(z_checks: homology.CheckGraph,
-                       x_checks: homology.CheckGraph,
-                       logical_x: tuple[int, ...], logical_z: tuple[int, ...],
-                       res_x: int, res_z: int) -> tuple[bool, bool]:
-    """(x_fail, z_fail): does the residual act on the code space?
-
-    z_checks and x_checks are the check graphs of z_stabilizers and
-    x_stabilizers.  The residual must have zero syndrome, which by
-    linearity says that the correction reproduces the error's syndrome
-    (else SyndromeMismatch), so its bit-flip part r lies in
-    ker(z_stabilizers).  As ker(x_stabilizers) is spanned by
-    rowspace(z_stabilizers) and logical_z, r lies in
-    rowspace(x_stabilizers) iff it pairs evenly with every logical_z:
-    x_fail is an odd pairing with some logical_z, and z_fail dually
-    with logical_x.
-    """
-    if z_checks.syndrome(res_x) or x_checks.syndrome(res_z):
-        raise SyndromeMismatch("correction does not match the error syndrome")
-    return (any((res_x & lz).bit_count() & 1 for lz in logical_z),
-            any((res_z & lx).bit_count() & 1 for lx in logical_x))
-
-
 def syndrome(code: CssCode, err: ErrorPattern) -> Syndrome:
-    """The checks each side of err flips (``homology.CheckGraph.syndrome``)."""
+    """The checks each side of err flips: the XOR of the check graphs'
+    columns (``gf2.xor_rows``)."""
     if err.x_errors.n != code.n:
         raise gf2.LengthMismatch(f"{err.x_errors.n} != {code.n}")
     x_checks, z_checks, _, _ = code._split
     return Syndrome(
         z_checks=Gf2Vector(z_checks.boundary,
-                           z_checks.syndrome(err.x_errors.bits)),
+                           gf2.xor_rows(z_checks.columns, err.x_errors.bits)),
         x_checks=Gf2Vector(x_checks.boundary,
-                           x_checks.syndrome(err.z_errors.bits)),
+                           gf2.xor_rows(x_checks.columns, err.z_errors.bits)),
     )
 
 
@@ -406,27 +388,37 @@ def correct(code: CssCode, syn: Syndrome) -> ErrorPattern:
 
 def is_failure(code: CssCode, err: ErrorPattern,
                corr: ErrorPattern) -> tuple[bool, bool]:
-    """(x_fail, z_fail) of the residual err + corr, by
-    ``_residual_failures``.
+    """(x_fail, z_fail) of the residual err + corr: the parity bits of
+    its image on each side (``_image_rows``).
 
-    Raises SyndromeMismatch when corr does not reproduce err's syndrome.
+    Raises SyndromeMismatch when corr does not reproduce err's syndrome,
+    that is when the syndrome bits of either image are not all zero.
     """
     res_x, res_z = err.x_errors ^ corr.x_errors, err.z_errors ^ corr.z_errors
     if res_x.n != code.n:
         raise gf2.LengthMismatch(f"{res_x.n} != {code.n}")
     x_checks, z_checks, logical_x, logical_z = code._split
-    return _residual_failures(z_checks, x_checks,
-                              tuple(v.bits for v in logical_x),
-                              tuple(v.bits for v in logical_z),
-                              res_x.bits, res_z.bits)
+    verdict = []
+    for graph, logicals, res in ((z_checks, logical_z, res_x),
+                                 (x_checks, logical_x, res_z)):
+        image = gf2.xor_rows(
+            _image_rows(graph, [v.bits for v in logicals]), res.bits)
+        if image & ((1 << graph.boundary) - 1):
+            raise SyndromeMismatch(
+                "correction does not match the error syndrome")
+        verdict.append(image >> graph.boundary != 0)
+    return verdict[0], verdict[1]
 
 
 def decode_error(code: CssCode, err: ErrorPattern) -> tuple[bool, bool]:
-    """(x_fail, z_fail) of decoding err (``DecodingTables.failures``)."""
+    """(x_fail, z_fail) of decoding err: one image per side through
+    ``DecodingTables._failed``."""
     if err.x_errors.n != code.n:
         raise gf2.LengthMismatch(f"{err.x_errors.n} != {code.n}")
-    return DecodingTables.build(code).failures(err.x_errors.bits,
-                                               err.z_errors.bits)
+    tables = DecodingTables.build(code)
+    return tuple(tables._failed(side, [(gf2.xor_rows(rows, v.bits), 1)]) == 1
+                 for side, ((_, rows, _), v) in enumerate(
+                     zip(tables._sides, (err.x_errors, err.z_errors))))
 
 
 @dataclass(frozen=True)
@@ -496,12 +488,21 @@ def monte_carlo(tables: DecodingTables,
         raise ValueError(f"trials must be non-negative, got {trials}")
     if not 0 <= seed < 1 << 128:
         raise ValueError(f"seed must lie in [0, 2**128), got {seed}")
+    import numpy as np
+
     counts = [[0, 0] for _ in points]
     for draws in _draws(seed, range(trials), tables.n):
         for (p_x, p_z), count in zip(points, counts):
             errors = draws < [[p_x], [p_z]]
-            count[0] += tables._chunk_failures(0, errors[:, 0])
-            count[1] += tables._chunk_failures(1, errors[:, 1])
+            for side, matrix in enumerate(tables._matrices):
+                # row t: the image of trial t's errors on this side, packed
+                packed = np.packbits((errors[:, side] @ matrix).astype(int)
+                                     & 1, axis=1, bitorder="little")
+                keys = Counter(
+                    packed.view(f"V{packed.shape[1]}").ravel().tolist())
+                count[side] += tables._failed(
+                    side, ((int.from_bytes(key, "little"), times)
+                           for key, times in keys.items()))
     return [MonteCarloResult(p_x, p_z, trials, xf, zf, seed)
             for (p_x, p_z), (xf, zf) in zip(points, counts)]
 
@@ -523,14 +524,15 @@ def exhaustive_weight_sweep(code: CssCode, max_weight: int) -> list[ExhaustiveSw
     from itertools import combinations
     from math import comb
 
-    rows = []
-    failures = DecodingTables.build(code).failures
-    for w in range(min(max_weight, code.n) + 1):
-        xf = zf = 0
+    def images(rows: tuple[int, ...], w: int) -> Iterator[tuple[int, int]]:
         for support in combinations(range(code.n), w):
-            bits = sum(1 << q for q in support)
-            xf += failures(bits, 0)[0]
-            zf += failures(0, bits)[1]
+            yield gf2.xor_rows(rows, sum(1 << q for q in support)), 1
+
+    tables = DecodingTables.build(code)
+    rows = []
+    for w in range(min(max_weight, code.n) + 1):
+        xf, zf = (tables._failed(side, images(image_rows, w))
+                  for side, (_, image_rows, _) in enumerate(tables._sides))
         count = comb(code.n, w)
         rows.append(ExhaustiveSweepRow(w, count, xf, count, zf))
     return rows

@@ -153,6 +153,17 @@ class Gf2Matrix:
         return Gf2Vector(self.rows, bits)
 
 
+def xor_rows(rows: Sequence[int], bits: int) -> int:
+    """The XOR of rows[i] over the set bits i of bits: M^T·v, for M the
+    matrix of row bit sets rows and v the vector of bits."""
+    out = 0
+    while bits:  # one step per set bit
+        low = bits & -bits
+        out ^= rows[low.bit_length() - 1]
+        bits ^= low
+    return out
+
+
 def _forward(rows: Iterable[int]) -> tuple[list[tuple[int, int, int]], list[int]]:
     """Forward elimination of row bit sets: the library's one elimination.
 

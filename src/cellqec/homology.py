@@ -102,15 +102,6 @@ class CheckGraph:
             adj[b].append((a, e))
         return cls(boundary, columns, tuple(ends), tuple(map(tuple, adj)))
 
-    def syndrome(self, chain: int) -> int:
-        """The bit set of the checks that the column bit set chain flips."""
-        syn = 0
-        while chain:
-            low = chain & -chain
-            syn ^= self.columns[low.bit_length() - 1]
-            chain ^= low
-        return syn
-
 
 def _forest(graph: CheckGraph, columns: Sequence[int]) -> list[int]:
     """The columns, in the given order, that join two trees so far.

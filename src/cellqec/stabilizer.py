@@ -134,15 +134,9 @@ def check_relations(code: CssCode) -> bool:
 def commutes(code: CssCode) -> bool:
     """Every X generator commutes with every Z generator."""
     z_rows_of = code.z_stabilizers.transpose().row_bits
-    for xr in code.x_stabilizers.row_bits:
-        overlap = 0  # bit i: parity of xr's overlap with Z row i
-        while xr:
-            low = xr & -xr
-            overlap ^= z_rows_of[low.bit_length() - 1]
-            xr ^= low
-        if overlap:
-            return False
-    return True
+    # bit i of each XOR: the parity of an X row's overlap with Z row i
+    return not any(gf2.xor_rows(z_rows_of, xr)
+                   for xr in code.x_stabilizers.row_bits)
 
 
 def hadamard_dual_equivalent(c: Cellulation) -> bool:

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from math import comb
 
 import pytest
 from coset_oracle import coset_min_essential, support_min_essential
@@ -322,6 +323,29 @@ class TestDecode:
             '"z_patterns":9},'
             '{"weight":2,"x_failures":27,"x_patterns":36,"z_failures":9,'
             '"z_patterns":36}]}\n')
+
+    @pytest.mark.parametrize("name,weight,n,failures", [
+        ("fig1_hemi_icosahedron", 15, 15, [
+            (0, 0), (0, 0), (49, 0), (255, 130), (704, 724), (1476, 1723),
+            (2465, 2637), (3195, 3181), (3240, 3090), (2560, 2370),
+            (1507, 1460), (645, 704), (216, 266), (60, 83), (11, 15),
+            (1, 1)]),
+        ("toric(3,3)", 5, 18, [
+            (0, 0), (0, 0), (18, 18), (570, 570), (2403, 2403),
+            (6102, 6102)])])
+    def test_exhaustive_rows_are_pinned(self, capsys, name, weight, n,
+                                        failures):
+        # (x, z) failures per weight as the per-error decoder printed them
+        # before every decode went through one memoised verdict: all of
+        # fig1's rows, and toric(3,3)'s up to weight 5
+        code, out, _ = run(capsys, ["decode", "exhaustive", name,
+                                    "--weight", str(weight)])
+        assert code == 0
+        rows = ",".join(
+            f'{{"weight":{w},"x_failures":{xf},"x_patterns":{comb(n, w)},'
+            f'"z_failures":{zf},"z_patterns":{comb(n, w)}}}'
+            for w, (xf, zf) in enumerate(failures))
+        assert out == f'{{"n":{n},"rows":[{rows}]}}\n'
 
     @pytest.mark.parametrize("weight", ["12", "1000000000"])
     def test_exhaustive_stops_at_the_code_length(self, capsys, weight):

@@ -282,9 +282,7 @@ class TestCorrect:
             not gf2.in_span(code.z_stabilizers.row_vectors(),
                             err.z_errors ^ corr.z_errors))
         assert decoder.is_failure(code, err, corr) == expected
-        tables = decoder.DecodingTables.build(code)
-        assert tables.failures(err.x_errors.bits,
-                               err.z_errors.bits) == expected
+        assert decoder.decode_error(code, err) == expected
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
@@ -350,7 +348,7 @@ class TestCorrect:
         graph = graphs[data.draw(st.sampled_from(sorted(graphs)))]
         qubits = data.draw(st.sets(st.integers(0, len(graph.graph.columns)
                                                - 1), max_size=6))
-        syn = graph.graph.syndrome(sum(1 << q for q in qubits))
+        syn = gf2.xor_rows(graph.graph.columns, sum(1 << q for q in qubits))
         fresh = decoder.MatchingGraph(graph.graph, graph.dist, graph.path)
         assert graph.chain(syn) == fresh.chain(syn)
         # the warm memo holds every sub-matching of this DP, and agrees
@@ -483,14 +481,24 @@ class TestMonteCarlo:
         assert _sampled_bits(2**64 + 3, trials, n, 0.3, 0.3) == expected
 
     def test_counts_equal_the_failures_of_each_trial(self, monkeypatch):
-        # the oracle: DecodingTables.failures on each side of each trial's
-        # bits, drawn qubit by qubit; 6 trials a chunk, so 20 trials cross
-        # three chunk boundaries, and one call runs every point, as a
-        # sweep does
+        # the oracle: the residual verdict of is_failure, with no memo, on
+        # each side of each trial's bits, drawn qubit by qubit; 6 trials a
+        # chunk, so 20 trials cross three chunk boundaries, and one call
+        # runs every point, as a sweep does
+        build = decoder.DecodingTables.build
+        # correct builds tables per call; one set per code serves it here
+        monkeypatch.setattr(decoder.DecodingTables, "build",
+                            staticmethod(functools.cache(build)))
         seen = set()
         for label, code in _monte_carlo_codes().items():
-            tables = decoder.DecodingTables.build(code)
-            failures = functools.cache(tables.failures)  # p = 1 repeats
+            tables = build(code)
+
+            @functools.cache  # p = 1 repeats
+            def failures(x, z, code=code):
+                err = ErrorPattern(Gf2Vector(code.n, x), Gf2Vector(code.n, z))
+                corr = decoder.correct(code, decoder.syndrome(code, err))
+                return decoder.is_failure(code, err, corr)
+
             monkeypatch.setattr(decoder, "_CHUNK_DRAWS", 2 * code.n * 7 - 1)
             rate = min(0.3, 10 / code.n)  # about 10 errors a side at most
             points = ((0.0, rate), (1.0, rate / 3), (rate / 2, 1.0))
@@ -538,8 +546,8 @@ class TestMonteCarlo:
         for p in points:
             for t in range(300):
                 x, z = _oracle_bits(1, t, code.n, p, p)
-                syndromes |= {(0, z_checks.syndrome(x)),
-                              (1, x_checks.syndrome(z))}
+                syndromes |= {(0, gf2.xor_rows(z_checks.columns, x)),
+                              (1, gf2.xor_rows(x_checks.columns, z))}
         calls = []
         chain = decoder.MatchingGraph.chain
         monkeypatch.setattr(decoder.MatchingGraph, "chain",

@@ -163,6 +163,15 @@ def test_solve_agrees_with_image(data, raw):
         assert m.mul_vector(x) == rhs
 
 
+@settings(max_examples=60, deadline=None)
+@given(bitvectors, st.integers(0, 63))
+def test_xor_rows_is_the_transposed_product(data, raw):
+    n, rows = data
+    m = Gf2Matrix(len(rows), n, tuple(rows))
+    v = Gf2Vector(len(rows), raw & ((1 << len(rows)) - 1))
+    assert gf2.xor_rows(m.row_bits, v.bits) == m.transpose().mul_vector(v).bits
+
+
 def _combine(rows, combo):
     out = 0
     for i, r in enumerate(rows):

@@ -4,6 +4,7 @@ import hashlib
 import itertools
 
 import pytest
+from sampling import small_cellulation_pool
 
 from cellqec import homology, search, surface
 from cellqec.search import EnumerationConstraints
@@ -568,6 +569,31 @@ class TestFilters:
         cons = EnumerationConstraints.rp2(2, min_primal_systole=2)
         for c in search.enumerate_cellulations(cons):
             assert homology.systole(c)[0] >= 2
+
+    def test_systole_filter_agrees_with_the_homology_systoles(self):
+        # the filter reads both systoles off one code; the oracle reads
+        # them off homology.systole and dual_systole, where trivial H1
+        # means no essential cycle and so passes every bound
+        cells = small_cellulation_pool(4) + [
+            surface.catalog(name) for name in surface.closed_catalog_names()
+            + ["toric(4,4)"]]
+        kept = collections.Counter()
+        for c in cells:
+            lengths = []
+            for systole in (homology.systole, homology.dual_systole):
+                try:
+                    lengths.append(systole(c)[0])
+                except homology.TrivialHomologyError:
+                    lengths.append(None)
+            for p, d in itertools.product(range(1, 5), repeat=2):
+                cons = EnumerationConstraints(c.edge_count,
+                                              min_primal_systole=p,
+                                              min_dual_systole=d)
+                expected = all(length is None or length >= bound
+                               for length, bound in zip(lengths, (p, d)))
+                assert search._passes_filters(c, cons) == expected
+                kept[expected] += 1
+        assert kept[True] and kept[False]
 
     def test_bigon_filter(self):
         cons = EnumerationConstraints.rp2(3, bigon_faces=1)
