@@ -51,8 +51,8 @@ R3  Root rank.  Vertex 0 has the maximum degree d0 and slot 0 is the
 R2 and R3 are switched by reduce_symmetry, on by default; with it off
 the search keeps only R1 and serves as the test suite's oracle.
 
-The face count prunes by three rules, each of which cuts only
-branches with no leaf below them:
+The face count prunes by four rules, each of which cuts only branches
+with no leaf below them:
 
 - Too many faces: more than f_target, or f_target with slots left (the
   last match always closes a face).
@@ -60,13 +60,32 @@ branches with no leaf below them:
   slots and u the unions still needed (v - 1 minus those made).  Each
   free slot adds one s0 join and a join closes at most one face, but
   the first join of a union merges paths of two components, which
-  cannot close one.
+  cannot close one.  The fourth rule implies this one; it stays as the
+  cheap test made before a child's lists are copied.
 - Face-closing candidates: when faces + free - f_target <= max(1, u),
   a child that closes no face leaves fewer than f_target faces within
   reach by the rule above, so the lowest free slot a is offered only
   the slots whose match can close a face: the far ends of a's two
   paths or, when a's path runs from flag 2a to 2a + 1, every free slot
   whose path does the same.
+- Boundary circles, on a child's state after its joins: the free slots
+  lie on the boundary circles of the partial surface, the cycles that
+  alternate a path of the face tracing with the two flags of a free
+  slot.  Each of the r / 2 matches left (r = free) splits a circle
+  (+1), keeps the count or merges two circles (-1), and a circle with
+  no free slot left is a closed face, so the search ends with at most
+  faces + C + r / 2 - 2 M faces, with C the circles now and M the
+  merges to come.  Every union is a merge.  A single, a slot x alone on
+  its circle (its path runs from 2x to 2x + 1), is untouched until x
+  is matched, and then onto another circle, so each merge uses up at
+  most two of the s singles: M >= max(u, ceil(s / 2)).  Every other
+  circle holds at least two slots, so C <= s + (r - s) / 2.  A child is
+  cut when 2 u > r or 2 (f_target - faces) > 2 r + s - 4 M.  When the
+  exact C could cut where that bound on it does not (only if the slack
+  is below r - s - 2), a walk over the free slots counts the circles.
+  s is kept in O(1): a and b leave the singles if they were ones, and a
+  join whose far ends are the two flags of one slot makes a new one;
+  the root's singles are its degree-1 vertices.
 
 A match that uses up a component's last free slots while others remain
 is rejected, like a match that R3 prunes, once per candidate slot and
@@ -177,11 +196,12 @@ def _scheme_search(degrees: tuple[int, ...],
     Returns the number of complete schemes reached (the matching is
     guaranteed connected).  f_target, when set, prunes branches that
     already have too many faces or can no longer close enough of them,
-    counting the unions still needed, whose first joins close none;
-    near that bound a node offers only matches that close a face, as
-    no other child keeps a leaf below it.  A complete scheme is
-    accepted only with exactly f_target faces and, when orientable is
-    set, the requested orientability.
+    counting the unions still needed, whose first joins close none, and
+    the boundary circles the free slots lie on; near the unions bound a
+    node offers only matches that close a face, as no other child keeps
+    a leaf below it.  A complete scheme is accepted only with exactly
+    f_target faces and, when orientable is set, the requested
+    orientability.
     reduce_symmetry switches on R2, R3 and the orderly test of
     _first_of_class, which cuts every scheme but the first of its class;
     R1 is always on.  visit(s0, s1, girth) is called on the flag
@@ -286,7 +306,10 @@ def _scheme_search(degrees: tuple[int, ...],
                 if cx >> 1 == rb:
                     comp[x] = 2 * ra + ((cx ^ flip) & 1)
         # face tracing: close a face or join two paths, join by join; a
-        # first join that closes a face leaves end as the second reads it
+        # first join that closes a face leaves end as the second reads it.
+        # a and b leave the singles; a join whose far ends are the two
+        # flags of one slot makes it a single (never a or b)
+        count[5] -= (end[2 * a] == 2 * a + 1) + (end[2 * b] == 2 * b + 1)
         if end[p] != q or end[p2] != q2:
             end = end[:]
         for p, q in ((p, q), (p2, q2)):
@@ -301,9 +324,38 @@ def _scheme_search(degrees: tuple[int, ...],
                 ep, eq = end[p], end[q]
                 end[ep] = eq
                 end[eq] = ep
+                count[5] += ep ^ eq == 1
         if max_bigons is not None and count[3] > max_bigons:
             return None
+        if f_target is not None:
+            # the boundary-circle bound, doubled: at least m merges are
+            # left, and at most s + (r - s) / 2 circles, which a walk
+            # counts exactly only where the exact count could cut
+            r, u, s = count[0], count[4], count[5]
+            m = max(u, (s + 1) >> 1)
+            slack = 2 * r + s - 4 * m - 2 * (f_target - count[1])
+            if 2 * u > r or slack < 0:
+                return None
+            if slack < r - s - 2 and slack < r + s - 2 * circles(a, end):
+                return None
         return count, end, comp, free
+
+    def circles(a: int, end: list) -> int:
+        """The boundary circles through the free slots, all above a:
+        the cycles that alternate end and the two flags of a slot."""
+        n = 0
+        seen = [False] * nslots
+        for x in range(a + 1, nslots):
+            if match[x] < 0 and not seen[x]:
+                n += 1
+                g = 2 * x
+                while True:  # g: the flag the circle leaves a slot by
+                    h = end[g]
+                    seen[h >> 1] = True
+                    g = h ^ 1
+                    if g == 2 * x:
+                        break
+        return n
 
     def emit(conflicts: int) -> None:
         # apply's face bounds leave exactly f_target faces at a leaf
@@ -336,12 +388,13 @@ def _scheme_search(degrees: tuple[int, ...],
     def rec_search(hint: int, walks: list, count: list, end: list,
                    comp: list, free: list) -> None:
         """Search below the node whose state is count (free slots, faces,
-        conflicts, bigons, unions still needed), end (face tracing: paths
-        alternating fixed s1 edges and matched s0 edges, each endpoint
-        mapped to the opposite one), comp (comp[x] = 2 * root + parity,
-        the lowest vertex of x's component and x's orientation parity
-        relative to it; a union relabels the members of the higher root)
-        and free (the free slots of each root's component)."""
+        conflicts, bigons, unions still needed, singles), end (face
+        tracing: paths alternating fixed s1 edges and matched s0 edges,
+        each endpoint mapped to the opposite one), comp (comp[x] =
+        2 * root + parity, the lowest vertex of x's component and x's
+        orientation parity relative to it; a union relabels the members
+        of the higher root) and free (the free slots of each root's
+        component)."""
         if count[0] == 0:
             emit(count[2])
             return
@@ -402,8 +455,8 @@ def _scheme_search(degrees: tuple[int, ...],
         touched[va] = not seed
 
     if v and nslots % 2 == 0 and (f_target is None or f_target >= 1):
-        rec_search(0, [], [nslots, 0, 0, 0, v - 1], list(s1),
-                   [2 * x for x in range(v)], list(degrees))
+        rec_search(0, [], [nslots, 0, 0, 0, v - 1, degrees.count(1)],
+                   list(s1), [2 * x for x in range(v)], list(degrees))
     del rec_search  # it refers to itself; free the search state now
     return leaves
 

@@ -107,7 +107,7 @@ class TestCertificates:
 
 
 @pytest.mark.skipif(os.environ.get("CELLQEC_RECONSTRUCT") != "1",
-                    reason="full reconstruction search takes about 1.5 minutes;"
+                    reason="full reconstruction search takes about 25 seconds;"
                            " set CELLQEC_RECONSTRUCT=1 to run it")
 def test_reconstruction_matches_the_frozen_entries():
     fig2, fig3, certs = search.reconstruct_figures()

@@ -2,6 +2,7 @@ import collections
 import dataclasses
 import hashlib
 import itertools
+import sys
 
 import pytest
 from sampling import small_cellulation_pool
@@ -97,17 +98,21 @@ class TestSchemeSearch:
         # oracle: the search with neither a face target nor a bigon
         # bound, filtered to the leaves whose flag maps have exactly
         # f_target face cells and at most max_bigons of 4 flags; every
-        # target from 1 to the sphere's e - v + 2 up to 4 edges, and the
-        # projective plane's 6 - v at 5 edges
-        cases = [(degs, range(1, e - len(degs) + 3))
+        # target from 1 to the sphere's e - v + 2 up to 4 edges, the
+        # projective plane's 6 - v at 5 edges, and its 7 - v at 6 edges
+        # in the reduced search only, as the census runs it
+        both = (False, True)
+        cases = [(degs, range(1, e - len(degs) + 3), both)
                  for e in range(1, 5) for v in range(1, 2 * e + 1)
                  for degs in search._partitions(2 * e, v, 2 * e)]
-        cases += [(degs, (6 - v,)) for v in range(1, 6)
+        cases += [(degs, (6 - v,), both) for v in range(1, 6)
                   for degs in search._partitions(10, v, 10)]
+        cases += [(degs, (7 - v,), (True,)) for v in range(1, 7)
+                  for degs in search._partitions(12, v, 12)]
         cut = 0
-        for degs, targets in cases:
+        for degs, targets, reductions in cases:
             s2 = [f ^ 1 for f in range(2 * sum(degs))]
-            for reduced in (False, True):
+            for reduced in reductions:
                 cells = []
 
                 def count_cells(s0, s1):
@@ -127,6 +132,84 @@ class TestSchemeSearch:
                         assert n == len(got)
                         cut += 0 < len(want) < len(every)
         assert cut > 0
+
+    def test_circle_bound_cuts_only_states_that_cannot_finish(self):
+        # every child state with at most 8 free slots that apply builds
+        # in the reduced searches up to 5 edges, at each target from 1
+        # to the sphere's e - v + 2, read off apply's frame as it
+        # returns: with no bigon bound, apply copies count only for a
+        # child that the boundary-circle bound then tests, and returns
+        # None after that only when the bound cuts it.  No completion
+        # of a cut state may be connected with exactly f_target faces,
+        # and count[5] must be the free slots x with end[2x] == 2x + 1.
+        # Some cuts must come from the O(1) bound on the circles and
+        # some only from their exact count
+        cut = []
+
+        def trace(frame, event, arg):
+            if (frame.f_code.co_name != "apply"
+                    or frame.f_globals is not vars(search)):
+                return None
+            frame.f_trace_lines = False
+            parent = frame.f_locals["count"]
+
+            def returned(frame, event, arg):
+                state = frame.f_locals
+                count, end, match = (state["count"], state["end"],
+                                     state["match"])
+                if event != "return" or count is parent or count[0] > 8:
+                    return
+                assert count[5] == sum(end[2 * x] == 2 * x + 1
+                                       for x, m in enumerate(match) if m < 0)
+                if arg is None:
+                    cut.append((state["s1"], list(match), state["f_target"],
+                                count[:]))
+            return returned
+
+        for e in range(1, 6):
+            for v in range(1, 2 * e + 1):
+                for degs in search._partitions(2 * e, v, 2 * e):
+                    for f_target in range(1, e - v + 3):
+                        sys.settrace(trace)
+                        try:
+                            _leaves(degs, f_target, True)
+                        finally:
+                            sys.settrace(None)
+        memos = {}
+        cheap = set()
+        for s1, match, f_target, count in cut:
+            memo = memos.setdefault((tuple(s1), f_target), {})
+            assert not _completes(s1, match, f_target, memo), (match, f_target)
+            r, faces, _, _, u, s = count
+            m = max(u, (s + 1) // 2)
+            cheap.add(2 * u > r or 2 * (f_target - faces) > 2 * r + s - 4 * m)
+        assert {match.count(-1) for _, match, _, _ in cut} == {2, 4, 6, 8}
+        assert cheap == {False, True}
+
+
+def _completes(s1, match, f_target, memo):
+    """Brute force: does some pairing and twisting of the free slots of
+    match (-1) give a connected map with exactly f_target faces?  memo
+    holds the answers for match tuples of one s1 and f_target."""
+    key = tuple(match)
+    if key not in memo:
+        free = [x for x, m in enumerate(match) if m < 0]
+        if free:
+            a = free[0]
+            found = False
+            for b, t in itertools.product(free[1:], (0, 1)):
+                child = list(match)
+                child[a], child[b] = 2 * b + t, 2 * a + t
+                if _completes(s1, child, f_target, memo):
+                    found = True
+                    break
+        else:
+            s0 = [f for m in match for f in (m ^ 1, m)]
+            fm = surface.FlagMap(s0, s1, [f ^ 1 for f in range(len(s0))])
+            found = (fm._cells(s0, s1)[2] == f_target
+                     and fm.components()[0] == 1)
+        memo[key] = found
+    return memo[key]
 
 
 def _orderly_cases():
