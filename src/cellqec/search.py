@@ -4,13 +4,16 @@ A cellulation of a closed surface is the same data as a signed rotation
 system: a cyclic order of edge-ends around each vertex plus a twist bit
 per edge.  The enumerator fixes a vertex degree sequence, lays the edge
 ends out as slots and depth-first searches over perfect matchings of the
-slots with twist bits, tracing faces and orientability incrementally;
-a face is checked for being a bigon from the matches when it closes.
-All search state lives in small flat lists.  The matches and the touched
-vertices are written in place and reset after each child; the rest is
-copied per node, only where a match changes it, so nothing is undone.
-A complete scheme whose face count or orientability misses the target
-surface is counted and dropped before its flag system is built.  The
+slots with twist bits, tracing faces incrementally; a face is checked
+for being a bigon from the matches when it closes.  All search state
+lives in small flat lists.  The matches and the touched vertices are
+written in place and reset after each child; the rest is copied per
+node, only where a match changes it, so nothing is undone.  With a
+face target, every complete scheme has it.  Orientability is not
+tracked: where the target fixes it and an even or unset Euler
+characteristic leaves it open (a connected closed surface of odd chi is
+never orientable), the census driver reads it off each leaf's flag map
+and drops a leaf of the wrong kind before its class is counted.  The
 census driver runs the search over every degree sequence, keeps one
 cellulation per class and applies the filters; it returns the survivors
 with the scheme and class counts that census_report prints.
@@ -51,23 +54,12 @@ R3  Root rank.  Vertex 0 has the maximum degree d0 and slot 0 is the
 R2 and R3 are switched by reduce_symmetry, on by default; with it off
 the search keeps only R1 and serves as the test suite's oracle.
 
-The face count prunes by four rules, each of which cuts only branches
+The face count prunes by two rules, each of which cuts only branches
 with no leaf below them:
 
 - Too many faces: more than f_target, or f_target with slots left (the
-  last match always closes a face).
-- Too few: faces + free - u < f_target, where free counts the free
-  slots and u the unions still needed (v - 1 minus those made).  Each
-  free slot adds one s0 join and a join closes at most one face, but
-  the first join of a union merges paths of two components, which
-  cannot close one.  The fourth rule implies this one; it stays as the
-  cheap test made before a child's lists are copied.
-- Face-closing candidates: when faces + free - f_target <= max(1, u),
-  a child that closes no face leaves fewer than f_target faces within
-  reach by the rule above, so the lowest free slot a is offered only
-  the slots whose match can close a face: the far ends of a's two
-  paths or, when a's path runs from flag 2a to 2a + 1, every free slot
-  whose path does the same.
+  last match always closes a face).  Tested before a child's lists are
+  copied.
 - Boundary circles, on a child's state after its joins: the free slots
   lie on the boundary circles of the partial surface, the cycles that
   alternate a path of the face tracing with the two flags of a free
@@ -75,17 +67,22 @@ with no leaf below them:
   (+1), keeps the count or merges two circles (-1), and a circle with
   no free slot left is a closed face, so the search ends with at most
   faces + C + r / 2 - 2 M faces, with C the circles now and M the
-  merges to come.  Every union is a merge.  A single, a slot x alone on
-  its circle (its path runs from 2x to 2x + 1), is untouched until x
-  is matched, and then onto another circle, so each merge uses up at
-  most two of the s singles: M >= max(u, ceil(s / 2)).  Every other
-  circle holds at least two slots, so C <= s + (r - s) / 2.  A child is
-  cut when 2 u > r or 2 (f_target - faces) > 2 r + s - 4 M.  When the
-  exact C could cut where that bound on it does not (only if the slack
-  is below r - s - 2), a walk over the free slots counts the circles.
-  s is kept in O(1): a and b leave the singles if they were ones, and a
-  join whose far ends are the two flags of one slot makes a new one;
-  the root's singles are its degree-1 vertices.
+  merges to come.  Every union is a merge, u of them (v - 1 minus
+  those made).  A single, a slot x alone on its circle (its path runs
+  from 2x to 2x + 1), is untouched until x is matched, and then onto
+  another circle, so each merge uses up at most two of the s singles:
+  M >= max(u, ceil(s / 2)).  Every other circle holds at least two
+  slots, so C <= s + (r - s) / 2.  A child is cut when 2 u > r or
+  2 (f_target - faces) > 2 r + s - 4 M.  When the exact C could cut
+  where that bound on it does not (only if the slack is below
+  r - s - 2), a walk over the free slots counts the circles.  s is kept
+  in O(1): a and b leave the singles if they were ones, and a join
+  whose far ends are the two flags of one slot makes a new one; the
+  root's singles are its degree-1 vertices.  As C <= (r + s) / 2 <= r
+  and M >= u, the rule implies faces + free - 2 u >= f_target: the
+  first join of each union closes no face, and where few faces are to
+  spare a child whose match closes none is cut once its joins are
+  traced.
 
 A match that uses up a component's last free slots while others remain
 is rejected, like a match that R3 prunes, once per candidate slot and
@@ -143,8 +140,11 @@ class EnumerationConstraints:
     """Filters for the cellulation census.
 
     chi/orientable describe the target surface (None = unconstrained).
-    Systole bounds of 1 are vacuous.  bigon_faces and valence2_vertices
-    demand exact counts when set.
+    chi fixes the face count the search prunes on; orientable is tested
+    on each complete cellulation, except with odd chi, where no
+    orientable one exists and orientable=True is rejected.  Systole
+    bounds of 1 are vacuous.  bigon_faces and valence2_vertices demand
+    exact counts when set.
     """
     edge_count: int
     chi: int | None = None
@@ -163,6 +163,8 @@ class EnumerationConstraints:
         for name in ("vertex_count", "bigon_faces", "valence2_vertices"):
             if (getattr(self, name) or 0) < 0:
                 raise ValueError(f"{name} must be non-negative")
+        if self.orientable and (self.chi or 0) % 2:
+            raise ValueError("an orientable closed surface has even chi")
 
     @classmethod
     def rp2(cls, edge_count: int, **kw) -> "EnumerationConstraints":
@@ -189,19 +191,16 @@ def _scheme_search(degrees: tuple[int, ...],
                    visit: Callable[[list[int], list[int]], None],
                    f_target: int | None,
                    reduce_symmetry: bool,
-                   max_bigons: int | None = None,
-                   orientable: bool | None = None) -> int:
+                   max_bigons: int | None = None) -> int:
     """DFS over signed matchings of the slot structure given by degrees.
 
     Returns the number of complete schemes reached (the matching is
-    guaranteed connected).  f_target, when set, prunes branches that
-    already have too many faces or can no longer close enough of them,
-    counting the unions still needed, whose first joins close none, and
-    the boundary circles the free slots lie on; near the unions bound a
-    node offers only matches that close a face, as no other child keeps
-    a leaf below it.  A complete scheme is accepted only with exactly
-    f_target faces and, when orientable is set, the requested
-    orientability.
+    guaranteed connected), every one of which is accepted.  f_target,
+    when set, prunes branches that already have too many faces or can no
+    longer close enough of them, counting the boundary circles the free
+    slots lie on and the merges of them that the unions still needed
+    and the lone slots force, so every complete scheme has exactly
+    f_target faces.  Orientability is not tracked.
     reduce_symmetry switches on R2, R3 and the orderly test of
     _first_of_class, which cuts every scheme but the first of its class;
     R1 is always on.  visit(s0, s1, girth) is called on the flag
@@ -258,14 +257,13 @@ def _scheme_search(degrees: tuple[int, ...],
     touched = [False] * v
     leaves = 0
 
-    def apply(a: int, b: int, t: int, ca: int, cb: int, left: int,
+    def apply(a: int, b: int, t: int, ra: int, rb: int, left: int,
               count: list, end: list, comp: list, free: list):
         """Match slots a, b with twist t: the child's (count, end, comp,
         free), fresh copies of those the match changes, or None when the
-        branch is pruned.  ca and cb are the comp entries of both ends'
-        vertices and left the free slots of the component the match
+        branch is pruned.  ra and rb are the roots of both ends'
+        components and left the free slots of the component the match
         leaves."""
-        ra, rb = ca >> 1, cb >> 1
         # the ribbon's two s0 flag edges (p, q) and (p2, q2): the first
         # closes a face iff end[p] == q, else it joins two paths, after
         # which the second closes one iff its ends meet
@@ -280,11 +278,8 @@ def _scheme_search(degrees: tuple[int, ...],
             else:
                 faces = count[1] + (
                     q2 == (eq if p2 == ep else ep if p2 == eq else end[p2]))
-            rest = count[0] - 2
-            if faces > f_target or (faces == f_target and rest):
+            if faces > f_target or (faces == f_target and count[0] > 2):
                 return None
-            if faces + rest - count[4] + (ra != rb) < f_target:
-                return None  # each union's first join closes no face
         if ra > rb:  # the lower root stays
             ra, rb = rb, ra
         match[a] = 2 * b + t
@@ -293,23 +288,17 @@ def _scheme_search(degrees: tuple[int, ...],
         count[0] -= 2
         free = free[:]
         free[ra] = left
-        # orientation parity: an untwisted edge keeps the local
-        # orientations aligned, a twisted one flips them
-        flip = (ca ^ cb ^ t) & 1
-        if ra == rb:
-            count[2] += flip
-        else:
-            count[4] -= 1
+        if ra != rb:
+            count[3] -= 1
             comp = comp[:]
             for x in range(rb, v):  # a root is its component's lowest vertex
-                cx = comp[x]
-                if cx >> 1 == rb:
-                    comp[x] = 2 * ra + ((cx ^ flip) & 1)
+                if comp[x] == rb:
+                    comp[x] = ra
         # face tracing: close a face or join two paths, join by join; a
         # first join that closes a face leaves end as the second reads it.
         # a and b leave the singles; a join whose far ends are the two
         # flags of one slot makes it a single (never a or b)
-        count[5] -= (end[2 * a] == 2 * a + 1) + (end[2 * b] == 2 * b + 1)
+        count[4] -= (end[2 * a] == 2 * a + 1) + (end[2 * b] == 2 * b + 1)
         if end[p] != q or end[p2] != q2:
             end = end[:]
         for p, q in ((p, q), (p2, q2)):
@@ -319,19 +308,19 @@ def _scheme_search(degrees: tuple[int, ...],
                 # partner is s1[q]; x == q is a face of size 1
                 x = s1[p]
                 if x != q and match[x >> 1] ^ (x & 1) ^ 1 == s1[q]:
-                    count[3] += 1
+                    count[2] += 1
             else:
                 ep, eq = end[p], end[q]
                 end[ep] = eq
                 end[eq] = ep
-                count[5] += ep ^ eq == 1
-        if max_bigons is not None and count[3] > max_bigons:
+                count[4] += ep ^ eq == 1
+        if max_bigons is not None and count[2] > max_bigons:
             return None
         if f_target is not None:
             # the boundary-circle bound, doubled: at least m merges are
             # left, and at most s + (r - s) / 2 circles, which a walk
             # counts exactly only where the exact count could cut
-            r, u, s = count[0], count[4], count[5]
+            r, u, s = count[0], count[3], count[4]
             m = max(u, (s + 1) >> 1)
             slack = 2 * r + s - 4 * m - 2 * (f_target - count[1])
             if 2 * u > r or slack < 0:
@@ -357,12 +346,10 @@ def _scheme_search(degrees: tuple[int, ...],
                         break
         return n
 
-    def emit(conflicts: int) -> None:
+    def emit() -> None:
         # apply's face bounds leave exactly f_target faces at a leaf
         nonlocal leaves
         leaves += 1
-        if orientable is not None and (conflicts == 0) != orientable:
-            return
         # the shortest orientation-reversing cycle of the vertex graph,
         # capped at 3: a twisted loop, or two edges with the same ends and
         # different twists (flipping a vertex's local orientation flips
@@ -388,15 +375,13 @@ def _scheme_search(degrees: tuple[int, ...],
     def rec_search(hint: int, walks: list, count: list, end: list,
                    comp: list, free: list) -> None:
         """Search below the node whose state is count (free slots, faces,
-        conflicts, bigons, unions still needed, singles), end (face
-        tracing: paths alternating fixed s1 edges and matched s0 edges,
-        each endpoint mapped to the opposite one), comp (comp[x] =
-        2 * root + parity, the lowest vertex of x's component and x's
-        orientation parity relative to it; a union relabels the members
-        of the higher root) and free (the free slots of each root's
-        component)."""
+        bigons, unions still needed, singles), end (face tracing: paths
+        alternating fixed s1 edges and matched s0 edges, each endpoint
+        mapped to the opposite one), comp (comp[x] is the root, the lowest
+        vertex, of x's component; a union relabels the members of the
+        higher root) and free (the free slots of each root's component)."""
         if count[0] == 0:
-            emit(count[2])
+            emit()
             return
         a = hint
         while match[a] >= 0:
@@ -409,27 +394,13 @@ def _scheme_search(degrees: tuple[int, ...],
             if va and reduce_symmetry:
                 walks = walks + seeded(va, touched)
             touched[va] = True
-        if (f_target is not None
-                and count[1] + count[0] - f_target <= max(1, count[4])):
-            # every child must close a face: a join closes one only at
-            # the far end of a's path, or, when that path runs from 2a to
-            # 2a + 1, as the second join with a b whose path does the same
-            x = end[2 * a]
-            if x == 2 * a + 1:
-                bs = [b for b in range(a + 1, nslots)
-                      if end[2 * b] == 2 * b + 1]
-            else:
-                bs = sorted({x >> 1, end[2 * a + 1] >> 1})
-        else:
-            bs = range(a + 1, nslots)
         # the tests that do not depend on the twist run once per b
         ranks = rank[a]
         floor = rank[0][match[0] >> 1] if a else 0  # the root edge's rank
-        ca = comp[va]
-        ra = ca >> 1
+        ra = comp[va]
         fa = free[ra]
         last = count[0] == 2
-        for b in bs:
+        for b in range(a + 1, nslots):
             if match[b] >= 0 or ranks[b] < floor:
                 continue
             vb = slot_vertex[b]
@@ -437,14 +408,13 @@ def _scheme_search(degrees: tuple[int, ...],
             if fresh and (b != starts[vb]
                           or not (lead[vb] or touched[vb - 1])):
                 continue
-            cb = comp[vb]
-            rb = cb >> 1
+            rb = comp[vb]
             left = fa - 2 if ra == rb else fa + free[rb] - 2
             if left == 0 and not last:
                 continue  # a closed component with slots left over
             touched[vb] = True
             for t in (0,) if fresh and reduce_symmetry else (0, 1):
-                state = apply(a, b, t, ca, cb, left, count, end, comp, free)
+                state = apply(a, b, t, ra, rb, left, count, end, comp, free)
                 if state is not None:
                     kids = (extend_walks(walks, a, b) if reduce_symmetry
                             else walks)
@@ -455,8 +425,8 @@ def _scheme_search(degrees: tuple[int, ...],
         touched[va] = not seed
 
     if v and nslots % 2 == 0 and (f_target is None or f_target >= 1):
-        rec_search(0, [], [nslots, 0, 0, 0, v - 1, degrees.count(1)],
-                   list(s1), [2 * x for x in range(v)], list(degrees))
+        rec_search(0, [], [nslots, 0, 0, v - 1, degrees.count(1)],
+                   list(s1), list(range(v)), list(degrees))
     del rec_search  # it refers to itself; free the search state now
     return leaves
 
@@ -664,10 +634,12 @@ def _enumerate_with_stats(cons: EnumerationConstraints,
     of the reduced search opens a new class; without reduce_symmetry a
     leaf does when its canonical form is new to the search.  The class
     becomes one Cellulation per target, through the flag dual for a
-    mirrored one.  A target whose bound the girth handed over by the
-    search breaks is dropped before any flag map is built.  Classes come
-    out grouped by search, not by vertex count, and are counted once per
-    target.
+    mirrored one.  When the constraints fix orientability and chi leaves
+    it open (it is even or unset), a leaf of the wrong kind is dropped on
+    its flag map before anything else.  A target whose bound the girth
+    handed over by the search breaks is dropped before any flag map is
+    built.  Classes come out grouped by search, not by vertex count, and
+    are counted once per target.
     """
     if cons.edge_count > MAX_EDGE_COUNT:
         raise EnumerationBudgetError(
@@ -702,6 +674,9 @@ def _enumerate_with_stats(cons: EnumerationConstraints,
     # face graph the target's face graph, unless the target is its dual
     bounds = {False: (cons.min_primal_systole, cons.min_dual_systole),
               True: (cons.min_dual_systole, cons.min_primal_systole)}
+    # each leaf's flag map decides orientability only where chi leaves it
+    # open: a connected closed surface of odd chi is never orientable
+    orientable = cons.orientable if not (chi or 0) % 2 else None
 
     for (side_v, want2, side_bigons), targets in searches.items():
         seen: set[bytes] = set()  # canonical forms, without reduce_symmetry
@@ -710,8 +685,11 @@ def _enumerate_with_stats(cons: EnumerationConstraints,
         def visit(s0, s1, girth, _targets=targets, _seen=seen):
             nonlocal classes
             flags = None
-            if not reduce_symmetry:
+            if orientable is not None or not reduce_symmetry:
                 flags = FlagMap(s0, s1, s2)
+            if orientable is not None and flags.components()[1] != orientable:
+                return
+            if not reduce_symmetry:
                 key = flags.canonical_form()
                 if key in _seen:
                     return
@@ -734,9 +712,7 @@ def _enumerate_with_stats(cons: EnumerationConstraints,
             if want2 is not None and degs.count(2) != want2:
                 continue
             schemes += _scheme_search(degs, visit, f_target,
-                                      reduce_symmetry,
-                                      max_bigons=side_bigons,
-                                      orientable=cons.orientable)
+                                      reduce_symmetry, side_bigons)
     return results, schemes, classes
 
 
