@@ -109,9 +109,9 @@ class Gf2Matrix:
     def __post_init__(self):
         if len(self.row_bits) != self.rows:
             raise ValueError("row count mismatch")
-        for r in self.row_bits:
-            if r < 0 or r >> self.cols:
-                raise ValueError("row bits out of range for column count")
+        if self.row_bits and (min(self.row_bits) < 0
+                              or max(self.row_bits) >> self.cols):
+            raise ValueError("row bits out of range for column count")
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]]) -> "Gf2Matrix":

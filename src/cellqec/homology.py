@@ -4,8 +4,10 @@ Every check matrix here has columns of weight <= 2 (true of every
 cellulation incidence matrix and planar check matrix), so it is a
 graph: ``CheckGraph.of`` builds it once per matrix, with the rows plus
 one boundary node as nodes and each column as an edge, and raises
-``UnsupportedCheckStructure`` otherwise.  The tree-cotree split, the
-distance search and the decoder all read that one graph.
+``UnsupportedCheckStructure`` otherwise.  It reads the check's set
+entries once, row by row, and builds no transposed matrix.  The
+tree-cotree split, the distance search and the decoder all read that
+one graph.
 
 Logical classes of a pair of commuting checks (x, z) -- both sides of
 every code, and the functionals of every systole -- come from one
@@ -82,25 +84,49 @@ class CheckGraph:
     @classmethod
     def of(cls, check: Gf2Matrix) -> "CheckGraph":
         """The graph of check; UnsupportedCheckStructure unless every
-        column has weight <= 2."""
-        boundary = check.rows
-        columns = check.transpose().row_bits
-        ends: list[tuple[int, int] | None] = []
-        adj: list[list[tuple[int, int]]] = [[] for _ in range(boundary + 1)]
-        for e, col in enumerate(columns):
-            weight = col.bit_count()
-            if weight > 2:
-                raise UnsupportedCheckStructure(
-                    f"column {e} touches {weight} generators")
-            if weight == 0:
-                ends.append(None)
-                continue
-            a = (col & -col).bit_length() - 1
-            b = col.bit_length() - 1 if weight == 2 else boundary
-            ends.append((a, b))
-            adj[a].append((b, e))
-            adj[b].append((a, e))
-        return cls(boundary, columns, tuple(ends), tuple(map(tuple, adj)))
+        column has weight <= 2.
+
+        One pass over the set entries, row by row, each row from its
+        highest column down: a column's first entry is its lower end a,
+        whose adjacency entry points at the boundary until a second
+        entry, the upper end b, repoints it at b.
+        """
+        boundary, n = check.rows, check.cols
+        columns = [0] * n
+        ends: list[tuple[int, int] | None] = [None] * n
+        lower: list = [None] * n  # (adjacency list, index) at the lower end
+        adj: list[list] = []
+        over = []  # columns met a third time
+        for a, r in enumerate(check.row_bits):
+            bit = 1 << a
+            i = r.bit_count()
+            at = [None] * i
+            while r:
+                e = r.bit_length() - 1
+                r ^= 1 << e
+                i -= 1
+                columns[e] |= bit
+                ab = ends[e]
+                if ab is None:
+                    ends[e] = (a, boundary)
+                    at[i] = (boundary, e)
+                    lower[e] = (at, i)
+                elif ab[1] == boundary:
+                    ends[e] = (ab[0], a)
+                    at[i] = (ab[0], e)
+                    row, j = lower[e]
+                    row[j] = (a, e)
+                else:
+                    over.append(e)
+            adj.append(at)
+        if over:
+            e = min(over)
+            raise UnsupportedCheckStructure(
+                f"column {e} touches {columns[e].bit_count()} generators")
+        adj.append([(ab[0], e) for e, ab in enumerate(ends)
+                    if ab and ab[1] == boundary])
+        return cls(boundary, tuple(columns), tuple(ends),
+                   tuple(map(tuple, adj)))
 
 
 def _forest(graph: CheckGraph, columns: Sequence[int]) -> list[int]:

@@ -300,6 +300,8 @@ class PlanarPatch:
 
 def _ring(x: int, y: int, w: int, h: int) -> list[tuple[int, int]]:
     """The lattice points around a w x h rectangle, counterclockwise."""
+    if w == h == 1:
+        return [(x, y), (x + 1, y), (x + 1, y + 1), (x, y + 1)]
     return ([(x + a, y) for a in range(w)] + [(x + w, y + b) for b in range(h)]
             + [(x + w - a, y + h) for a in range(w)]
             + [(x, y + h - b) for b in range(h)])
@@ -311,19 +313,22 @@ def build_punctured_disk_code(patch: PlanarPatch) -> CssCode:
     The kept unit squares and one face per hole boundary form a
     cellulation of the patch; its incidences give the checks, X on the
     squares only and Z on every vertex.  The hole faces supply the
-    edges between two adjacent holes, which border no square.
+    edges between two adjacent holes, which border no square.  Two
+    sets, built once, hold the geometry: the lattice points strictly
+    inside a hole and the unit squares a hole covers.
     """
     holes = patch.holes
+    inside = {(i, j) for x, y, w, h in holes
+              for i in range(x + 1, x + w) for j in range(y + 1, y + h)}
+    covered = {(i, j) for x, y, w, h in holes
+               for i in range(x, x + w) for j in range(y, y + h)}
     vid: dict[tuple[int, int], int] = {}
     for i in range(patch.width + 1):
         for j in range(patch.height + 1):
-            if not any(x < i < x + w and y < j < y + h
-                       for x, y, w, h in holes):
-                vid[(i, j)] = len(vid)
+            if (i, j) not in inside:
+                vid[i, j] = len(vid)
     squares = [(i, j, 1, 1) for i in range(patch.width)
-               for j in range(patch.height)
-               if not any(x <= i < x + w and y <= j < y + h
-                          for x, y, w, h in holes)]
+               for j in range(patch.height) if (i, j) not in covered]
     cells = surface.from_vertex_faces(
         len(vid), [[vid[p] for p in _ring(*r)] for r in squares + list(holes)])
     fe, ve = surface.incidence_matrices(cells)

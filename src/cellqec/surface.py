@@ -62,10 +62,6 @@ class Cellulation:
         a, b = self.edges[e]
         return a if d == 1 else b
 
-    def step_head(self, e: int, d: int) -> int:
-        a, b = self.edges[e]
-        return b if d == 1 else a
-
     # -- serialization ----------------------------------------------------
     def to_json_dict(self) -> dict:
         return {
@@ -190,6 +186,7 @@ class FlagMap:
         colour = [-1] * self.n
         count = 0
         orientable = True
+        involutions = (self.s0, self.s1, self.s2)
         for start in range(self.n):
             if colour[start] >= 0:
                 continue
@@ -199,7 +196,7 @@ class FlagMap:
             while stack:
                 f = stack.pop()
                 other = colour[f] ^ 1
-                for s in (self.s0, self.s1, self.s2):
+                for s in involutions:
                     t = s[f]
                     if colour[t] < 0:
                         colour[t] = other
@@ -374,32 +371,37 @@ def build_flags_labeled(c: Cellulation) -> tuple[FlagMap, list[int]]:
     s0 = [f ^ 1 for f in range(n)]
     s1 = [0] * n
     s2 = [0] * n
+    # a step (e, d) runs from edges[e][d < 0] to edges[e][d > 0]
+    edges = c.edges
+    tails = [edges[e][d < 0] for e, d in traversals]
     # s1: the head flag of a step pairs with the tail flag of the next
     base = 0
     for fi, walk in enumerate(c.faces):
-        for si, (e, d) in enumerate(walk):
-            nxt = (si + 1) % len(walk)
-            if c.step_head(e, d) != c.step_tail(*walk[nxt]):
+        last = base + len(walk) - 1
+        for t, (e, d) in enumerate(walk, base):
+            nxt = t + 1 if t < last else base
+            if edges[e][d > 0] != tails[nxt]:
                 raise CellulationError(
-                    f"face {fi} walk is not closed at step {si}")
-            s1[2 * (base + si) + 1] = 2 * (base + nxt)
-            s1[2 * (base + nxt)] = 2 * (base + si) + 1
-        base += len(walk)
-    # s2: match the two traversals of an edge by physical edge end
-    for e, (ta, tb) in enumerate(per_edge):
-        for end in (0, 1):  # end 0 = stored endpoint a side, 1 = b side
-            fa = 2 * ta + (end if traversals[ta][1] == 1 else 1 - end)
-            fb = 2 * tb + (end if traversals[tb][1] == 1 else 1 - end)
-            s2[fa] = fb
-            s2[fb] = fa
+                    f"face {fi} walk is not closed at step {t - base}")
+            s1[2 * t + 1] = 2 * nxt
+            s1[2 * nxt] = 2 * t + 1
+        base = last + 1
+    # s2: match the two traversals of an edge by physical edge end; the
+    # flag of traversal t at the stored first endpoint is 2t if t runs
+    # forwards, 2t + 1 if backwards, and the other end's is its partner
+    for ta, tb in per_edge:
+        fa = 2 * ta + (traversals[ta][1] < 0)
+        fb = 2 * tb + (traversals[tb][1] < 0)
+        s2[fa], s2[fb] = fb, fa
+        s2[fa ^ 1], s2[fb ^ 1] = fb ^ 1, fa ^ 1
     flags = FlagMap(s0, s1, s2)
     # s1 and s2 join flags at one declared vertex (the walks are closed,
     # s2 pairs like edge ends), so each vertex cell has one owner, the
     # tail of any traversal in it; a vertex owning two cells is pinched
     vert, _, nv = flags._cells(s2, s1)
     owner = [0] * nv
-    for t, (e, d) in enumerate(traversals):
-        owner[vert[2 * t]] = c.step_tail(e, d)
+    for t, v in enumerate(tails):
+        owner[vert[2 * t]] = v
     used = set()
     for v in owner:
         if v in used:
@@ -473,20 +475,27 @@ def isomorphic(a: Cellulation, b: Cellulation) -> bool:
 
 def from_vertex_faces(vertex_count: int,
                       faces: Sequence[Sequence[int]]) -> Cellulation:
-    """Cellulation from faces given as vertex cycles (simple edges only)."""
-    edge_ids: dict[tuple[int, int], int] = {}
+    """Cellulation from faces given as vertex cycles (simple edges only).
+
+    An edge is stored with its smaller end first; step[(u, v)] is the
+    face walk step from u to v, so a step along a known edge costs one
+    dict lookup.
+    """
+    step: dict[tuple[int, int], tuple[int, int]] = {}
     edges: list[tuple[int, int]] = []
     walks = []
     for cyc in faces:
         walk = []
-        for i, u in enumerate(cyc):
-            v = cyc[(i + 1) % len(cyc)]
-            key = (min(u, v), max(u, v))
-            if key not in edge_ids:
-                edge_ids[key] = len(edges)
-                edges.append(key)
-            e = edge_ids[key]
-            walk.append((e, 1 if edges[e][0] == u else -1))
+        for u, v in zip(cyc, [*cyc[1:], *cyc[:1]]):
+            st = step.get((u, v))
+            if st is None:  # a new edge; a loop runs forwards
+                e = len(edges)
+                a, b = (u, v) if u <= v else (v, u)
+                edges.append((a, b))
+                step[b, a] = (e, -1)
+                step[a, b] = (e, 1)
+                st = step[u, v]
+            walk.append(st)
         walks.append(tuple(walk))
     return Cellulation(vertex_count, tuple(edges), tuple(walks))
 

@@ -616,6 +616,66 @@ class TestLogicalOperators:
             assert gf2.in_span(rows, v ^ Gf2Vector.from_support(v.n, support))
 
 
+class TestCodesOutputs:
+    # sha256 of stdout of every code params, invariants and compare
+    # command the codes benchmark runs, recorded before the one-pass
+    # check graph and the set-based patch geometry
+    @pytest.mark.parametrize("argv,digest", [
+        (["code", "params", "rp2_minimal"],
+         "e0f9267c5e266fb5cec0b2cf79c653795ecfc37a2a20ae07f83361af813ca823"),
+        (["code", "params", "fig1_hemi_icosahedron"],
+         "874212ebe8be73326386f0a1d26cd141a15fae5a264d032c116008b4a2f96efb"),
+        (["code", "params", "fig2_nine_edge"],
+         "25d121da47a01e0a8283d5186e1909212cba18b584453f318bc4346103ec0ff7"),
+        (["code", "params", "fig3_nine_edge"],
+         "25d121da47a01e0a8283d5186e1909212cba18b584453f318bc4346103ec0ff7"),
+        (["code", "params", "fig4_shor"],
+         "25d121da47a01e0a8283d5186e1909212cba18b584453f318bc4346103ec0ff7"),
+        (["code", "params", "cube_sphere"],
+         "2704a6c721700372c11fbf0fb0e5ca8b2623447051f5bd1f16d0552041fa8892"),
+        (["code", "params", "toric(2,2)"],
+         "889cca86001c45c1ef9ab66309aa248686b694ba7bc1d8f12c135d45e3ee0263"),
+        (["code", "params", "toric(3,3)"],
+         "ee3558b8e8d1ff97cf08f2cc4a2001482baf9f96f7129da64feb74d4596d89fb"),
+        (["code", "params", "toric(4,4)"],
+         "291fb3f02b8e6b7782cbfafddbd969560d820b3aa132a788b30a1ce2353557a9"),
+        (["code", "params", "toric(5,5)"],
+         "bda8f122efceb0609513fca99702d0bdd21435a884de22b6815adcaca5998713"),
+        (["code", "params", "toric(6,6)"],
+         "a5a328f25fc285911da78fbd702e1bf9d525e81861a800ef8fa8449155194576"),
+        (["code", "params", "toric(8,8)"],
+         "608b2d387e0072ede9e94a2615a062de11405368ec58f3673796b97d0a806505"),
+        (["code", "invariants", "rp2_minimal"],
+         "b972dae368f3618385e4d10fd59c8622356c0c1c442e45a3c92384ae71da78c6"),
+        (["code", "invariants", "fig1_hemi_icosahedron"],
+         "6e576dfb37c1ca537426edf1331d65a77664ccc019800f02eda15903aae9f810"),
+        (["code", "invariants", "fig2_nine_edge"],
+         "e67e4a050aaaa6454d17078cb49c42035716f7802f38ba64e31f58a1786e0b8b"),
+        (["code", "invariants", "fig3_nine_edge"],
+         "ef2494937e45ce66733271997bae151d85e27c5a29b1fa38d73b5e335d4f9a48"),
+        (["code", "invariants", "fig4_shor"],
+         "4b447cda93121ae4c316cab8279b1a37fa15003f74cf02b0e8cca49d322db8ef"),
+        (["code", "invariants", "cube_sphere"],
+         "68081ae5584ffb9ffdae22308a978e369045c221052884f99622e3c9396efead"),
+        (["code", "invariants", "toric(4,4)"],
+         "78d65f95562ee76b14fc382d7cc4df4921a09e38c42b4d6d79823a4f6004e619"),
+        (["code", "compare", "fig2_nine_edge", "fig3_nine_edge"],
+         "0705602b76739999abae6df38661bdb1febf1fb291051ba029b6a6fa025b4c3f"),
+    ], ids=["params-rp2_minimal", "params-fig1_hemi_icosahedron",
+            "params-fig2_nine_edge", "params-fig3_nine_edge",
+            "params-fig4_shor", "params-cube_sphere", "params-toric22",
+            "params-toric33", "params-toric44", "params-toric55",
+            "params-toric66", "params-toric88", "invariants-rp2_minimal",
+            "invariants-fig1_hemi_icosahedron", "invariants-fig2_nine_edge",
+            "invariants-fig3_nine_edge", "invariants-fig4_shor",
+            "invariants-cube_sphere", "invariants-toric44",
+            "compare-fig2_nine_edge-fig3_nine_edge"])
+    def test_stdout_is_pinned(self, capsys, argv, digest):
+        code, out, _ = run(capsys, argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 class TestDerivedOnRead:
     # these commands print no distance, so they must run no distance
     # search: the code derives its distances only when they are read

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from construction_oracle import transpose_check_graph
 from coset_oracle import greedy_representatives
 from sampling import planar_and_punctured_codes, small_cellulation_pool
 
@@ -153,6 +154,53 @@ def _representative_cases():
         cases += [pytest.param(fe, ve, id=f"{label}-primal"),
                   pytest.param(ve, fe, id=f"{label}-dual")]
     return cases
+
+
+class TestCheckGraphOracle:
+    # the one-pass build against the column-by-column transpose build
+    @pytest.mark.parametrize("fe,ve", _representative_cases())
+    def test_matches_the_transpose_oracle(self, fe, ve):
+        # each check comes first in one case: its primal or its dual one
+        assert homology.CheckGraph.of(fe) == transpose_check_graph(fe)
+
+    def test_matches_the_transpose_oracle_on_random_checks(self):
+        # columns of weight 0, 1 and 2 in every mix, empty checks included
+        rng = random.Random(35)
+        for _ in range(400):
+            rows, cols = rng.randint(0, 7), rng.randint(0, 12)
+            check = _random_check(rng, rows, cols, [0, 1, 2])
+            assert homology.CheckGraph.of(check) == transpose_check_graph(
+                check)
+
+    @pytest.mark.parametrize("weight", [3, 4])
+    def test_heavy_column_names_its_full_weight(self, weight):
+        # the lowest heavy column is named, with every row it touches
+        rng = random.Random(weight)
+        for _ in range(100):
+            rows, cols = rng.randint(weight, 8), rng.randint(1, 10)
+            heavy = sorted(rng.sample(range(cols), rng.randint(1, cols)))
+            check = _random_check(rng, rows, cols, [0, 1, 2],
+                                  {e: weight for e in heavy})
+            with pytest.raises(homology.UnsupportedCheckStructure) as exc:
+                transpose_check_graph(check)
+            message = f"column {heavy[0]} touches {weight} generators"
+            assert str(exc.value) == message
+            with pytest.raises(homology.UnsupportedCheckStructure,
+                               match=f"^{message}$"):
+                homology.CheckGraph.of(check)
+
+
+def _random_check(rng, rows, cols, weights, fixed=None):
+    """A rows x cols check whose column e has weight fixed[e], or else a
+    weight drawn from weights (at most rows)."""
+    bits = [0] * rows
+    for e in range(cols):
+        weight = (fixed or {}).get(e)
+        if weight is None:
+            weight = min(rng.choice(weights), rows)
+        for r in rng.sample(range(rows), weight):
+            bits[r] |= 1 << e
+    return Gf2Matrix(rows, cols, tuple(bits))
 
 
 class TestClassRepresentatives:

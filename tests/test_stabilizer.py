@@ -5,6 +5,7 @@ import random
 import re
 
 import pytest
+from construction_oracle import scanned_disk_checks
 from coset_oracle import coset_min_essential
 from sampling import planar_and_punctured_codes
 
@@ -373,3 +374,30 @@ class TestPlanarBuilderPin:
             values.append(item)
         assert hashlib.sha256(repr(values).encode()).hexdigest() == (
             "5e3986eacffd6de793848139fda31ffb96cc4da17f897f503ae4fb8c7e631042")
+
+
+class TestPlanarGeometryOracle:
+    # the set-based geometry against a scan of every hole per lattice
+    # point and per unit square
+    @pytest.mark.parametrize("patch", [
+        PlanarPatch(6, 5, ((1, 1, 3, 1),)),                # wide
+        PlanarPatch(5, 7, ((2, 1, 1, 4),)),                # tall
+        # both wider and taller than 1, one cell from the border
+        PlanarPatch(8, 8, ((1, 1, 3, 2), (4, 5, 2, 2))),
+        PlanarPatch(6, 4, ((1, 1, 2, 2), (3, 1, 2, 2))),   # a shared side
+        PlanarPatch(7, 7, ((2, 2, 1, 3), (3, 2, 2, 1), (3, 3, 1, 2))),
+        PlanarPatch(9, 9, ((1, 1, 7, 1), (1, 2, 1, 5), (7, 2, 1, 6))),
+        PlanarPatch(5, 5, ((1, 1, 3, 3),)),                # one cell wide ring
+        stabilizer.planar_two_holes_patch(),
+    ], ids=["wide", "tall", "near-border", "shared-side", "three-touching",
+            "border-frame", "thin-ring", "two-holes"])
+    def test_matches_the_scan_oracle(self, patch):
+        code = stabilizer.build_punctured_disk_code(patch)
+        assert (code.x_stabilizers, code.z_stabilizers) == (
+            scanned_disk_checks(patch))
+
+    def test_matches_the_scan_oracle_on_small_patches(self):
+        for patch in _small_patches():
+            code = stabilizer.build_punctured_disk_code(patch)
+            assert (code.x_stabilizers, code.z_stabilizers) == (
+                scanned_disk_checks(patch))

@@ -1,8 +1,11 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from canonical_oracle import full_scan_form
+from construction_oracle import keyed_vertex_faces
 from sampling import sample_small_cellulations
 from cellqec import search, surface
 from cellqec.surface import Cellulation, CellulationError, FlagMap
@@ -93,7 +96,15 @@ class TestValidation:
     def test_single_cover_rejected(self):
         # an edge traversed only once cannot close a surface
         bad = Cellulation(2, ((0, 1),), (((0, 1),),))
-        with pytest.raises(CellulationError):
+        with pytest.raises(CellulationError, match=(
+                "^edge 0 is traversed 1 times; closed surfaces need"
+                " exactly 2$")):
+            surface.validate(bad)
+
+    def test_triple_cover_rejected(self):
+        bad = Cellulation(1, ((0, 0),), (((0, 1), (0, 1), (0, 1)),))
+        with pytest.raises(CellulationError,
+                           match="^edge 0 is traversed 3 times"):
             surface.validate(bad)
 
     def test_unclosed_walk_rejected(self):
@@ -104,12 +115,29 @@ class TestValidation:
         worse = Cellulation(3, ((0, 1), (1, 2), (2, 0)),
                             (((0, 1), (2, 1), (1, 1)),
                              ((0, -1), (2, -1), (1, -1))))
-        with pytest.raises(CellulationError):
+        with pytest.raises(CellulationError,
+                           match="^face 0 walk is not closed at step 0$"):
             surface.validate(worse)
+
+    @pytest.mark.parametrize("second,message", [
+        # 0 -> 3 -> 2, then a step out of 1
+        ([((3, -1), (2, -1), (0, -1), (1, -1))],
+         "face 1 walk is not closed at step 1"),
+        # 0 -> 3 -> 2 -> 1 never returns to 0: the last step fails
+        ([((3, -1), (2, -1), (1, -1)), ((0, -1),)],
+         "face 1 walk is not closed at step 2"),
+    ], ids=["inner-step", "last-step"])
+    def test_unclosed_step_is_named(self, second, message):
+        # face 0 runs round the square 0 -> 1 -> 2 -> 3 -> 0
+        bad = Cellulation(4, ((0, 1), (1, 2), (2, 3), (3, 0)),
+                          (((0, 1), (1, 1), (2, 1), (3, 1)), *second))
+        with pytest.raises(CellulationError, match=f"^{message}$"):
+            surface.validate(bad)
 
     def test_isolated_vertex_rejected(self):
         bad = Cellulation(2, ((0, 0),), (((0, 1), (0, 1)),))
-        with pytest.raises(CellulationError):
+        with pytest.raises(CellulationError,
+                           match="^vertex 1 lies on no edge$"):
             surface.validate(bad)
 
     def test_pinched_complex_rejected(self):
@@ -117,7 +145,8 @@ class TestValidation:
         # the vertex splits into two circles
         bad = Cellulation(1, ((0, 0), (0, 0)),
                           (((0, 1), (0, -1)), ((1, 1), (1, -1))))
-        with pytest.raises(CellulationError):
+        with pytest.raises(CellulationError, match=(
+                r"^vertex 0 has a disconnected star \(pinched complex\)$")):
             surface.validate(bad)
 
 
@@ -378,3 +407,22 @@ class TestCatalog:
         for name in surface.closed_catalog_names():
             info = surface.validate(surface.catalog(name))
             assert info.connected
+
+
+class TestFromVertexFaces:
+    # one step lookup per walk step against a (min, max) key per step
+    def test_catalog_faces_match_the_keyed_oracle(self):
+        for count, faces in [(6, surface._HEMI_ICOSAHEDRON_FACES),
+                             (3, [(0, 1, 2), (0, 2, 1)]), (2, [(0, 1)])]:
+            assert surface.from_vertex_faces(count, faces) == (
+                keyed_vertex_faces(count, faces))
+
+    def test_random_cycles_match_the_keyed_oracle(self):
+        # cycles that reuse edges in either direction, and loops
+        rng = random.Random(35)
+        for _ in range(300):
+            count = rng.randint(1, 5)
+            faces = [[rng.randrange(count) for _ in range(rng.randint(1, 5))]
+                     for _ in range(rng.randint(1, 4))]
+            assert surface.from_vertex_faces(count, faces) == (
+                keyed_vertex_faces(count, faces))
