@@ -58,9 +58,8 @@ The face count prunes by two rules, each of which cuts only branches
 with no leaf below them:
 
 - Too many faces: more than f_target, or f_target with slots left (the
-  last match always closes a face).  Tested before a child's lists are
-  copied.
-- Boundary circles, on a child's state after its joins: the free slots
+  last match always closes a face).
+- Boundary circles, on a child's counts after its joins: the free slots
   lie on the boundary circles of the partial surface, the cycles that
   alternate a path of the face tracing with the two flags of a free
   slot.  Each of the r / 2 matches left (r = free) splits a circle
@@ -81,8 +80,12 @@ with no leaf below them:
   root's singles are its degree-1 vertices.  As C <= (r + s) / 2 <= r
   and M >= u, the rule implies faces + free - 2 u >= f_target: the
   first join of each union closes no face, and where few faces are to
-  spare a child whose match closes none is cut once its joins are
-  traced.
+  spare a child whose match closes none is cut.
+
+Every count either rule reads follows from the parent's lists and the
+ends the two joins see, so both rules, the bigon bound and the orderly
+test run before a child's lists are copied; only the exact circle walk
+reads the joined face tracing.
 
 A match that uses up a component's last free slots while others remain
 is rejected, like a match that R3 prunes, once per candidate slot and
@@ -258,76 +261,77 @@ def _scheme_search(degrees: tuple[int, ...],
     leaves = 0
 
     def apply(a: int, b: int, t: int, ra: int, rb: int, left: int,
-              count: list, end: list, comp: list, free: list):
-        """Match slots a, b with twist t: the child's (count, end, comp,
-        free), fresh copies of those the match changes, or None when the
-        branch is pruned.  ra and rb are the roots of both ends'
-        components and left the free slots of the component the match
-        leaves."""
+              walks: list, count: list, end: list, comp: list, free: list):
+        """Match slots a, b with twist t: the child's (walks, count, end,
+        comp, free), its orderly walks and fresh copies of the lists the
+        match changes, or None when the branch is pruned.  ra and rb are
+        the roots of both ends' components and left the free slots of the
+        component the match leaves.  Every cut but the exact circle count
+        runs before a list is copied."""
         # the ribbon's two s0 flag edges (p, q) and (p2, q2): the first
         # closes a face iff end[p] == q, else it joins two paths, after
-        # which the second closes one iff its ends meet
+        # which the second, whose ends are then fp and fq, closes one iff
+        # they meet.  A join that closes a face has the ends p and q (or
+        # p2 and q2), each the other's end already, so its swap below
+        # changes nothing and it makes no single.  a and b leave the
+        # singles; any other join whose far ends are the two flags of one
+        # slot makes it a single (never a or b)
         if t == 0:
             p, q, p2, q2 = 2 * a, 2 * b + 1, 2 * a + 1, 2 * b
         else:
             p, q, p2, q2 = 2 * a, 2 * b, 2 * a + 1, 2 * b + 1
+        ep, eq = end[p], end[q]
+        closes = ep == q
+        fp = eq if p2 == ep else ep if p2 == eq else end[p2]
+        fq = eq if q2 == ep else ep if q2 == eq else end[q2]
+        closes2 = fp == q2
+        r, faces, bigons, u, s = count
+        r -= 2
+        faces += closes + closes2
+        u -= ra != rb
+        s += ((ep ^ eq == 1) + (fp ^ fq == 1)
+              - (end[2 * a] == 2 * a + 1) - (end[2 * b] == 2 * b + 1))
         if f_target is not None:
-            ep, eq = end[p], end[q]
-            if ep == q:
-                faces = count[1] + 1 + (end[p2] == q2)
-            else:
-                faces = count[1] + (
-                    q2 == (eq if p2 == ep else ep if p2 == eq else end[p2]))
-            if faces > f_target or (faces == f_target and count[0] > 2):
+            if faces > f_target or (faces == f_target and r):
                 return None
-        if ra > rb:  # the lower root stays
-            ra, rb = rb, ra
+            # the boundary-circle bound, doubled: at least m merges are
+            # left, and at most s + (r - s) / 2 circles, which a walk
+            # counts exactly below, only where the exact count could cut
+            m = u if 2 * u >= s else (s + 1) >> 1
+            slack = 2 * r + s - 4 * m - 2 * (f_target - faces)
+            if 2 * u > r or slack < 0:
+                return None
         match[a] = 2 * b + t
         match[b] = 2 * a + t
-        count = count[:]
-        count[0] -= 2
+        if max_bigons is not None:
+            # a closed face p, q, s1[q], x = s1[p] is a bigon iff x's s0
+            # partner is s1[q]; x == q is a face of size 1
+            x = s1[p]
+            if closes and x != q and match[x >> 1] ^ (x & 1) ^ 1 == s1[q]:
+                bigons += 1
+            x = s1[p2]
+            if closes2 and x != q2 and match[x >> 1] ^ (x & 1) ^ 1 == s1[q2]:
+                bigons += 1
+            if bigons > max_bigons:
+                return None
+        if reduce_symmetry:
+            walks = extend_walks(walks, a, b)
+            if walks is None:
+                return None
+        if not (closes and closes2):
+            end = end[:]
+            end[ep], end[eq] = eq, ep
+            end[fp], end[fq] = fq, fp
+        if (f_target is not None and slack < r - s - 2
+                and slack < r + s - 2 * circles(a, end)):
+            return None
+        if ra > rb:  # the lower root stays
+            ra, rb = rb, ra
         free = free[:]
         free[ra] = left
         if ra != rb:
-            count[3] -= 1
-            comp = comp[:]
-            for x in range(rb, v):  # a root is its component's lowest vertex
-                if comp[x] == rb:
-                    comp[x] = ra
-        # face tracing: close a face or join two paths, join by join; a
-        # first join that closes a face leaves end as the second reads it.
-        # a and b leave the singles; a join whose far ends are the two
-        # flags of one slot makes it a single (never a or b)
-        count[4] -= (end[2 * a] == 2 * a + 1) + (end[2 * b] == 2 * b + 1)
-        if end[p] != q or end[p2] != q2:
-            end = end[:]
-        for p, q in ((p, q), (p2, q2)):
-            if end[p] == q:
-                count[1] += 1
-                # the face p, q, s1[q], x = s1[p] is a bigon iff x's s0
-                # partner is s1[q]; x == q is a face of size 1
-                x = s1[p]
-                if x != q and match[x >> 1] ^ (x & 1) ^ 1 == s1[q]:
-                    count[2] += 1
-            else:
-                ep, eq = end[p], end[q]
-                end[ep] = eq
-                end[eq] = ep
-                count[4] += ep ^ eq == 1
-        if max_bigons is not None and count[2] > max_bigons:
-            return None
-        if f_target is not None:
-            # the boundary-circle bound, doubled: at least m merges are
-            # left, and at most s + (r - s) / 2 circles, which a walk
-            # counts exactly only where the exact count could cut
-            r, u, s = count[0], count[3], count[4]
-            m = max(u, (s + 1) >> 1)
-            slack = 2 * r + s - 4 * m - 2 * (f_target - count[1])
-            if 2 * u > r or slack < 0:
-                return None
-            if slack < r - s - 2 and slack < r + s - 2 * circles(a, end):
-                return None
-        return count, end, comp, free
+            comp = [ra if x == rb else x for x in comp]
+        return walks, [r, faces, bigons, u, s], end, comp, free
 
     def circles(a: int, end: list) -> int:
         """The boundary circles through the free slots, all above a:
@@ -366,7 +370,10 @@ def _scheme_search(degrees: tuple[int, ...],
                         break
                 elif twist.setdefault(u * v + w, m & 1) != m & 1:
                     girth = 2
-        visit([f for m in match for f in (m ^ 1, m)], s1, girth)
+        s0 = match * 2
+        s0[::2] = [m ^ 1 for m in match]
+        s0[1::2] = match
+        visit(s0, s1, girth)
 
     # the orderly test: a child that a live walk cuts is not searched
     if reduce_symmetry and v:
@@ -375,11 +382,12 @@ def _scheme_search(degrees: tuple[int, ...],
     def rec_search(hint: int, walks: list, count: list, end: list,
                    comp: list, free: list) -> None:
         """Search below the node whose state is count (free slots, faces,
-        bigons, unions still needed, singles), end (face tracing: paths
-        alternating fixed s1 edges and matched s0 edges, each endpoint
-        mapped to the opposite one), comp (comp[x] is the root, the lowest
-        vertex, of x's component; a union relabels the members of the
-        higher root) and free (the free slots of each root's component)."""
+        bigons, counted only under max_bigons, unions still needed,
+        singles), end (face tracing: paths alternating fixed s1 edges and
+        matched s0 edges, each endpoint mapped to the opposite one), comp
+        (comp[x] is the root, the lowest vertex, of x's component; a union
+        relabels the members of the higher root) and free (the free slots
+        of each root's component)."""
         if count[0] == 0:
             emit()
             return
@@ -414,12 +422,10 @@ def _scheme_search(degrees: tuple[int, ...],
                 continue  # a closed component with slots left over
             touched[vb] = True
             for t in (0,) if fresh and reduce_symmetry else (0, 1):
-                state = apply(a, b, t, ra, rb, left, count, end, comp, free)
+                state = apply(a, b, t, ra, rb, left, walks, count, end,
+                              comp, free)
                 if state is not None:
-                    kids = (extend_walks(walks, a, b) if reduce_symmetry
-                            else walks)
-                    if kids is not None:
-                        rec_search(a + 1, kids, *state)
+                    rec_search(a + 1, *state)
                 match[a] = match[b] = -1
             touched[vb] = not fresh  # unmarked if this node marked it
         touched[va] = not seed

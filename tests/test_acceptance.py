@@ -7,11 +7,11 @@ criterion 10 < 120 s.  The full 9-edge census is opt-in via the
 environment variable CELLQEC_E9_CENSUS=1.  Measured single-core runs
 (Python 3.11, 2-vCPU VM whose speed drifts with the host's load): the
 7-, 8- and 9-edge censuses examine 30,347, 198,573 and 2,460,402
-schemes in about 1.4 s, 8 s and 93 s (one run), and the two
+schemes in about 1.1 s, 6 s and 74 s (one run), and the two
 constrained 9-edge pools of the figure reconstruction 57,751 and
 406,721 schemes (about 25 s for the whole reconstruction).  Census
-time grows about 6 times from 7 to 8 edges and 11 times from 8 to 9,
-so the full 9-edge census takes some 1.5 min.  The always-on
+time grows about 6 times from 7 to 8 edges and 12 times from 8 to 9,
+so the full 9-edge census takes some 1.2 min.  The always-on
 control checks that the three frozen nine-edge catalog classes are
 pairwise distinct and pass the census filter.
 """

@@ -5,6 +5,7 @@ import itertools
 import sys
 
 import pytest
+import rooted_oracle
 from sampling import small_cellulation_pool
 
 from cellqec import homology, search, surface
@@ -134,17 +135,19 @@ class TestSchemeSearch:
         assert cut > 0
 
     def test_circle_bound_cuts_only_states_that_cannot_finish(self):
-        # every child state with at most 8 free slots that apply builds
-        # in the reduced searches up to 5 edges, at each target from 1
-        # to the sphere's e - v + 2, read off apply's frame as it
-        # returns: with no bigon bound, apply copies count only for a
-        # child that the boundary-circle bound then tests, and returns
-        # None after that only when the bound cuts it.  No completion
-        # of a cut state may be connected with exactly f_target faces,
-        # and count[4] must be the free slots x with end[2x] == 2x + 1.
-        # Some cuts must come from the O(1) bound on the circles and
-        # some only from their exact count, and the bound makes the cuts
-        # at complete leaves too, where no slot is left
+        # every child state with at most 8 free slots that reaches the
+        # boundary-circle bound in the reduced searches up to 5 edges, at
+        # each target from 1 to the sphere's e - v + 2, read off apply's
+        # frame as it returns: apply sets slack only for a child that
+        # passes the too-many-faces test, and with no bigon bound it
+        # returns None after that either from the bound or, with walks
+        # None, from the orderly test.  No completion of a cut state may
+        # be connected with exactly f_target faces, and the singles s
+        # must be the free slots x whose path, traced afresh from the
+        # child's matches, runs from 2x to 2x + 1.  Some cuts must come
+        # from the O(1) bound on the circles and some only from their
+        # exact count, and the bound makes the cuts at complete leaves
+        # too, where no slot is left
         cut = []
 
         def trace(frame, event, arg):
@@ -152,19 +155,19 @@ class TestSchemeSearch:
                     or frame.f_globals is not vars(search)):
                 return None
             frame.f_trace_lines = False
-            parent = frame.f_locals["count"]
 
             def returned(frame, event, arg):
                 state = frame.f_locals
-                count, end, match = (state["count"], state["end"],
-                                     state["match"])
-                if event != "return" or count is parent or count[0] > 8:
+                if (event != "return" or "slack" not in state
+                        or state["r"] > 8):
                     return
-                assert count[4] == sum(end[2 * x] == 2 * x + 1
-                                       for x, m in enumerate(match) if m < 0)
-                if arg is None:
-                    cut.append((state["s1"], list(match), state["f_target"],
-                                count[:]))
+                a, b, t, s1 = state["a"], state["b"], state["t"], state["s1"]
+                match = list(state["match"])
+                match[a], match[b] = 2 * b + t, 2 * a + t
+                assert state["s"] == _singles(s1, match)
+                if arg is None and state["walks"] is not None:
+                    cut.append((s1, match, state["f_target"],
+                                [state[k] for k in ("r", "faces", "u", "s")]))
             return returned
 
         for e in range(1, 6):
@@ -178,14 +181,26 @@ class TestSchemeSearch:
                             sys.settrace(None)
         memos = {}
         cheap = set()
-        for s1, match, f_target, count in cut:
+        for s1, match, f_target, (r, faces, u, s) in cut:
             memo = memos.setdefault((tuple(s1), f_target), {})
             assert not _completes(s1, match, f_target, memo), (match, f_target)
-            r, faces, _, u, s = count
             m = max(u, (s + 1) // 2)
             cheap.add(2 * u > r or 2 * (f_target - faces) > 2 * r + s - 4 * m)
         assert {match.count(-1) for _, match, _, _ in cut} == {0, 2, 4, 6, 8}
         assert cheap == {False, True}
+
+
+def _singles(s1, match):
+    """The free slots x of match (-1) whose boundary path, which
+    alternates s1 and the matched s0 edges from flag 2x, ends at 2x + 1."""
+    n = 0
+    for x, m in enumerate(match):
+        if m < 0:
+            f = s1[2 * x]
+            while match[f >> 1] >= 0:
+                f = s1[match[f >> 1] ^ (f & 1) ^ 1]
+            n += f == 2 * x + 1
+    return n
 
 
 def _completes(s1, match, f_target, memo):
@@ -327,6 +342,32 @@ class TestFirstOfClass:
             assert touched and all(t == [False] * len(degs) for t in touched)
         assert runs[0] == runs[1]
         assert runs[0][0] == len(runs[0][1]) > 0
+
+
+class TestRootedMaps:
+    def test_closed_forms_give_the_known_counts(self):
+        n = range(1, 6)
+        assert [rooted_oracle.rooted_all(e) for e in n] == [
+            3, 24, 297, 4896, 100278]
+        assert [rooted_oracle.rooted_orientable(e) for e in n] == [
+            2, 10, 74, 706, 8162]
+        assert [rooted_oracle.rooted_planar(e) for e in n] == [
+            2, 9, 54, 378, 2916]
+
+    @pytest.mark.parametrize("edges", range(1, 6))
+    def test_census_counts_every_rooted_map(self, edges):
+        # each class weighed 4e / |Aut| must give the closed-form counts,
+        # unconstrained and summed over the searches at each fixed chi
+        # from 2 - e to 2, whose face targets prune; the sphere's own
+        # search must give Tutte's count
+        want = {"all": rooted_oracle.rooted_all(edges),
+                "orientable": rooted_oracle.rooted_orientable(edges),
+                "sphere": rooted_oracle.rooted_planar(edges)}
+        assert rooted_oracle.rooted_counts(edges) == want
+        by_chi = [rooted_oracle.rooted_counts(edges, chi)
+                  for chi in range(2 - edges, 3)]
+        assert {key: sum(c[key] for c in by_chi) for key in want} == want
+        assert by_chi[-1]["all"] == want["sphere"]
 
 
 class TestEnumerate:
@@ -518,13 +559,17 @@ class TestCensus:
          "c4eca205dea8c09d5553486edbf9f0232c44063704c6a34541fd5508fbade6b2"),
         (6, 2678,
          "8453ba47f3326a11eae3937348e3ffb90776a9b48452c3f512844d9927e05cb9"),
+        (7, 30347,
+         "cf7416ee7cc023d03733e39026cd3ff9c6446b2b3d74ada85caac9cade918a1f"),
     ])
     def test_census_leaf_stream_is_pinned(self, edges, leaves, digest,
                                           monkeypatch):
         # every search census_report runs, with every leaf in order; the
         # digests were taken with this spy on the search that still
         # tracked orientation parity, whose leaf stream had been pinned
-        # since before the orderly test moved into the search
+        # since before the orderly test moved into the search; the e=7
+        # digest with the same spy, on the search whose apply still
+        # copied a child's lists before its boundary-circle bound
         real = search._scheme_search
         h = hashlib.sha256()
         total = 0
