@@ -9,16 +9,12 @@ minimum-weight perfect matching of the syndrome defects under
 shortest-path distances (Dennis--Kitaev--Landahl--Preskill).  Column j
 of an n-qubit code weighs 2^n - 2^(n-1-j), so the minimum is unique and
 is the lightest chain with the earliest support (``Gf2Vector.sort_key``).
-The tests keep an exhaustive coset search as the oracle for this rule.
-These weights also make every shortest path one of fewest columns, so
-``MatchingGraph.build`` finds them by walking the graph in layers of
-equal column count from each node; the tests keep a heap Dijkstra as
-its oracle.
+The tests keep an exhaustive coset search as the oracle for this rule,
+and a heap Dijkstra as the oracle of ``MatchingGraph.build``.
 
 Up to 14 nodes to match (defects and boundary) the matching is an exact
 DP over subsets; above that it is the ``networkx`` blossom, loaded only
-then.  Every minimum matching's paths XOR to the one minimum T-join
-(``MatchingGraph.min_weight_chain``), so the two give the same chain.
+then, and both give the one minimum T-join (``MatchingGraph.chain``).
 
 Errors are bit sets (Python ints, bit j = column j), and every decode
 reaches its verdict in one place, ``DecodingTables._failed``.  Per side,
@@ -32,19 +28,22 @@ of its DP, so syndromes share them too.
 
 ``monte_carlo`` runs a whole sweep on the tables: it draws each chunk
 of trials once (``_draws``) and thresholds it at every (p_x, p_z)
-point; numpy multiplies the chunk's errors by each side's rows, and
-only the distinct images go to ``_failed``.  ``exhaustive_weight_sweep``
-feeds it the image of every pattern and ``decode_error`` one image per
-side, each on tables built per call; ``correct`` builds them too.
-``syndrome`` and ``is_failure``, which reads the residual's image, read
-the check graphs of the code's split alone.  numpy is loaded only by
-``monte_carlo``.
+point; numpy XORs each side's rows over every trial's errors, 64 bits
+at a time (``DecodingTables._words``), which gives the images of
+``gf2.xor_rows``, and only the distinct images go to ``_failed``.
+``exhaustive_weight_sweep`` feeds it the image of every pattern and
+``decode_error`` one image per side, each on tables built per call;
+``correct`` builds them too.  ``syndrome`` and ``is_failure``, which
+reads the residual's image, read the check graphs of the code's split
+alone.  numpy is loaded only by ``monte_carlo``.
 """
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, fields
 from functools import cached_property
+from itertools import accumulate, combinations
+from math import comb
 from typing import Iterable, Iterator, Sequence
 
 from . import gf2, homology
@@ -69,6 +68,9 @@ _CHUNK_DRAWS = 1 << 16
 # needs at most 253), and the sub-matchings a MatchingGraph keeps, which
 # it clears before a DP once it holds this many.
 _MEMO_ENTRIES = 1 << 14
+
+# Pattern cap per side of exhaustive_weight_sweep (toric(2,5): 4.5 s, 2 vCPU)
+MAX_EXHAUSTIVE_PATTERNS = 1 << 20
 
 
 class InconsistentSyndrome(ValueError):
@@ -315,21 +317,17 @@ class DecodingTables:
                                              (self.x_graph, self.logical_x)))
 
     @cached_property
-    def _matrices(self) -> tuple:
-        """Per side, the rows of ``_sides`` as an n x (checks + k) 0/1
-        array, float64 so that numpy multiplies by it through BLAS,
-        exactly: a trial's row of errors @ matrix mod 2 is its image."""
+    def _words(self) -> tuple:
+        """Per side, the rows of ``_sides`` as unsigned 64-bit words, at
+        least one: row i of the array holds bits 64i ... 64i+63 of every
+        column's row.  XOR-reducing each word over an error's columns
+        gives its image 64 bits at a time, as ``gf2.xor_rows`` does."""
         import numpy as np
 
-        matrices = []
-        for graph, rows, _ in self._sides:
-            width = graph.graph.boundary + len(self.logical_x)
-            size = (width + 7) // 8
-            packed = b"".join(r.to_bytes(size, "little") for r in rows)
-            matrices.append(np.unpackbits(
-                np.frombuffer(packed, np.uint8).reshape(self.n, size),
-                axis=1, count=width, bitorder="little").astype(float))
-        return tuple(matrices)
+        return tuple(np.array(
+            [[row >> shift & (1 << 64) - 1 for row in rows]
+             for shift in range(0, max((1, *rows)).bit_length(), 64)],
+            np.uint64) for _, rows, _ in self._sides)
 
     def _failed(self, side: int,
                 images: Iterable[tuple[int, int]]) -> int:
@@ -375,10 +373,8 @@ def syndrome(code: CssCode, err: ErrorPattern) -> Syndrome:
 
 
 def correct(code: CssCode, syn: Syndrome) -> ErrorPattern:
-    """Minimum-weight error pattern reproducing the syndrome.
-
-    Ties are broken by ``Gf2Vector.sort_key``.
-    """
+    """Minimum-weight error pattern reproducing the syndrome, ties
+    broken by ``Gf2Vector.sort_key``."""
     tables = DecodingTables.build(code)
     return ErrorPattern(
         x_errors=tables.z_graph.min_weight_chain(syn.z_checks),
@@ -494,15 +490,14 @@ def monte_carlo(tables: DecodingTables,
     for draws in _draws(seed, range(trials), tables.n):
         for (p_x, p_z), count in zip(points, counts):
             errors = draws < [[p_x], [p_z]]
-            for side, matrix in enumerate(tables._matrices):
-                # row t: the image of trial t's errors on this side, packed
-                packed = np.packbits((errors[:, side] @ matrix).astype(int)
-                                     & 1, axis=1, bitorder="little")
-                keys = Counter(
-                    packed.view(f"V{packed.shape[1]}").ravel().tolist())
-                count[side] += tables._failed(
-                    side, ((int.from_bytes(key, "little"), times)
-                           for key, times in keys.items()))
+            for side, words in enumerate(tables._words):
+                err = errors[:, side]
+                images, *rest = (np.bitwise_xor.reduce(
+                    np.broadcast_to(word, err.shape), axis=1, where=err,
+                    initial=0).tolist() for word in words)
+                for i, ws in enumerate(rest, 1):
+                    images = [key | w << 64 * i for key, w in zip(images, ws)]
+                count[side] += tables._failed(side, Counter(images).items())
     return [MonteCarloResult(p_x, p_z, trials, xf, zf, seed)
             for (p_x, p_z), (xf, zf) in zip(points, counts)]
 
@@ -520,9 +515,14 @@ def exhaustive_weight_sweep(code: CssCode, max_weight: int) -> list[ExhaustiveSw
     """Decode every X-only and Z-only error of weight <= max_weight.
 
     One row per weight up to min(max_weight, n): no error is heavier.
+    ValueError, before any pattern is decoded, when the rows hold more
+    than ``MAX_EXHAUSTIVE_PATTERNS`` patterns per side.
     """
-    from itertools import combinations
-    from math import comb
+    top = min(max_weight, code.n)
+    if any(patterns > MAX_EXHAUSTIVE_PATTERNS for patterns in accumulate(
+            comb(code.n, w) for w in range(top + 1))):
+        raise ValueError(f"more than {MAX_EXHAUSTIVE_PATTERNS} error patterns"
+                         f" per side up to weight {top}")
 
     def images(rows: tuple[int, ...], w: int) -> Iterator[tuple[int, int]]:
         for support in combinations(range(code.n), w):
@@ -530,7 +530,7 @@ def exhaustive_weight_sweep(code: CssCode, max_weight: int) -> list[ExhaustiveSw
 
     tables = DecodingTables.build(code)
     rows = []
-    for w in range(min(max_weight, code.n) + 1):
+    for w in range(top + 1):
         xf, zf = (tables._failed(side, images(image_rows, w))
                   for side, (_, image_rows, _) in enumerate(tables._sides))
         count = comb(code.n, w)

@@ -71,7 +71,8 @@ def _small_cellulation_docs(draw):
 
 # command-line tokens: catalog names, small tori, inline documents and
 # junk; numbers with negatives, nan and 2**128, bounded where an option
-# sets the cost (--edges, --trials, --weight)
+# sets the cost (--edges, --trials); a large --weight is a full sweep of
+# up to 2^18 patterns or past decoder.MAX_EXHAUSTIVE_PATTERNS (exit 1)
 _BIG = str(2 ** 128)
 _JUNK_TOKENS = st.sampled_from(["", "-", "--", "-h", "--workers", "x", "nan",
                                 "toric(", "toric(1)", "{", "{}", "[1]", "."])
@@ -100,6 +101,8 @@ def _numbers(bound=None):
     return st.one_of(st.integers(-3, bound).map(str), st.sampled_from(words))
 
 
+_WEIGHTS = st.one_of(_numbers(2),
+                     st.sampled_from(["6", "1000000000", _BIG]))
 _PROBABILITIES = st.lists(st.sampled_from(["0", "0.05", "0.1", "1", "-0.1",
                                           "2", "nan", "x", _BIG]),
                           min_size=1, max_size=3).map(",".join)
@@ -114,7 +117,7 @@ _GRAMMAR = [
     (["code", "compare"], [_CELLULATIONS, _CELLULATIONS], []),
     (["decode", "sweep"], [_CELLULATIONS, "--p", _PROBABILITIES,
                            "--trials", _numbers(20), "--seed", _numbers()], []),
-    (["decode", "exhaustive"], [_CELLULATIONS, "--weight", _numbers(2)], []),
+    (["decode", "exhaustive"], [_CELLULATIONS, "--weight", _WEIGHTS], []),
     (["search", "census"], ["--edges", _numbers(5)],
      [["--min-systole", _numbers()], ["--vertices", _numbers()],
       ["--bigons", _numbers()]]),
@@ -359,6 +362,19 @@ class TestDecode:
         _, pinned, _ = run(capsys, ["decode", "exhaustive", "fig4_shor",
                                     "--weight", "2"])
         assert rows[:3] == json.loads(pinned)["rows"]
+
+    @pytest.mark.parametrize("name,weight,top", [
+        ("toric(8,8)", "6", 6), ("toric(4,4)", "1000000000", 32)])
+    def test_exhaustive_over_budget_is_a_computation_error(
+            self, capsys, monkeypatch, name, weight, top):
+        # sum of C(n, w) up to the weight: 5.7e9 on toric(8,8) and 2^32
+        # on toric(4,4), refused before any pattern is decoded
+        monkeypatch.setattr(decoder.DecodingTables, "build", None)
+        code, out, err = run(capsys, ["decode", "exhaustive", name,
+                                      "--weight", weight])
+        assert (code, out) == (1, "")
+        assert err == ("error: more than 1048576 error patterns per side"
+                       f" up to weight {top}\n")
 
     def test_sweep_builds_the_tables_once(self, capsys, monkeypatch):
         # one DecodingTables per command, shared by every --p point, one

@@ -1,6 +1,7 @@
 import functools
 import itertools
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -71,9 +72,14 @@ def _sampled_bits(seed, trials, n, p_x, p_z):
 
 @functools.cache
 def _monte_carlo_codes() -> dict:
-    """The codes whose Monte Carlo counts are checked trial by trial."""
+    """The codes whose Monte Carlo counts are checked trial by trial.
+
+    toric(2,30), toric(2,31) and toric(3,21) have images of 62, 64 and
+    65 bits on both sides, either side of the first 64-bit word's end;
+    the planar two-hole code's are 260 and 296 bits."""
     codes = {name: _code(name) for name in (
-        "fig4_shor", "fig1_hemi_icosahedron", "toric(3,3)", "cube_sphere")}
+        "fig4_shor", "fig1_hemi_icosahedron", "toric(3,3)", "cube_sphere",
+        "toric(2,30)", "toric(2,31)", "toric(3,21)")}
     codes.update(planar_and_punctured_codes())
     return codes
 
@@ -408,6 +414,17 @@ class TestExhaustiveSweep:
         assert rows[2].x_failures > 0
         assert rows[2].z_failures > 0
 
+    def test_the_budget_is_checked_before_any_decode(self, monkeypatch):
+        # fig4_shor up to weight 2: 1 + 9 + 36 = 46 patterns per side
+        code = _code("fig4_shor")
+        monkeypatch.setattr(decoder, "MAX_EXHAUSTIVE_PATTERNS", 46)
+        assert len(decoder.exhaustive_weight_sweep(code, 2)) == 3
+        monkeypatch.setattr(decoder, "MAX_EXHAUSTIVE_PATTERNS", 45)
+        monkeypatch.setattr(decoder.DecodingTables, "build", None)
+        with pytest.raises(ValueError, match="^more than 45 error patterns"
+                                             " per side up to weight 2$"):
+            decoder.exhaustive_weight_sweep(code, 2)
+
 
 class TestMonteCarlo:
     def test_deterministic_in_seed(self):
@@ -516,6 +533,52 @@ class TestMonteCarlo:
                     (label, p_x, p_z)
                 seen.update(expected)
         assert {0, 20} < seen  # and counts strictly between
+
+    @pytest.mark.parametrize("label,p", [("fig4_shor", 0.2),
+                                         ("planar two holes", 0.02)])
+    def test_each_verdict_gets_the_distinct_images_of_a_chunk(
+            self, label, p, monkeypatch):
+        # the keying of monte_carlo: per chunk, point and side, in that
+        # order, one _failed call with each distinct image of the chunk's
+        # trials once, as a Python int, with its count, as gf2.xor_rows
+        # gives them from the per-qubit bits; 5 trials a chunk, so 12
+        # trials make three chunks.  The planar code's images take five
+        # 64-bit words, and p = 1 and p = 0 repeat one image per chunk
+        if label == "fig4_shor":
+            code = _code(label)
+        else:
+            code = stabilizer.build_punctured_disk_code(
+                stabilizer.planar_two_holes_patch())
+        tables = decoder.DecodingTables.build(code)
+        failed, calls = decoder.DecodingTables._failed, []
+
+        def spy(self, side, images):
+            calls.append((side, list(images)))
+            return failed(self, side, calls[-1][1])
+
+        monkeypatch.setattr(decoder.DecodingTables, "_failed", spy)
+        monkeypatch.setattr(decoder, "_CHUNK_DRAWS", 2 * code.n * 5)
+        points = ((p, p / 2), (1.0, 0.0))
+        decoder.monte_carlo(tables, points, 12, 4)
+        expected = []
+        for chunk in (range(5), range(5, 10), range(10, 12)):
+            for p_x, p_z in points:
+                bits = [_oracle_bits(4, t, code.n, p_x, p_z) for t in chunk]
+                for side, (_, rows, _) in enumerate(tables._sides):
+                    expected.append((side, len(chunk), Counter(
+                        gf2.xor_rows(rows, b[side]) for b in bits)))
+        assert len(calls) == len(expected) == 3 * 2 * 2
+        for (side, images), (want_side, trials, want) in zip(calls,
+                                                            expected):
+            assert side == want_side
+            assert all(type(image) is int and type(count) is int
+                       for image, count in images)
+            assert len({image for image, _ in images}) == len(images)
+            assert sum(count for _, count in images) == trials
+            assert dict(images) == want
+        widest = max(image.bit_length() for _, images in calls
+                     for image, _ in images)
+        assert widest > 64 * (label != "fig4_shor")
 
     @pytest.mark.parametrize("name", ["fig4_shor", "fig1_hemi_icosahedron",
                                       "toric(3,3)"])
