@@ -295,7 +295,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    # after a second "--", argparse can fill a positional with [] where
+    # a token was missing (code compare -- rp2_minimal --)
+    for name, value in vars(args).items():
+        if value == []:
+            parser.error(f"argument {name}: expected one argument")
     try:
         return args.func(args)
     except (KeyError, ValueError, OSError,

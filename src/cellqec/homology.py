@@ -5,7 +5,8 @@ cellulation incidence matrix and planar check matrix), so it is a
 graph: ``CheckGraph.of`` builds it once per matrix, with the rows plus
 one boundary node as nodes and each column as an edge, and raises
 ``UnsupportedCheckStructure`` otherwise.  It reads the check's set
-entries once, row by row, and builds no transposed matrix.  The
+entries once, row by row, for each column's two ends, then builds the
+graph column by column; no transposed matrix is built.  The
 tree-cotree split, the distance search and the decoder all read that
 one graph.
 
@@ -24,7 +25,9 @@ primal and dual systoles here, and the code distances in ``stabilizer``
 breadth-first search in the two-fold parity cover of the check graph,
 started only at one end of each column a class representative hits,
 that meets in the middle: after level k it stops once it has met an
-odd closed walk of length <= 2k + 1.  The coset search
+odd closed walk of length <= 2k + 1.  Each representative is read by
+its set bits only, and each start, once searched, is blocked for the
+later searches of the same representative.  The coset search
 ``gf2.min_weight_in_coset`` and the greedy pass over
 ``gf2.kernel_basis`` are independent oracles kept by the tests.
 """
@@ -86,45 +89,42 @@ class CheckGraph:
         """The graph of check; UnsupportedCheckStructure unless every
         column has weight <= 2.
 
-        One pass over the set entries, row by row, each row from its
-        highest column down: a column's first entry is its lower end a,
-        whose adjacency entry points at the boundary until a second
-        entry, the upper end b, repoints it at b.
+        Two passes.  The first reads the set entries row by row, each
+        row from its lowest column up, and records each column's lower
+        end a (its first entry) and upper end b (its second entry, or
+        the boundary); the second builds every column's bit set, its
+        ends and both its adjacency entries, in column order.
         """
         boundary, n = check.rows, check.cols
-        columns = [0] * n
-        ends: list[tuple[int, int] | None] = [None] * n
-        lower: list = [None] * n  # (adjacency list, index) at the lower end
-        adj: list[list] = []
+        lower = [-1] * n
+        upper = [boundary] * n
         over = []  # columns met a third time
         for a, r in enumerate(check.row_bits):
-            bit = 1 << a
-            i = r.bit_count()
-            at = [None] * i
             while r:
-                e = r.bit_length() - 1
-                r ^= 1 << e
-                i -= 1
-                columns[e] |= bit
-                ab = ends[e]
-                if ab is None:
-                    ends[e] = (a, boundary)
-                    at[i] = (boundary, e)
-                    lower[e] = (at, i)
-                elif ab[1] == boundary:
-                    ends[e] = (ab[0], a)
-                    at[i] = (ab[0], e)
-                    row, j = lower[e]
-                    row[j] = (a, e)
+                low = r & -r
+                r ^= low
+                e = low.bit_length() - 1
+                if lower[e] < 0:
+                    lower[e] = a
+                elif upper[e] == boundary:
+                    upper[e] = a
                 else:
                     over.append(e)
-            adj.append(at)
         if over:
             e = min(over)
+            weight = sum((r >> e) & 1 for r in check.row_bits)
             raise UnsupportedCheckStructure(
-                f"column {e} touches {columns[e].bit_count()} generators")
-        adj.append([(ab[0], e) for e, ab in enumerate(ends)
-                    if ab and ab[1] == boundary])
+                f"column {e} touches {weight} generators")
+        columns = [0] * n
+        ends: list[tuple[int, int] | None] = [None] * n
+        adj: list[list] = [[] for _ in range(boundary + 1)]
+        for e, (a, b) in enumerate(zip(lower, upper)):
+            if a < 0:
+                continue
+            columns[e] = (1 << a) | ((1 << b) if b < boundary else 0)
+            ends[e] = (a, b)
+            adj[a].append((b, e))
+            adj[b].append((a, e))
         return cls(boundary, tuple(columns), tuple(ends),
                    tuple(map(tuple, adj)))
 
@@ -242,7 +242,11 @@ def _min_weight_logical(graph: CheckGraph,
     contains a connected cycle that does too and weighs no more, an odd
     closed walk in the two-fold parity cover from (s, 0), s the lower
     end node of a column of f it crosses.  So per f one breadth-first
-    search runs from each such s, once each, in ascending order.
+    search runs from each such s, once each, in ascending order, and
+    each search blocks its start for the later searches of f: they never
+    label it again.  This is exact, as a lightest such cycle contains
+    the lowest start on it, whose search runs before any start on the
+    cycle is blocked; the blocks end with f.
 
     The midpoint (u, p) of an odd closed walk of length L is at level
     <= floor(L/2), and its twin (u, p ^ 1) at level <= ceil(L/2) by the
@@ -255,22 +259,33 @@ def _min_weight_logical(graph: CheckGraph,
     columns), so the lightest witness weighs exactly the minimum; among
     several, which is returned depends on the functionals' supports.
     """
-    n, n_nodes = len(graph.columns), graph.boundary + 1
+    n, n_states = len(graph.columns), 2 * (graph.boundary + 1)
     ends, adj = graph.ends, graph.adj
     if not functionals:
         raise ValueError("no functionals: code has k = 0")
     best = (n + 1, 0)  # (weight, bits); weight n + 1 until one is found
     for f in functionals:
-        tau = [(f.bits >> e) & 1 for e in range(n)]
-        support = [e for e in range(n) if tau[e]]
+        tau = [0] * n
+        support = []
+        bits = f.bits
+        while bits:
+            low = bits & -bits
+            bits ^= low
+            e = low.bit_length() - 1
+            tau[e] = 1
+            support.append(e)
         best = min([best] + [(1, 1 << e) for e in support if not ends[e]])
+        # states 2 * node + parity; dist[t] is -1 until a search labels
+        # t, and each search resets the states it labelled, except that
+        # its start's two states stay labelled: the start is blocked
+        via = [None] * n_states  # (state, column) that reached it
+        dist = [-1] * n_states
         for start in sorted({ends[e][0] for e in support if ends[e]}):
-            # BFS over states 2 * node + parity from (start, 0); reach is
-            # the shortest candidate met (or the best weight), at meet
+            # BFS from (start, 0); reach is the shortest candidate met
+            # (or the best weight), at meet
             s0 = 2 * start
-            via = [None] * (2 * n_nodes)  # (state, column) that reached it
-            dist = [-1] * (2 * n_nodes)
             dist[s0] = 0
+            touched = [s0]
             frontier, level, reach, meet = [s0], 0, best[0], -1
             while frontier and reach > 2 * level + 1:
                 level += 1
@@ -286,15 +301,18 @@ def _min_weight_logical(graph: CheckGraph,
                             twin = dist[t ^ 1]
                             if twin >= 0 and level + twin < reach:
                                 reach, meet = level + twin, t
+                touched += labelled
                 frontier = labelled
-            if meet < 0:
-                continue
-            bits = 0
-            for cur in (meet, meet ^ 1):  # the two half-walks back to s0
-                while cur != s0:
-                    cur, e = via[cur]
-                    bits ^= 1 << e
-            best = min(best, (bits.bit_count(), bits))
+            if meet >= 0:
+                bits = 0
+                for cur in (meet, meet ^ 1):  # the two half-walks to s0
+                    while cur != s0:
+                        cur, e = via[cur]
+                        bits ^= 1 << e
+                best = min(best, (bits.bit_count(), bits))
+            for t in touched:
+                dist[t] = -1
+            dist[s0] = dist[s0 ^ 1] = 0
     if best[0] > n:
         raise ValueError("no nontrivial vector found; functionals inconsistent")
     return best[0], Gf2Vector(n, best[1])

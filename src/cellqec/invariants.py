@@ -3,13 +3,20 @@
 The multiset of pair ranks is invariant under local unitaries composed
 with qubit permutations, so differing rank histograms certify that two
 codes are inequivalent.  Ranks are computed by counting stabilizer-group
-elements supported inside the pair: each side is row-reduced once, then
-every pair costs O(1).  The tests keep a dense numerical partial trace of
-the projector (``tests/dense_oracle.py``) as an independent oracle.
+elements supported inside the pair: each side is row-reduced once, and
+each qubit's remainder read off it.  A pair's rank is below 4 only if,
+on one side, one of its two remainders is zero or both are equal, so
+``rank_profile`` buckets the qubits by remainder per side and ranks only
+the pairs so found: its cost follows the number of pairs of rank 1 or 2,
+not the n(n - 1)/2 pairs.  The tests keep a dense numerical partial
+trace of the projector (``tests/dense_oracle.py``) as an independent
+oracle.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import combinations
 
 from . import gf2
 from .stabilizer import CssCode
@@ -18,16 +25,22 @@ from .stabilizer import CssCode
 @dataclass(frozen=True)
 class RankProfile:
     n: int
-    pair_ranks: dict  # (i, j) with i < j -> rank in {1, 2, 4}
+    low_ranks: dict  # (i, j) with i < j -> rank 1 or 2; other pairs rank 4
+
+    @cached_property
+    def pair_ranks(self) -> dict:
+        """(i, j) with i < j -> rank in {1, 2, 4}, for every pair."""
+        return {(i, j): self.low_ranks.get((i, j), 4)
+                for i in range(self.n) for j in range(i + 1, self.n)}
 
     @property
     def rank2_pairs(self) -> list[tuple[int, int]]:
-        return sorted(p for p, r in self.pair_ranks.items() if r == 2)
+        return sorted(p for p, r in self.low_ranks.items() if r == 2)
 
     @property
     def histogram(self) -> dict[int, int]:
-        out = {1: 0, 2: 0, 4: 0}
-        for r in self.pair_ranks.values():
+        out = {1: 0, 2: 0, 4: self.n * (self.n - 1) // 2 - len(self.low_ranks)}
+        for r in self.low_ranks.values():
             out[r] += 1
         return out
 
@@ -77,11 +90,23 @@ def pair_rank_stabilizer(code: CssCode, pair: tuple[int, int]) -> int:
 
 
 def rank_profile(code: CssCode) -> RankProfile:
-    """Full pair-rank profile via the stabilizer method."""
+    """Full pair-rank profile via the stabilizer method.
+
+    Only the pairs that share a remainder on one side, or have a zero
+    one there, are ranked; every other pair has rank 4.
+    """
+    n = code.n
     rem = _qubit_remainders(code)
-    return RankProfile(code.n, {(i, j): _pair_rank(rem, i, j)
-                                for i in range(code.n)
-                                for j in range(i + 1, code.n)})
+    pairs = set()
+    for side in (0, 1):
+        buckets: dict[int, list[int]] = {}
+        for q, r in enumerate(rem):
+            buckets.setdefault(r[side], []).append(q)
+        for q in buckets.pop(0, []):
+            pairs.update((min(p, q), max(p, q)) for p in range(n) if p != q)
+        for qs in buckets.values():
+            pairs.update(combinations(qs, 2))
+    return RankProfile(n, {p: _pair_rank(rem, *p) for p in sorted(pairs)})
 
 
 @dataclass(frozen=True)

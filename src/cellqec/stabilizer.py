@@ -13,9 +13,10 @@ first read of k or a logical operator builds each side's
 when k = 0) and runs one tree-cotree split, ``homology._tree_cotree``,
 which gives logical_z and logical_x already paired as the identity; the
 checks must commute for this, which is why ``build_code`` validates its
-cellulation first.  k is their number, and each distance is one
-parity-cover search, ``homology._min_weight_logical``, run on the first
-read of d_x or d_z.  The logical operators are valid, not necessarily
+cellulation first, by building its flag system (``surface.build_flags``)
+without classifying the surface.  k is their number, and each distance
+is one parity-cover search, ``homology._min_weight_logical``, run on the
+first read of d_x or d_z.  The logical operators are valid, not necessarily
 of minimum weight, and deriving them does no GF(2) elimination.
 
 Every code's checks are read from a cellulation's incidences by
@@ -119,9 +120,11 @@ class CssCode:
 def build_code(c: Cellulation) -> CssCode:
     """The CSS code of a cellulation: X on faces, Z on vertices.
 
-    Raises CellulationError unless c is a valid cellulation.
+    Raises CellulationError unless c is a valid cellulation.  Building
+    its flag system runs every check of ``surface.validate`` that can
+    raise; the surface is not classified, as the code never reads it.
     """
-    surface.validate(c)
+    surface.build_flags(c)
     return CssCode(*surface.incidence_matrices(c))
 
 

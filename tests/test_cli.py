@@ -675,6 +675,10 @@ class TestCodesOutputs:
          "68081ae5584ffb9ffdae22308a978e369045c221052884f99622e3c9396efead"),
         (["code", "invariants", "toric(4,4)"],
          "78d65f95562ee76b14fc382d7cc4df4921a09e38c42b4d6d79823a4f6004e619"),
+        (["code", "invariants", "toric(3,3)"],
+         "96faa9ea08d9e6d8e76dc57a68d1860762d2ca4dc54316a4f798b5fa7d3f60b1"),
+        (["code", "invariants", "toric(8,8)"],
+         "003aae88ed23444ccb88d51f4180a04fe19602a9d2a673aeefbe0300556b38d1"),
         (["code", "compare", "fig2_nine_edge", "fig3_nine_edge"],
          "0705602b76739999abae6df38661bdb1febf1fb291051ba029b6a6fa025b4c3f"),
     ], ids=["params-rp2_minimal", "params-fig1_hemi_icosahedron",
@@ -685,11 +689,24 @@ class TestCodesOutputs:
             "invariants-fig1_hemi_icosahedron", "invariants-fig2_nine_edge",
             "invariants-fig3_nine_edge", "invariants-fig4_shor",
             "invariants-cube_sphere", "invariants-toric44",
+            "invariants-toric33", "invariants-toric88",
             "compare-fig2_nine_edge-fig3_nine_edge"])
     def test_stdout_is_pinned(self, capsys, argv, digest):
         code, out, _ = run(capsys, argv)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_compare_on_the_catalog_is_pinned(self, capsys):
+        # every ordered pair of catalog entries; pairs of different
+        # qubit counts exit 1 with nothing on stdout
+        names = surface.closed_catalog_names()
+        h = hashlib.sha256()
+        for a in names:
+            for b in names:
+                code, out, _ = run(capsys, ["code", "compare", a, b])
+                h.update(f"{a} {b} {code} {out}".encode())
+        assert h.hexdigest() == (
+            "4ca6c788ab709c0dac35f6eb028eb3d9ef5d366ef5b59561f0b3468ebb522fae")
 
 
 class TestDerivedOnRead:
@@ -776,6 +793,7 @@ class TestErrors:
     @settings(max_examples=150, deadline=None)
     @given(argv=_argvs())
     @example(argv=["search", "verify-paper"])
+    @example(argv=["code", "compare", "--", "rp2_minimal", "--"])
     @example(argv=["decode", "sweep", "toric(4,4)", "--p", "0.1,0.05",
                    "--trials", "20", "--seed", _BIG])
     def test_argv_never_escapes_main(self, tmp_path_factory, argv):
@@ -809,6 +827,15 @@ class TestErrors:
                 assert code == 0 or out.getvalue() == ""
                 outs.append(out.getvalue())
         assert outs[0] == outs[1]
+
+    def test_positional_left_empty_after_double_dash(self, capsys):
+        # argparse fills b with [] here rather than reporting it missing
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["code", "compare", "--", "rp2_minimal", "--"])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "error: argument b: expected one argument" in err
 
     def test_workers_flag_is_gone(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -953,3 +980,8 @@ class TestModuleEntry:
         done = self._module("search", "census")  # --edges is required
         assert done.returncode == 2
         assert "--edges" in done.stderr and done.stdout == ""
+
+    def test_python_m_empty_positional_is_a_usage_error(self):
+        done = self._module("code", "compare", "--", "rp2_minimal", "--")
+        assert done.returncode == 2
+        assert "Traceback" not in done.stderr and done.stdout == ""

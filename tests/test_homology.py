@@ -2,7 +2,8 @@ import random
 
 import pytest
 from construction_oracle import transpose_check_graph
-from coset_oracle import greedy_representatives
+from coset_oracle import (coset_min_essential, greedy_representatives,
+                          support_min_essential)
 from sampling import planar_and_punctured_codes, small_cellulation_pool
 
 from cellqec import homology, stabilizer, surface
@@ -254,6 +255,19 @@ def _start_rule_cases():
     return cases
 
 
+def _shifted(check, functionals, rng):
+    """Each functional plus a random half of check's rows: the same class
+    on ker(check), with other columns and so other starts."""
+    shifted = []
+    for f in functionals:
+        bits = f.bits
+        for row in check.row_bits:
+            if rng.random() < 0.5:
+                bits ^= row
+        shifted.append(Gf2Vector(f.n, bits))
+    return shifted
+
+
 class TestStartRule:
     # the search starts only at the lower end of each column a functional
     # hits, so moving a functional within its class moves the starts
@@ -266,13 +280,7 @@ class TestStartRule:
         assert check.mul_vector(witness).is_zero()
         rng = random.Random(12)
         for _ in range(5):
-            shifted = []
-            for f in functionals:
-                bits = f.bits
-                for row in check.row_bits:
-                    if rng.random() < 0.5:
-                        bits ^= row
-                shifted.append(Gf2Vector(f.n, bits))
+            shifted = _shifted(check, functionals, rng)
             assert homology._min_weight_logical(graph, shifted)[0] == d
 
     def test_planar_two_holes_witnesses(self):
@@ -376,3 +384,52 @@ class TestMinWeightOracle:
         assert homology._min_weight_logical(
             graph, [Gf2Vector.from_support(7, [0])]) == (
             4, Gf2Vector.from_support(7, [0, 1, 2, 3]))
+
+
+class TestStartBlockingOracle:
+    # each search blocks its start for the later searches of the same
+    # functional only; the coset search and the support scan know
+    # nothing of starts.  Shifting the functionals within their classes
+    # gives each one many starts, on the lightest cycles too
+    @staticmethod
+    def _assert_engine(x_stab, z_stab, d_z, d_x):
+        x_side, z_side = homology._tree_cotree(
+            homology.CheckGraph.of(x_stab), homology.CheckGraph.of(z_stab))
+        rng = random.Random(38)
+        for check, functionals, d in ((z_stab, x_side, d_z),
+                                      (x_stab, z_side, d_x)):
+            graph = homology.CheckGraph.of(check)
+            assert homology._min_weight_logical(graph, functionals)[0] == d
+            for _ in range(8):
+                shifted = _shifted(check, functionals, rng)
+                assert homology._min_weight_logical(graph, shifted)[0] == d
+
+    @pytest.mark.parametrize("name", ["toric(2,5)", "toric(3,4)",
+                                      "toric(4,3)"])
+    def test_non_square_tori(self, name):
+        c = surface.catalog(name)
+        fe, ve = surface.incidence_matrices(c)
+        d_z, d_x = coset_min_essential(fe, ve), coset_min_essential(ve, fe)
+        assert stabilizer.build_code(c).parameters()[2:] == (d_x, d_z)
+        assert (homology.systole(c)[0], homology.dual_systole(c)[0]) == (
+            d_z, d_x)
+        self._assert_engine(fe, ve, d_z, d_x)
+
+    # d_x by a scan of supports: rowspace(z_stabilizers) is too large
+    # for a coset search
+    @pytest.mark.parametrize("patch", [
+        stabilizer.PlanarPatch(3, 3, ((1, 1, 1, 1),)),
+        stabilizer.PlanarPatch(4, 4, ((1, 1, 2, 2),)),
+        stabilizer.PlanarPatch(5, 3, ((1, 1, 2, 1),)),
+        stabilizer.PlanarPatch(4, 3, ((1, 1, 1, 1), (2, 1, 1, 1))),
+        stabilizer.PlanarPatch(5, 3, ((1, 1, 1, 1), (3, 1, 1, 1))),
+        stabilizer.PlanarPatch(5, 4, ((1, 1, 1, 1), (3, 2, 1, 1))),
+    ], ids=["3x3-one", "4x4-one-2x2", "5x3-one-2x1", "4x3-two-adjacent",
+            "5x3-two-apart", "5x4-two-diagonal"])
+    def test_planar_patches(self, patch):
+        code = stabilizer.build_punctured_disk_code(patch)
+        x_stab, z_stab = code.x_stabilizers, code.z_stabilizers
+        d_z = coset_min_essential(x_stab, z_stab)
+        d_x = support_min_essential(z_stab, x_stab)
+        assert (code.d_x, code.d_z) == (d_x, d_z)
+        self._assert_engine(x_stab, z_stab, d_z, d_x)

@@ -78,6 +78,45 @@ class TestSpanOracle:
         assert seen == {1, 2, 4}
 
 
+def _every_pair_rank(code):
+    """Every pair's rank by _pair_rank, pair by pair."""
+    rem = invariants._qubit_remainders(code)
+    return {(i, j): invariants._pair_rank(rem, i, j)
+            for i in range(code.n) for j in range(i + 1, code.n)}
+
+
+def _output_sensitive_cases():
+    codes = [(name, _code(name)) for name in
+             [f"toric({m},{m})" for m in range(2, 7)] + ["toric(3,5)"]]
+    codes.append(("puncture-fig4_shor",
+                  stabilizer.puncture(surface.fig4_shor(), 6, 0).code))
+    codes.append(("planar-two-holes", stabilizer.build_punctured_disk_code(
+        stabilizer.planar_two_holes_patch())))
+    # a weight-1 X check: qubit 0 has a zero remainder; (1, 2) has rank 1
+    codes.append(("zero-remainder", CssCode(Gf2Matrix(2, 4, (0b0001, 0b0110)),
+                                            Gf2Matrix(1, 4, (0b0110,)))))
+    return [pytest.param(code, id=label) for label, code in codes]
+
+
+class TestOutputSensitiveProfile:
+    # rank_profile ranks only the pairs that share a remainder or have a
+    # zero one on some side; a plain loop over all pairs ranks them all
+    @pytest.mark.parametrize("code", _output_sensitive_cases())
+    def test_matches_the_all_pairs_loop(self, code):
+        profile = invariants.rank_profile(code)
+        every = _every_pair_rank(code)
+        assert profile.low_ranks == {p: r for p, r in every.items() if r < 4}
+        assert set(profile.low_ranks.values()) <= {1, 2}
+        assert profile.pair_ranks == every
+        histogram = {1: 0, 2: 0, 4: 0}
+        for r in every.values():
+            histogram[r] += 1
+        assert profile.histogram == histogram
+        assert sum(histogram.values()) == code.n * (code.n - 1) // 2
+        assert profile.rank2_pairs == sorted(
+            p for p, r in every.items() if r == 2)
+
+
 class TestDenseOracle:
     @pytest.mark.parametrize("name", ["fig4_shor", "toric(2,2)"])
     def test_agrees_with_stabilizer_counting(self, name):
