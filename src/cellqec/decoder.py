@@ -16,26 +16,31 @@ Up to 14 nodes to match (defects and boundary) the matching is an exact
 DP over subsets; above that it is the ``networkx`` blossom, loaded only
 then, and both give the one minimum T-join (``MatchingGraph.chain``).
 
-Errors are bit sets (Python ints, bit j = column j), and every decode
-reaches its verdict in one place, ``DecodingTables._failed``.  Per side,
-row j of ``_image_rows`` holds the checks column j flips and then its
-parities with the logical operators the side pairs with, and an error's
-image is the XOR of its columns' rows (``gf2.xor_rows``): its syndrome
-beside its parities.  ``_failed`` matches each syndrome once per
-tables, keeps its chain's parities in a memo, and counts the errors
-whose parities differ.  Each ``MatchingGraph`` keeps the sub-matchings
-of its DP, so syndromes share them too.
+A code has two sides (``CssCode.sides``): bit flips, detected by the
+Z checks and judged by logical Z, then phase flips, detected by the X
+checks and judged by logical X.  Every function here iterates over
+them in that order, and ``DecodingTables`` holds one ``MatchingGraph``
+per side.  Errors are bit sets (Python ints, bit j = column j), and
+every decode reaches its verdict in one place per side,
+``MatchingGraph._failed``.  Row j of a side's ``_image_rows`` holds
+the checks column j flips and then its parities with the side's
+logical operators, and an error's image is the XOR of its columns'
+rows (``gf2.xor_rows``): its syndrome beside its parities.
+``_failed`` matches each syndrome once per side, keeps its chain's
+parities in a memo, and counts the errors whose parities differ.  Each
+``MatchingGraph`` keeps the sub-matchings of its DP, so syndromes
+share them too.
 
 ``monte_carlo`` runs a whole sweep on the tables: it draws each chunk
 of trials once (``_draws``) and thresholds it at every (p_x, p_z)
 point; numpy XORs each side's rows over every trial's errors, 64 bits
-at a time (``DecodingTables._words``), which gives the images of
+at a time (``MatchingGraph._words``), which gives the images of
 ``gf2.xor_rows``, and only the distinct images go to ``_failed``.
 ``exhaustive_weight_sweep`` feeds it the image of every pattern and
 ``decode_error`` one image per side, each on tables built per call;
 ``correct`` builds them too.  ``syndrome`` and ``is_failure``, which
-reads the residual's image, read the check graphs of the code's split
-alone.  numpy is loaded only by ``monte_carlo``.
+reads the residual's image, read the code's sides alone and build no
+shortest paths.  numpy is loaded only by ``monte_carlo``.
 """
 from __future__ import annotations
 
@@ -63,7 +68,7 @@ _DP_MAX_DEFECTS = 14
 _CHUNK_DRAWS = 1 << 16
 
 # Entries of each memo, so that its memory does not grow with the trial
-# count: the syndromes per side whose chain parities DecodingTables
+# count: the syndromes whose chain parities each side's MatchingGraph
 # keeps (1.2 MB per side when full, for 64 checks; a decode_small sweep
 # needs at most 253), and the sub-matchings a MatchingGraph keeps, which
 # it clears before a DP once it holds this many.
@@ -103,11 +108,14 @@ class Syndrome:
 
 @dataclass(frozen=True)
 class MatchingGraph:
-    """All-pairs shortest paths in the check graph of one check matrix.
+    """One side of a code's decoding: its check graph, the image rows of
+    its columns and the all-pairs shortest paths in the graph.
 
-    ``graph`` is the ``homology.CheckGraph`` (the check rows plus a
-    boundary node); it gives the boundary, the columns and, through
+    ``graph`` is the side's ``homology.CheckGraph`` (the check rows plus
+    a boundary node); it gives the boundary, the columns and, through
     its adjacency, the edges that ``build`` walks layer by layer.
+    ``rows`` are its ``_image_rows`` with the side's logical operators,
+    and ``_failed`` is the verdict of every decode on the side.
     Column j weighs 2^n - 2^(n-1-j) (see the module docstring); no two
     edge sets weigh the same, so every shortest path is unique.  Columns
     of weight 0 join nothing, and no minimum-weight chain contains one.
@@ -121,11 +129,15 @@ class MatchingGraph:
     """
 
     graph: homology.CheckGraph
+    rows: tuple[int, ...]                     # _image_rows of the side
     dist: tuple[tuple[int | None, ...], ...]  # None: no path
     path: tuple[tuple[int, ...], ...]         # column bit set of the path
 
     @classmethod
-    def build(cls, graph: homology.CheckGraph) -> "MatchingGraph":
+    def build(cls, graph: homology.CheckGraph,
+              logicals: Sequence[Gf2Vector]) -> "MatchingGraph":
+        """The side of graph judged by logicals (one ``CssCode.sides``
+        entry)."""
         n, n_nodes = len(graph.columns), graph.boundary + 1
         weight = [(1 << n) - (1 << (n - 1 - e)) for e in range(n)]
         dist, path = [], []
@@ -150,7 +162,8 @@ class MatchingGraph:
                 layer = following
             dist.append(tuple(d))
             path.append(tuple(p))
-        return cls(graph, tuple(dist), tuple(path))
+        return cls(graph, _image_rows(graph, logicals), tuple(dist),
+                   tuple(path))
 
     def min_weight_chain(self, syn: Gf2Vector) -> Gf2Vector:
         """The chain with syndrome syn that is smallest by sort_key."""
@@ -258,9 +271,54 @@ class MatchingGraph:
         memo[mask] = top
         return top
 
+    @cached_property
+    def _parities(self) -> dict[int, int]:
+        """The memo of ``_failed``: a syndrome bit set maps to its
+        chain's parities with the side's logical operators."""
+        return {}
+
+    @cached_property
+    def _words(self):
+        """``rows`` as unsigned 64-bit words, at least one: row i of the
+        array holds bits 64i ... 64i+63 of every column's row.
+        XOR-reducing each word over an error's columns gives its image 64
+        bits at a time, as ``gf2.xor_rows`` does."""
+        import numpy as np
+
+        return np.array(
+            [[row >> shift & (1 << 64) - 1 for row in self.rows]
+             for shift in range(0, max((1, *self.rows)).bit_length(), 64)],
+            np.uint64)
+
+    def _failed(self, images: Iterable[tuple[int, int]]) -> int:
+        """How many errors on this side fail, given as (image, count)
+        pairs: the one verdict of every decode.
+
+        Each distinct syndrome is matched once per side while the memo
+        holds fewer than ``_MEMO_ENTRIES``, and every chain matched must
+        reproduce its syndrome (else SyndromeMismatch); an error fails
+        when its parities differ from its chain's (``_image_rows``).
+        """
+        memo, checks, failed = self._parities, self.graph.boundary, 0
+        mask = (1 << checks) - 1
+        for image, count in images:
+            syn = image & mask
+            parities = memo.get(syn)
+            if parities is None:
+                chain_image = gf2.xor_rows(self.rows, self.chain(syn))
+                if chain_image & mask != syn:
+                    raise SyndromeMismatch(
+                        "correction does not match the error syndrome")
+                parities = chain_image >> checks
+                if len(memo) < _MEMO_ENTRIES:
+                    memo[syn] = parities
+            if parities != image >> checks:
+                failed += count
+        return failed
+
 
 def _image_rows(graph: homology.CheckGraph,
-                logicals: Sequence[int]) -> tuple[int, ...]:
+                logicals: Sequence[Gf2Vector]) -> tuple[int, ...]:
     """Row j: the checks column j of graph flips, then bit checks + i for
     its parity with logicals[i]; an error's image is ``gf2.xor_rows`` of
     these rows.
@@ -276,9 +334,9 @@ def _image_rows(graph: homology.CheckGraph,
     iff error and chain differ in some parity.  z errors pair dually
     with logical_x.
     """
-    checks = graph.boundary
+    checks, bits = graph.boundary, [v.bits for v in logicals]
     return tuple(col | sum(((lg >> j) & 1) << (checks + i)
-                           for i, lg in enumerate(logicals))
+                           for i, lg in enumerate(bits))
                  for j, col in enumerate(graph.columns))
 
 
@@ -286,76 +344,18 @@ def _image_rows(graph: homology.CheckGraph,
 class DecodingTables:
     """What every decode on one code reuses; build once per code.
 
-    The code's length, the matching graphs of its two checks and the
-    bits of its logical operators, which every code carries, k per side;
-    ``_failed`` judges errors given by their images.
+    The code's length and one ``MatchingGraph`` per side of the code
+    (``CssCode.sides``): the one that corrects bit flips, then the one
+    that corrects phase flips.
     """
 
     n: int
-    z_graph: MatchingGraph            # of z_stabilizers: corrects x errors
-    x_graph: MatchingGraph            # of x_stabilizers: corrects z errors
-    logical_x: tuple[int, ...]
-    logical_z: tuple[int, ...]
+    sides: tuple[MatchingGraph, MatchingGraph]
 
     @classmethod
     def build(cls, code: CssCode) -> "DecodingTables":
-        x_checks, z_checks, logical_x, logical_z = code._split
-        return cls(code.n, MatchingGraph.build(z_checks),
-                   MatchingGraph.build(x_checks),
-                   tuple(v.bits for v in logical_x),
-                   tuple(v.bits for v in logical_z))
-
-    @cached_property
-    def _sides(self) -> tuple:
-        """Per side, x errors then z errors: (matching graph, rows, memo).
-
-        rows are the side's ``_image_rows``; the memo maps a syndrome
-        bit set to its chain's parities with the logical operators.
-        """
-        return tuple((graph, _image_rows(graph.graph, logicals), {})
-                     for graph, logicals in ((self.z_graph, self.logical_z),
-                                             (self.x_graph, self.logical_x)))
-
-    @cached_property
-    def _words(self) -> tuple:
-        """Per side, the rows of ``_sides`` as unsigned 64-bit words, at
-        least one: row i of the array holds bits 64i ... 64i+63 of every
-        column's row.  XOR-reducing each word over an error's columns
-        gives its image 64 bits at a time, as ``gf2.xor_rows`` does."""
-        import numpy as np
-
-        return tuple(np.array(
-            [[row >> shift & (1 << 64) - 1 for row in rows]
-             for shift in range(0, max((1, *rows)).bit_length(), 64)],
-            np.uint64) for _, rows, _ in self._sides)
-
-    def _failed(self, side: int,
-                images: Iterable[tuple[int, int]]) -> int:
-        """How many errors fail on one side (0: x, 1: z), given as
-        (image, count) pairs: the one verdict of every decode.
-
-        Each distinct syndrome is matched once per tables while the memo
-        holds fewer than ``_MEMO_ENTRIES``, and every chain matched must
-        reproduce its syndrome (else SyndromeMismatch); an error fails
-        when its parities differ from its chain's (``_image_rows``).
-        """
-        graph, rows, memo = self._sides[side]
-        checks, failed = graph.graph.boundary, 0
-        mask = (1 << checks) - 1
-        for image, count in images:
-            syn = image & mask
-            parities = memo.get(syn)
-            if parities is None:
-                chain_image = gf2.xor_rows(rows, graph.chain(syn))
-                if chain_image & mask != syn:
-                    raise SyndromeMismatch(
-                        "correction does not match the error syndrome")
-                parities = chain_image >> checks
-                if len(memo) < _MEMO_ENTRIES:
-                    memo[syn] = parities
-            if parities != image >> checks:
-                failed += count
-        return failed
+        return cls(code.n, tuple(MatchingGraph.build(graph, logicals)
+                                 for graph, logicals in code.sides))
 
 
 def syndrome(code: CssCode, err: ErrorPattern) -> Syndrome:
@@ -363,23 +363,18 @@ def syndrome(code: CssCode, err: ErrorPattern) -> Syndrome:
     columns (``gf2.xor_rows``)."""
     if err.x_errors.n != code.n:
         raise gf2.LengthMismatch(f"{err.x_errors.n} != {code.n}")
-    x_checks, z_checks, _, _ = code._split
-    return Syndrome(
-        z_checks=Gf2Vector(z_checks.boundary,
-                           gf2.xor_rows(z_checks.columns, err.x_errors.bits)),
-        x_checks=Gf2Vector(x_checks.boundary,
-                           gf2.xor_rows(x_checks.columns, err.z_errors.bits)),
-    )
+    return Syndrome(*(
+        Gf2Vector(graph.boundary, gf2.xor_rows(graph.columns, e.bits))
+        for (graph, _), e in zip(code.sides, (err.x_errors, err.z_errors))))
 
 
 def correct(code: CssCode, syn: Syndrome) -> ErrorPattern:
     """Minimum-weight error pattern reproducing the syndrome, ties
     broken by ``Gf2Vector.sort_key``."""
     tables = DecodingTables.build(code)
-    return ErrorPattern(
-        x_errors=tables.z_graph.min_weight_chain(syn.z_checks),
-        z_errors=tables.x_graph.min_weight_chain(syn.x_checks),
-    )
+    return ErrorPattern(*(
+        side.min_weight_chain(s)
+        for side, s in zip(tables.sides, (syn.z_checks, syn.x_checks))))
 
 
 def is_failure(code: CssCode, err: ErrorPattern,
@@ -393,12 +388,9 @@ def is_failure(code: CssCode, err: ErrorPattern,
     res_x, res_z = err.x_errors ^ corr.x_errors, err.z_errors ^ corr.z_errors
     if res_x.n != code.n:
         raise gf2.LengthMismatch(f"{res_x.n} != {code.n}")
-    x_checks, z_checks, logical_x, logical_z = code._split
     verdict = []
-    for graph, logicals, res in ((z_checks, logical_z, res_x),
-                                 (x_checks, logical_x, res_z)):
-        image = gf2.xor_rows(
-            _image_rows(graph, [v.bits for v in logicals]), res.bits)
+    for (graph, logicals), res in zip(code.sides, (res_x, res_z)):
+        image = gf2.xor_rows(_image_rows(graph, logicals), res.bits)
         if image & ((1 << graph.boundary) - 1):
             raise SyndromeMismatch(
                 "correction does not match the error syndrome")
@@ -408,13 +400,13 @@ def is_failure(code: CssCode, err: ErrorPattern,
 
 def decode_error(code: CssCode, err: ErrorPattern) -> tuple[bool, bool]:
     """(x_fail, z_fail) of decoding err: one image per side through
-    ``DecodingTables._failed``."""
+    ``MatchingGraph._failed``."""
     if err.x_errors.n != code.n:
         raise gf2.LengthMismatch(f"{err.x_errors.n} != {code.n}")
     tables = DecodingTables.build(code)
-    return tuple(tables._failed(side, [(gf2.xor_rows(rows, v.bits), 1)]) == 1
-                 for side, ((_, rows, _), v) in enumerate(
-                     zip(tables._sides, (err.x_errors, err.z_errors))))
+    return tuple(side._failed([(gf2.xor_rows(side.rows, v.bits), 1)]) == 1
+                 for side, v in zip(tables.sides,
+                                    (err.x_errors, err.z_errors)))
 
 
 @dataclass(frozen=True)
@@ -490,14 +482,14 @@ def monte_carlo(tables: DecodingTables,
     for draws in _draws(seed, range(trials), tables.n):
         for (p_x, p_z), count in zip(points, counts):
             errors = draws < [[p_x], [p_z]]
-            for side, words in enumerate(tables._words):
-                err = errors[:, side]
+            for i, side in enumerate(tables.sides):
+                err = errors[:, i]
                 images, *rest = (np.bitwise_xor.reduce(
                     np.broadcast_to(word, err.shape), axis=1, where=err,
-                    initial=0).tolist() for word in words)
-                for i, ws in enumerate(rest, 1):
-                    images = [key | w << 64 * i for key, w in zip(images, ws)]
-                count[side] += tables._failed(side, Counter(images).items())
+                    initial=0).tolist() for word in side._words)
+                for j, ws in enumerate(rest, 1):
+                    images = [key | w << 64 * j for key, w in zip(images, ws)]
+                count[i] += side._failed(Counter(images).items())
     return [MonteCarloResult(p_x, p_z, trials, xf, zf, seed)
             for (p_x, p_z), (xf, zf) in zip(points, counts)]
 
@@ -531,8 +523,8 @@ def exhaustive_weight_sweep(code: CssCode, max_weight: int) -> list[ExhaustiveSw
     tables = DecodingTables.build(code)
     rows = []
     for w in range(top + 1):
-        xf, zf = (tables._failed(side, images(image_rows, w))
-                  for side, (_, image_rows, _) in enumerate(tables._sides))
+        xf, zf = (side._failed(images(side.rows, w))
+                  for side in tables.sides)
         count = comb(code.n, w)
         rows.append(ExhaustiveSweepRow(w, count, xf, count, zf))
     return rows

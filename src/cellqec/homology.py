@@ -17,7 +17,14 @@ forest F of x's graph, a forest F* of z's graph over the columns F
 leaves out, and, for each column in neither, the cycle it closes in F
 (a basis of ker(x) / rowspace(z)) and the one it closes in F* (a basis
 of ker(z) / rowspace(x)).  The two bases pair as the identity by
-construction, and no GF(2) elimination is involved.
+construction, and no GF(2) elimination is involved.  ``_sides`` is the
+one place that builds the two graphs, runs the split and pairs them
+up: per error type, bit flips then phase flips, the graph of the
+checks that detect it and the logical operators that judge it.  A
+code's distances, the systoles and the decoder all read those sides:
+the systole searches side 0 of ``_sides(fe, ve)`` for the face and
+vertex incidences fe and ve, the dual systole side 0 of
+``_sides(ve, fe)``.
 
 Every minimum-weight-nontrivial-vector question in the library -- the
 primal and dual systoles here, and the code distances in ``stabilizer``
@@ -231,6 +238,23 @@ def _tree_cotree(x: CheckGraph, z: CheckGraph
     return _tree_paths(x, tree, loops), _tree_paths(z, dual_tree, loops)
 
 
+def _sides(x: Gf2Matrix, z: Gf2Matrix
+           ) -> tuple[tuple[CheckGraph, tuple[Gf2Vector, ...]], ...]:
+    """The two sides of commuting checks x and z: per error type, bit
+    flips then phase flips, (the graph of the checks that detect it, the
+    logical operators that judge it).
+
+    Bit flips are detected by z and judged by the classes of ker(x) /
+    rowspace(z), the logical Z operators; phase flips by x and the
+    classes of ker(z) / rowspace(x), the logical X operators.  Both come
+    from the one ``_tree_cotree`` split of the two graphs, so they pair
+    as the identity.
+    """
+    x_graph, z_graph = CheckGraph.of(x), CheckGraph.of(z)
+    logical_z, logical_x = _tree_cotree(x_graph, z_graph)
+    return (z_graph, tuple(logical_z)), (x_graph, tuple(logical_x))
+
+
 def _min_weight_logical(graph: CheckGraph,
                         functionals: Sequence[Gf2Vector]) -> tuple[int, Gf2Vector]:
     """Minimum weight over ker(check) minus the vectors all functionals kill.
@@ -322,13 +346,13 @@ def _min_essential(fe: Gf2Matrix, ve: Gf2Matrix) -> tuple[int, Gf2Vector]:
     """Minimum-weight cycle of ker(ve) outside rowspace(fe).
 
     A cycle is essential iff it pairs oddly with some class of
-    ker(fe) / rowspace(ve), so those classes are the functionals.
+    ker(fe) / rowspace(ve), so those classes are the functionals: the
+    first side of ``_sides(fe, ve)``.
     """
-    ve_graph = CheckGraph.of(ve)
-    functionals, _ = _tree_cotree(CheckGraph.of(fe), ve_graph)
+    graph, functionals = _sides(fe, ve)[0]
     if not functionals:
         raise TrivialHomologyError("surface has trivial first homology")
-    return _min_weight_logical(ve_graph, functionals)
+    return _min_weight_logical(graph, functionals)
 
 
 def systole(c: Cellulation) -> tuple[int, Gf2Vector]:

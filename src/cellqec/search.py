@@ -22,11 +22,10 @@ generation", 1998, as in the plantri generators): the first leaf of a
 class in DFS order opens it.  ``_first_of_class`` walks the relabellings
 that R1-R3 allow node by node inside the DFS and cuts a child once one
 gives a smaller word, so every leaf the reduced search reaches opens a
-class: 2,678 at e=6 and 30,347 at e=7, against 8,822 and 119,046 when
-the test ran on complete leaves.  No canonical form is computed and no
-set of classes is kept.  Without reduce_symmetry each leaf is keyed by
-the canonical form of its flag system (``FlagMap.canonical_form``)
-instead, an independent oracle.
+class: 2,678 at e=6 and 30,347 at e=7.  No canonical form is computed
+and no set of classes is kept.  Without reduce_symmetry each leaf is
+keyed by the canonical form of its flag system
+(``FlagMap.canonical_form``) instead, an independent oracle.
 
 Symmetry reductions used by the matching search:
 

@@ -8,16 +8,19 @@ ker(vertex_edge) \\ rowspace(face_edge); logical_z dually.
 A ``CssCode`` is its two check matrices; everything else is derived
 from them on first read and cached.  n is their column count (X and Z
 checks of different lengths are rejected when the code is built).  The
-first read of k or a logical operator builds each side's
-``homology.CheckGraph`` (every check column must have weight <= 2, even
-when k = 0) and runs one tree-cotree split, ``homology._tree_cotree``,
-which gives logical_z and logical_x already paired as the identity; the
-checks must commute for this, which is why ``build_code`` validates its
-cellulation first, by building its flag system (``surface.build_flags``)
-without classifying the surface.  k is their number, and each distance
-is one parity-cover search, ``homology._min_weight_logical``, run on the
-first read of d_x or d_z.  The logical operators are valid, not necessarily
-of minimum weight, and deriving them does no GF(2) elimination.
+first read of k or a logical operator builds the code's two sides,
+``CssCode.sides`` (``homology._sides``): for bit flips the
+``homology.CheckGraph`` of the Z checks and logical_z, for phase flips
+that of the X checks and logical_x, from one tree-cotree split, so the
+logical operators are paired as the identity.  Every check column must
+have weight <= 2, even when k = 0, and the checks must commute, which
+is why ``build_code`` validates its cellulation first, by building its
+flag system (``surface.build_flags``) without classifying the surface.
+k is the number of logical operators per side, and each distance is
+one parity-cover search, ``homology._min_weight_logical``, on its side,
+run on the first read: d_z on side 0, d_x on side 1.  The decoder reads
+the same sides.  The logical operators are valid, not necessarily of
+minimum weight, and deriving them does no GF(2) elimination.
 
 Every code's checks are read from a cellulation's incidences by
 ``surface.incidence_matrices``.  A closed surface gives all its face and
@@ -62,21 +65,18 @@ class CssCode:
         return self.x_stabilizers.cols
 
     @cached_property
-    def _split(self) -> tuple:
-        """(x graph, z graph, logical_x, logical_z) of one split."""
-        x_graph = homology.CheckGraph.of(self.x_stabilizers)
-        z_graph = homology.CheckGraph.of(self.z_stabilizers)
-        # Z logicals commute with the X checks: ker(x_stab) / rowspace(z_stab)
-        logical_z, logical_x = homology._tree_cotree(x_graph, z_graph)
-        return x_graph, z_graph, tuple(logical_x), tuple(logical_z)
+    def sides(self) -> tuple:
+        """``homology._sides`` of the checks: (z graph, logical_z) for
+        bit flips, then (x graph, logical_x) for phase flips."""
+        return homology._sides(self.x_stabilizers, self.z_stabilizers)
 
     @property
     def logical_x(self) -> tuple[Gf2Vector, ...]:
-        return self._split[2]
+        return self.sides[1][1]
 
     @property
     def logical_z(self) -> tuple[Gf2Vector, ...]:
-        return self._split[3]
+        return self.sides[0][1]
 
     @property
     def k(self) -> int:
@@ -84,15 +84,15 @@ class CssCode:
 
     @cached_property
     def d_x(self) -> int | None:
-        """The dual systole; None when k = 0."""
-        x_graph, _, lx, _ = self._split
-        return _min_weight_logical(x_graph, lx)[0] if lx else None
+        """The dual systole, read from side 1; None when k = 0."""
+        graph, logicals = self.sides[1]
+        return _min_weight_logical(graph, logicals)[0] if logicals else None
 
     @cached_property
     def d_z(self) -> int | None:
-        """The primal systole; None when k = 0."""
-        _, z_graph, _, lz = self._split
-        return _min_weight_logical(z_graph, lz)[0] if lz else None
+        """The primal systole, read from side 0; None when k = 0."""
+        graph, logicals = self.sides[0]
+        return _min_weight_logical(graph, logicals)[0] if logicals else None
 
     def parameters(self) -> tuple:
         return (self.n, self.k, self.d_x, self.d_z)

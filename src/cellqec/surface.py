@@ -258,7 +258,10 @@ class FlagMap:
         append = code.append
         fresh = 1
         for f in order:  # order grows while it is walked
-            # unrolled over s0, s1, s2: the census's innermost loop
+            # unrolled over s0, s1, s2: canonical forms (the unreduced
+            # census oracle, the survivor sort, the map moves) and the
+            # rooted-map |Aut| count run this loop per start flag, and a
+            # loop over the three took 10-17 % longer on them
             t = s0[f]
             lab = label[t]
             if lab < 0:

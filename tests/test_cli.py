@@ -378,7 +378,7 @@ class TestDecode:
 
     def test_sweep_builds_the_tables_once(self, capsys, monkeypatch):
         # one DecodingTables per command, shared by every --p point, one
-        # check graph per check matrix, from the code's split, and each
+        # check graph per check matrix, from the code's sides, and each
         # trial drawn once for all the points
         calls, graphs, rows = [], [], []
         build, of = decoder.DecodingTables.build, homology.CheckGraph.of

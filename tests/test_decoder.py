@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import itertools
 import random
@@ -86,19 +87,20 @@ def _monte_carlo_codes() -> dict:
 
 @functools.cache
 def _shared_matching_graphs() -> dict:
-    """The matching graphs of both checks of toric(4,4) (closed) and of
-    the planar two-hole code (weight-1 columns), built once, so that
-    their DP memos fill across tests."""
+    """The matching graphs of both sides of toric(4,4) (closed) and of
+    the planar two-hole code (weight-1 columns), keyed by the checks of
+    the side, built once, so that their DP memos fill across tests."""
     planar = stabilizer.build_punctured_disk_code(
         stabilizer.planar_two_holes_patch())
     tables = {"toric(4,4)": _tables("toric(4,4)"),
               "planar two holes": decoder.DecodingTables.build(planar)}
-    return {f"{label} {side}": getattr(t, f"{side}_graph")
-            for label, t in tables.items() for side in "xz"}
+    return {f"{label} {checks}": side for label, t in tables.items()
+            for checks, side in zip("zx", t.sides)}
 
 
 def _matching_graph(checks):
-    return decoder.MatchingGraph.build(homology.CheckGraph.of(checks))
+    """The matching graph of checks alone, judged by no logical."""
+    return decoder.MatchingGraph.build(homology.CheckGraph.of(checks), ())
 
 
 def _random_bits(data, n):
@@ -143,7 +145,7 @@ class TestSyndrome:
         assert {verdict for *_, verdict in expected} == {(False, False),
                                                          (True, False)}
 
-        def refuse(cls, graph):
+        def refuse(cls, graph, logicals):
             raise AssertionError("shortest paths were built")
 
         monkeypatch.setattr(decoder.MatchingGraph, "build",
@@ -355,7 +357,7 @@ class TestCorrect:
         qubits = data.draw(st.sets(st.integers(0, len(graph.graph.columns)
                                                - 1), max_size=6))
         syn = gf2.xor_rows(graph.graph.columns, sum(1 << q for q in qubits))
-        fresh = decoder.MatchingGraph(graph.graph, graph.dist, graph.path)
+        fresh = dataclasses.replace(graph)  # the same fields, empty memos
         assert graph.chain(syn) == fresh.chain(syn)
         # the warm memo holds every sub-matching of this DP, and agrees
         assert fresh._matchings.items() <= graph._matchings.items()
@@ -382,8 +384,8 @@ class TestCorrect:
         codes = dict(_oracle_codes(), **{"toric(8,8)": _code("toric(8,8)")})
         isolated = 0
         for label, code in codes.items():
-            for graph in code._split[:2]:
-                matching = decoder.MatchingGraph.build(graph)
+            for graph, logicals in code.sides:
+                matching = decoder.MatchingGraph.build(graph, logicals)
                 assert (matching.dist, matching.path) == \
                     dijkstra_shortest_paths(graph), label
                 boundary = graph.boundary
@@ -550,13 +552,14 @@ class TestMonteCarlo:
             code = stabilizer.build_punctured_disk_code(
                 stabilizer.planar_two_holes_patch())
         tables = decoder.DecodingTables.build(code)
-        failed, calls = decoder.DecodingTables._failed, []
+        failed, calls = decoder.MatchingGraph._failed, []
 
-        def spy(self, side, images):
+        def spy(self, images):
+            side = [s is self for s in tables.sides].index(True)
             calls.append((side, list(images)))
-            return failed(self, side, calls[-1][1])
+            return failed(self, calls[-1][1])
 
-        monkeypatch.setattr(decoder.DecodingTables, "_failed", spy)
+        monkeypatch.setattr(decoder.MatchingGraph, "_failed", spy)
         monkeypatch.setattr(decoder, "_CHUNK_DRAWS", 2 * code.n * 5)
         points = ((p, p / 2), (1.0, 0.0))
         decoder.monte_carlo(tables, points, 12, 4)
@@ -564,9 +567,9 @@ class TestMonteCarlo:
         for chunk in (range(5), range(5, 10), range(10, 12)):
             for p_x, p_z in points:
                 bits = [_oracle_bits(4, t, code.n, p_x, p_z) for t in chunk]
-                for side, (_, rows, _) in enumerate(tables._sides):
+                for side, matching in enumerate(tables.sides):
                     expected.append((side, len(chunk), Counter(
-                        gf2.xor_rows(rows, b[side]) for b in bits)))
+                        gf2.xor_rows(matching.rows, b[side]) for b in bits)))
         assert len(calls) == len(expected) == 3 * 2 * 2
         for (side, images), (want_side, trials, want) in zip(calls,
                                                             expected):
@@ -604,13 +607,13 @@ class TestMonteCarlo:
         # chain per trial and side makes 5,400
         points = (0.02, 0.05, 0.1)
         code = _code(name)
-        x_checks, z_checks, _, _ = code._split
         syndromes = set()
         for p in points:
             for t in range(300):
-                x, z = _oracle_bits(1, t, code.n, p, p)
-                syndromes |= {(0, gf2.xor_rows(z_checks.columns, x)),
-                              (1, gf2.xor_rows(x_checks.columns, z))}
+                bits = _oracle_bits(1, t, code.n, p, p)
+                syndromes |= {(side, gf2.xor_rows(graph.columns, b))
+                              for side, ((graph, _), b) in enumerate(
+                                  zip(code.sides, bits))}
         calls = []
         chain = decoder.MatchingGraph.chain
         monkeypatch.setattr(decoder.MatchingGraph, "chain",
@@ -642,7 +645,7 @@ class TestMonteCarlo:
         results = decoder.monte_carlo(tables, [(0.02, 0.02), (0.05, 0.05),
                                                (0.1, 0.1)], 300, 1)
         assert [(r.x_failures, r.z_failures) for r in results] == rows
-        assert [len(memo) for *_, memo in tables._sides] == [3, 3]
+        assert [len(side._parities) for side in tables.sides] == [3, 3]
         assert max(sizes) > 3  # a DP filled the memo past the cap
 
     def test_a_chain_that_misses_its_syndrome_is_rejected(self, monkeypatch):

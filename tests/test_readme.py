@@ -1,4 +1,5 @@
 import ast
+import importlib
 import json
 import re
 import shlex
@@ -7,6 +8,9 @@ from pathlib import Path
 from cellqec import cli
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+SRC = README.parent / "src" / "cellqec"
+# a dotted name, maybe called: ``gf2.xor_rows``, ``gf2.kernel_basis(x)``
+DOTTED = re.compile(r"([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+)(?:\(.*\))?")
 
 
 def _block(heading: str, lang: str) -> str:
@@ -79,3 +83,52 @@ def test_command_line_examples_exit_zero(capsys, verify_paper_run):
             assert value in out + err, line
             checked.append(value)
     assert checked == ["[[9,1,3,3]]", "[553,2,7,4]"]
+
+
+def _backticked() -> list[tuple[str, str]]:
+    """(file, text) of every backticked span of README.md and of every
+    module, class and function docstring in the package."""
+    spans = [("README.md", text)
+             for text in re.findall(r"`([^`\n]+)`", README.read_text())]
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef)):
+                spans += [(path.name, text) for text in re.findall(
+                    r"`+([^`]+)`+", ast.get_docstring(node) or "")]
+    return spans
+
+
+def test_backticked_names_and_test_paths_exist():
+    # a dotted name whose head is a module of the package, or a class
+    # defined in one, must resolve attribute by attribute (a dataclass
+    # field counts), and a capitalised head must be such a class; each
+    # tests/...py path must be a file
+    modules = {path.stem: importlib.import_module(f"cellqec.{path.stem}")
+               for path in SRC.glob("*.py") if not path.stem.startswith("_")}
+    classes = {name: obj for module in modules.values()
+               for name, obj in vars(module).items()
+               if isinstance(obj, type) and obj.__module__ == module.__name__}
+    stale, resolved = [], 0
+    for where, text in _backticked():
+        stale += [(where, path) for path in re.findall(r"tests/[\w/]+\.py",
+                                                       text)
+                  if not (README.parent / path).is_file()]
+        match = DOTTED.fullmatch(text)
+        if match is None:
+            continue
+        head, *attrs = match.group(1).split(".")
+        obj = modules.get(head, classes.get(head))
+        if obj is None:
+            if head[0].isupper():
+                stale.append((where, text))
+            continue
+        for attr in attrs:
+            if attr in getattr(obj, "__dataclass_fields__", {}):
+                break
+            if not hasattr(obj, attr):
+                stale.append((where, text))
+                break
+            obj = getattr(obj, attr)
+        resolved += 1
+    assert stale == []
+    assert resolved > 30

@@ -9,7 +9,7 @@ from construction_oracle import scanned_disk_checks
 from coset_oracle import coset_min_essential
 from sampling import planar_and_punctured_codes
 
-from cellqec import gf2, homology, invariants, stabilizer, surface
+from cellqec import decoder, gf2, homology, invariants, stabilizer, surface
 from cellqec.gf2 import Gf2Matrix
 from cellqec.stabilizer import PlanarPatch
 
@@ -196,18 +196,50 @@ class TestShorIdentification:
 
 class TestDistance:
     def test_css_distance_matches_systoles(self):
-        for name in ["rp2_minimal", "fig1_hemi_icosahedron", "fig2_nine_edge",
-                     "fig3_nine_edge", "fig4_shor", "toric(2,2)",
-                     "toric(3,3)", "toric(4,4)"]:
-            c = surface.catalog(name)
-            fe, ve = surface.incidence_matrices(c)
-            code = stabilizer.build_code(c)
+        # side 0 is the Z checks' graph with logical_z (bit flips), side 1
+        # the X checks' graph with logical_x (phase flips): each distance
+        # reads its side, and the decoder matches on the code's own graphs
+        cells = {name: surface.catalog(name) for name in
+                 surface.closed_catalog_names() + ["toric(2,2)", "toric(4,4)"]}
+        codes = {name: stabilizer.build_code(c) for name, c in cells.items()}
+        codes["fig4_shor punctured at 6,0"] = stabilizer.puncture(
+            cells["fig4_shor"], 6, 0).code
+        codes["planar two holes"] = stabilizer.build_punctured_disk_code(
+            stabilizer.planar_two_holes_patch())
+        distances = {}
+        for label, code in codes.items():
+            tables = decoder.DecodingTables.build(code)
+            for i, (checks, other, logicals) in enumerate((
+                    (code.z_stabilizers, code.x_stabilizers, code.logical_z),
+                    (code.x_stabilizers, code.z_stabilizers,
+                     code.logical_x))):
+                graph, side_logicals = code.sides[i]
+                assert graph == homology.CheckGraph.of(checks), label
+                assert side_logicals == logicals, label
+                assert all(other.mul_vector(v).is_zero() for v in logicals)
+                assert tables.sides[i].graph is graph, label
+            if not code.k:
+                assert (code.d_x, code.d_z) == (None, None), label
+                continue
             d_x, d_z = stabilizer.css_distance(code)
-            # the coset search is an independent oracle for the graph search
-            assert d_z == homology.systole(c)[0] == coset_min_essential(fe, ve)
-            assert d_x == homology.dual_systole(c)[0] == (
-                coset_min_essential(ve, fe))
+            assert d_z == homology._min_weight_logical(*code.sides[0])[0]
+            assert d_x == homology._min_weight_logical(*code.sides[1])[0]
             assert (code.d_x, code.d_z) == (d_x, d_z)
+            distances[label] = d_x, d_z
+        assert set(codes) - set(distances) == {"cube_sphere"}
+        for name, c in cells.items():
+            if name in distances:
+                fe, ve = surface.incidence_matrices(c)
+                d_x, d_z = distances[name]
+                # the coset search is an independent oracle for the graph
+                # search
+                assert d_z == homology.systole(c)[0] == (
+                    coset_min_essential(fe, ve))
+                assert d_x == homology.dual_systole(c)[0] == (
+                    coset_min_essential(ve, fe))
+        assert distances["fig4_shor punctured at 6,0"] == \
+            distances["fig4_shor"]
+        assert distances["planar two holes"] == (7, 4)
 
     def test_weight_three_column_is_rejected(self):
         # qubit 0 is in three Z checks, so its column is no graph edge
