@@ -3,6 +3,12 @@
 JSON results go to standard output (byte-stable for fixed inputs and
 seeds); human-readable summaries go to standard error.  Exit codes:
 0 success, 1 computation error, 2 usage error.
+
+Importing this module loads no layer of the package, only argparse and
+the parser.  Each handler imports the layers it runs, so a command loads
+only those: ``catalog list`` loads surface and gf2, and ``search
+census`` loads search, surface and gf2, and the code layers only once a
+class reaches the systole filter.
 """
 from __future__ import annotations
 
@@ -12,18 +18,18 @@ import json
 import os
 import sys
 
-from . import decoder, invariants, search, stabilizer, surface
-from .surface import Cellulation
 
-
-def _load_cellulation(spec: str) -> Cellulation:
-    """Catalog name, JSON file path, or inline JSON document.
+def _load_cellulation(spec: str):
+    """The Cellulation a catalog name, JSON file path or inline JSON
+    document names.
 
     Catalog names come first, so a file named like one is read only by a
     path such as ./fig4_shor.  JSON input is not validated here:
     `catalog show` validates in its handler and every other command
     builds a code, which validates.
     """
+    from . import surface
+
     try:
         return surface.catalog(spec)
     except KeyError:
@@ -34,7 +40,7 @@ def _load_cellulation(spec: str) -> Cellulation:
             text = spec
         else:
             raise
-    return Cellulation.from_json(text)
+    return surface.Cellulation.from_json(text)
 
 
 def _emit(payload, summary: str) -> int:
@@ -49,11 +55,15 @@ def _emit(payload, summary: str) -> int:
 # ---------------------------------------------------------------------------
 
 def _cmd_catalog_list(args) -> int:
+    from . import surface
+
     names = surface.closed_catalog_names()
     return _emit({"catalog": names}, "\n".join(names))
 
 
 def _cmd_catalog_show(args) -> int:
+    from . import surface
+
     c = _load_cellulation(args.name)
     info = surface.validate(c)
     payload = {"cellulation": c.to_json_dict(),
@@ -64,6 +74,8 @@ def _cmd_catalog_show(args) -> int:
 
 
 def _cmd_code_params(args) -> int:
+    from . import stabilizer
+
     c = _load_cellulation(args.cellulation)
     code = stabilizer.build_code(c)
     payload = {
@@ -77,6 +89,8 @@ def _cmd_code_params(args) -> int:
 
 
 def _cmd_code_stabilizers(args) -> int:
+    from . import stabilizer
+
     c = _load_cellulation(args.cellulation)
     code = stabilizer.build_code(c)
     payload = {"n": code.n, "pauli_strings": code.pauli_strings(),
@@ -85,6 +99,8 @@ def _cmd_code_stabilizers(args) -> int:
 
 
 def _cmd_code_invariants(args) -> int:
+    from . import invariants, stabilizer
+
     c = _load_cellulation(args.cellulation)
     code = stabilizer.build_code(c)
     profile = invariants.rank_profile(code)
@@ -95,6 +111,8 @@ def _cmd_code_invariants(args) -> int:
 
 
 def _cmd_code_compare(args) -> int:
+    from . import invariants, stabilizer
+
     ca = _load_cellulation(args.a)
     cb = _load_cellulation(args.b)
     code_a = stabilizer.build_code(ca)
@@ -109,6 +127,8 @@ def _cmd_code_compare(args) -> int:
 
 
 def _cmd_decode_sweep(args) -> int:
+    from . import decoder, stabilizer
+
     c = _load_cellulation(args.cellulation)
     tables = decoder.DecodingTables.build(stabilizer.build_code(c))
     results = decoder.monte_carlo(tables, [(p, p) for p in args.p],
@@ -120,6 +140,8 @@ def _cmd_decode_sweep(args) -> int:
 
 
 def _cmd_decode_exhaustive(args) -> int:
+    from . import decoder, stabilizer
+
     c = _load_cellulation(args.cellulation)
     code = stabilizer.build_code(c)
     rows = decoder.exhaustive_weight_sweep(code, args.weight)
@@ -132,6 +154,8 @@ def _cmd_decode_exhaustive(args) -> int:
 
 
 def _cmd_search_census(args) -> int:
+    from . import search
+
     report = search.census_report(args.edges, min_systole=args.min_systole,
                                   vertex_count=args.vertices,
                                   bigon_faces=args.bigons)
@@ -141,6 +165,8 @@ def _cmd_search_census(args) -> int:
 
 
 def _cmd_search_verify(args) -> int:
+    from . import search
+
     report = search.verify_no_small_codes()
     lines = [f"e={r['edge_count']}: survivors {r['survivor_count']}"
              f" of {r['classes_examined']} classes"
@@ -149,6 +175,8 @@ def _cmd_search_verify(args) -> int:
 
 
 def _cmd_planar_puncture(args) -> int:
+    from . import stabilizer
+
     c = _load_cellulation(args.cellulation)
     result = stabilizer.puncture(c, args.face, args.vertex)
     code = result.code
@@ -165,6 +193,8 @@ def _cmd_planar_puncture(args) -> int:
 
 
 def _cmd_planar_holes(args) -> int:
+    from . import stabilizer
+
     if args.spec:
         with open(args.spec) as fh:
             patch = stabilizer.PlanarPatch.from_json(fh.read())
@@ -304,8 +334,7 @@ def main(argv=None) -> int:
             parser.error(f"argument {name}: expected one argument")
     try:
         return args.func(args)
-    except (KeyError, ValueError, OSError,
-            search.EnumerationBudgetError) as exc:
+    except (KeyError, ValueError, OSError) as exc:
         # str() of a KeyError quotes its message; print the message itself
         message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
         print(f"error: {message}", file=sys.stderr)

@@ -126,11 +126,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
-from . import homology, invariants, stabilizer, surface
+from . import surface
 from .surface import Cellulation, CellulationError, FlagMap
 
 
-class EnumerationBudgetError(RuntimeError):
+class EnumerationBudgetError(ValueError):
     """The requested edge count exceeds the enumeration budget."""
 
 
@@ -620,6 +620,8 @@ def _passes_filters(c: Cellulation, cons: EnumerationConstraints) -> bool:
         # both systoles off one split: d_z is the primal one, d_x the
         # dual one, and None (k = 0) means no essential cycle at all, so
         # every bound holds
+        from . import stabilizer
+
         code = stabilizer.CssCode(*surface.incidence_matrices(c))
         for bound, side in ((cons.min_primal_systole, "d_z"),
                             (cons.min_dual_systole, "d_x")):
@@ -904,6 +906,8 @@ def identification_reaches(c: Cellulation, target: Cellulation,
 # ---------------------------------------------------------------------------
 
 def _rank2_count(c: Cellulation) -> int:
+    from . import invariants, stabilizer
+
     code = stabilizer.build_code(c)
     return len(invariants.rank_profile(code).rank2_pairs)
 
@@ -938,6 +942,8 @@ def reconstruct_figures() -> tuple[Cellulation, Cellulation, dict]:
         raise CellulationError("no 5-vertex nine-edge class survives")
     fig2_hits.sort(key=surface.canonical_form)
     fig2 = fig2_hits[0]
+
+    from . import homology
 
     def cert(c: Cellulation, pool: list, hits: list) -> dict:
         info = surface.validate(c)

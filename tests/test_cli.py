@@ -985,3 +985,41 @@ class TestModuleEntry:
         done = self._module("code", "compare", "--", "rp2_minimal", "--")
         assert done.returncode == 2
         assert "Traceback" not in done.stderr and done.stdout == ""
+
+    def test_python_m_edges_over_budget_is_a_computation_error(self):
+        # the budget error is a ValueError, so main's except names no layer
+        done = self._module("search", "census", "--edges", "11")
+        assert (done.returncode, done.stdout) == (1, "")
+        assert done.stderr == "error: edge count 11 exceeds the budget of 10\n"
+
+    @pytest.mark.parametrize("argv,layers", [
+        ([], []),
+        (["catalog", "list"], ["gf2", "surface"]),
+        (["code", "params", "fig4_shor"],
+         ["gf2", "homology", "stabilizer", "surface"]),
+        # no class of 4 edges reaches the systole filter, so the census
+        # never loads the code layers
+        (["search", "census", "--edges", "4"], ["gf2", "search", "surface"]),
+        (["decode", "exhaustive", "fig4_shor", "--weight", "1"],
+         ["decoder", "gf2", "homology", "stabilizer", "surface"]),
+    ], ids=["import", "catalog-list", "code-params", "census", "exhaustive"])
+    def test_each_command_loads_only_its_layers(self, argv, layers):
+        # a fresh interpreter imports cellqec.cli and, given an argv, runs
+        # it through main with its output captured; it prints its exit
+        # code and the cellqec modules loaded
+        src = os.path.dirname(os.path.dirname(cellqec.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        probe = ("import contextlib, io, json, sys; from cellqec import cli\n"
+                 "code = None\n"
+                 "if sys.argv[1:]:\n"
+                 "    with contextlib.redirect_stdout(io.StringIO()):\n"
+                 "        code = cli.main(sys.argv[1:])\n"
+                 "print(json.dumps([code, sorted(m for m in sys.modules\n"
+                 "                                if m.startswith('cellqec'))]))")
+        done = subprocess.run([sys.executable, "-c", probe, *argv], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        code, loaded = json.loads(done.stdout)
+        assert code == (0 if argv else None)
+        assert loaded == sorted(["cellqec", "cellqec.cli"] + [
+            f"cellqec.{layer}" for layer in layers])
